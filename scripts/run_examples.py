@@ -7,9 +7,10 @@ With no names, runs every example. Pass --json for the machine format
 (the same bytes the golden files store).
 """
 
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from arclab.cli import EXAMPLES, main  # noqa: E402
 

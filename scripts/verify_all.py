@@ -17,7 +17,8 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from arclab.cli import EXAMPLES, main as cli_main  # noqa: E402
 from arclab.groups import parse_group  # noqa: E402
@@ -25,7 +26,7 @@ from arclab.valuations import differential_verify, verify_thm_defblRCF  # noqa: 
 
 POOL = ["lex(Z, Q)", "lex(Z, Z)", "lex(real(1, pi))", "lex(Zloc(2), Q)", "lex(Q)"]
 LEVELED = {"lex(Z, Q)": {2: 1, 3: 1}, "lex(real(1, pi))": {2: 2, 3: 2}}
-GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(samples: int, seed: int) -> int:

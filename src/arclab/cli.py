@@ -28,7 +28,6 @@ from .errors import (
     NonEffectiveError,
     ParameterError,
     ShapeError,
-    TruncationError,
     UnboundVariableError,
     UnsupportedQuantifierPattern,
 )
@@ -425,7 +424,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ArclabError) as exc:
+    except ArclabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -17,9 +17,8 @@ searched independently of the label formula so the two routes cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import ShapeError
+from .errors import InternalError, ShapeError
 from .groups import LexWord, OmegaTower
 from .primes import INF, PartitionMap, PrimeSet
 
@@ -92,18 +91,6 @@ def cuts_cmp(a: ConvexCut, b: ConvexCut) -> int:
     """-1 when a is shallower (larger subgroup) than b."""
     ka, kb = a.key(), b.key()
     return (ka > kb) - (ka < kb)
-
-
-def convex_cuts(G: LexWord) -> Iterator[ConvexCut]:
-    """All convex cuts, shallow to deep; infinite when a tower is present."""
-    for seg, comp in enumerate(G.components):
-        yield ConvexCut(seg)
-        if isinstance(comp, OmegaTower):
-            m = 1
-            while True:
-                yield ConvexCut(seg, m)
-                m += 1
-    yield bottom_cut(G)
 
 
 def chain_cuts(G: LexWord, inner_limit: int = 4) -> list[ConvexCut]:
@@ -476,7 +463,7 @@ def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, e: int) -> PrimeS
     probe = piece.smallest(1)[0]
     _, high, _ = _pair_for(G, probe, e)
     if cuts_cmp(high, c) > 0:
-        raise ShapeError("pair landed below the target cut; exponent bookkeeping is off")
+        raise InternalError("pair landed below the target cut; exponent bookkeeping is off")
     if high.inner is None:
         return piece if high == c else PrimeSet.empty()
     if c.inner is not None and high.seg == c.seg:
@@ -518,7 +505,7 @@ def non_definability_certificate(
                 cuts_cmp(lo, c) > 0 or (at_bottom and lo == c)
             )
             if not (straddle_ok and is_p_regular(G, lo, hi, p)):
-                raise ShapeError(
+                raise InternalError(
                     f"certificate verification failed at p={p} for cut {cut_name(G, c)}"
                 )
             instances.append(PairInstance(p, lo, hi))

@@ -44,3 +44,7 @@ class ParameterError(ArclabError):
 
 class UnboundVariableError(ArclabError):
     """A formula referenced a variable with no binding in scope."""
+
+
+class InternalError(ArclabError):
+    """An internal invariant failed: a contradiction in the theory layer, not bad input."""

@@ -40,6 +40,7 @@ from fractions import Fraction
 from .convex import ConvexCut, g_pn, max_p_divisible, np_map, suffix_exponent_map, top_cut
 from .errors import (
     DslSyntaxError,
+    InternalError,
     NonEffectiveError,
     ParameterError,
     RootError,
@@ -53,19 +54,19 @@ from .groups import (
     FreeReal,
     LexWord,
     LocZ,
-    Rat,
     Zed,
     elem_cmp,
     elem_div_by_p,
     elem_neg,
     elem_p_divisible,
     elem_sub,
-    flatten,
+    format_rational,
     scalar_mul,
     zero_element,
 )
 from .hahn import (
     HahnSeries,
+    _make,
     const_series,
     default_cutoff,
     series_add,
@@ -229,7 +230,7 @@ def term_of_series(s: HahnSeries):
         return Const(Fraction(0))
     parts = []
     for g, c in s.terms:
-        flat = tuple(Fraction(x) for x in flatten(s.group, g))
+        flat = tuple(Fraction(x) for x in g)
         if all(x == 0 for x in flat):
             parts.append(Const(c))
         elif c == 1:
@@ -248,19 +249,14 @@ def term_of_series(s: HahnSeries):
 _TERM_ATOM = 5
 
 
-def _fmt_q(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _pt(t, prec: int) -> str:
     if isinstance(t, Const):
-        s = _fmt_q(t.value)
+        s = format_rational(t.value)
         lvl = 3 if t.value < 0 else _TERM_ATOM
     elif isinstance(t, Var):
         s, lvl = t.name, _TERM_ATOM
     elif isinstance(t, Monomial):
-        s, lvl = "t^(" + ",".join(_fmt_q(e) for e in t.exps) + ")", _TERM_ATOM
+        s, lvl = "t^(" + ",".join(format_rational(e) for e in t.exps) + ")", _TERM_ATOM
     elif isinstance(t, Add):
         s, lvl = f"{_pt(t.left, 1)} + {_pt(t.right, 2)}", 1
     elif isinstance(t, Sub):
@@ -560,14 +556,6 @@ def parse_formula(text: str, group: LexWord | None = None):
     return f
 
 
-def parse_term(text: str):
-    p = _Parser(text, None)
-    t = p.term()
-    if p.i != len(p.toks):
-        raise DslSyntaxError("trailing input", p.peek()[2], text)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -694,29 +682,22 @@ def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
     cut = g_pn(G, p, n)
     if cut.inner is not None:
         raise NonEffectiveError("coset representatives inside a schematic tower")
-    suffix = G.components[cut.seg :]
-    for comp in suffix:
+    for comp in G.components[cut.seg :]:
         if not comp.is_effective():
             raise NonEffectiveError(f"cannot enumerate cosets of a schematic unit ({comp.describe()})")
-    prefix_zeros = sum(c.n_slots() for c in G.components[: cut.seg])
+    prefix_zeros = G.layout.offsets[cut.seg]
     ranges: list[range | tuple] = []
-    for comp in suffix:
-        if isinstance(comp, Zed):
+    for kind in G.layout.kinds[prefix_zeros:]:
+        if isinstance(kind, (Zed, FreeReal)) or (isinstance(kind, LocZ) and kind.q == p):
             ranges.append(range(p))
-        elif isinstance(comp, Rat):
+        else:  # Q, or Zloc(q) with q != p: p-divisible
             ranges.append((0,))
-        elif isinstance(comp, LocZ):
-            ranges.append(range(p) if comp.q == p else (0,))
-        elif isinstance(comp, FreeReal):
-            ranges.extend([range(p)] * comp.n_slots())
-        else:  # pragma: no cover - guarded above
-            raise NonEffectiveError(comp.describe())
     out = []
     for combo in itertools.product(*ranges):
         flat = (0,) * prefix_zeros + combo
         out.append(monomial(G, flat, 1))
     if len(out) > p**n:
-        raise ShapeError("coset count exceeds p^n; the level cut is wrong")  # unreachable
+        raise InternalError("coset count exceeds p^n; the level cut is wrong")  # unreachable
     while len(out) < p**n:
         out.append(const_series(G, 1))
     return out
@@ -1073,8 +1054,8 @@ def _in_cut_subgroup(G: LexWord, v, cut: ConvexCut) -> bool:
     """Does v lie in the convex subgroup named by the cut?"""
     if cut.inner is not None:
         raise NonEffectiveError("membership inside a schematic tower cut")
-    zero = zero_element(G)
-    return v[: cut.seg] == zero[: cut.seg]
+    k = G.layout.offsets[cut.seg]
+    return v[:k] == zero_element(G)[:k]
 
 
 def _ring_member_cut(G: LexWord, v, cut: ConvexCut) -> bool:
@@ -1399,14 +1380,13 @@ def _candidates(
             pass
 
     zero = zero_element(G)
-    nslots = G.n_slots()
     for b in bases:
         push(b)
         if b.trunc is not None or b.is_zero():
             continue
         v = v_of(b)
         lc = leading_coeff(b)
-        push(monomial(G, flatten(G, elem_neg(G, v)), Fraction(1) / lc))
+        push(_make(G, [(elem_neg(G, v), Fraction(1) / lc)], None))
         if v == zero:
             continue
         half = _halve(G, v)
@@ -1414,16 +1394,16 @@ def _candidates(
         if half is not None:
             multiples += [half, elem_neg(G, half)]
         for g in multiples:
-            push(monomial(G, flatten(G, g), 1))
-        neg_flat = list(flatten(G, elem_neg(G, v)))
-        for j in range(nslots):
+            push(_make(G, [(g, 1)], None))
+        neg = elem_neg(G, v)
+        for j in range(len(neg)):
             for step in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2)):
-                shifted = list(neg_flat)
-                shifted[j] = shifted[j] + step
+                shifted = list(neg)
+                shifted[j] += step
                 try:
-                    push(monomial(G, tuple(shifted), 1))
-                except (ShapeError, ValueError, TypeError):
-                    pass
+                    push(monomial(G, shifted, 1))
+                except ShapeError:
+                    pass  # the slot does not admit this exponent
 
     targets: list = []
     _root_equation_targets(body, targets)

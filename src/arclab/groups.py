@@ -18,10 +18,12 @@ The first four kinds are *effective*: elements exist and arithmetic is exact.
 The last two are analysis-only; words containing them expose the symbolic
 interfaces (divisibility, quotient exponents) but no element arithmetic.
 
-Elements of an effective word are nested tuples, one entry per component:
-an ``int`` for Zed, a ``Fraction`` for Rat and LocZ, and a tuple of ints
-over the generators for FreeReal.  ``flatten``/``unflatten`` convert to the
-flat scalar-slot encoding used by the series and formula DSLs.
+An element of an effective word is a flat tuple with one entry per scalar
+slot: one slot for Zed, Rat and LocZ, and one slot per generator for
+FreeReal, spliced in place.  Zed and FreeReal slots hold ``int``, Rat and
+LocZ slots hold ``Fraction``.  The word's :class:`SlotLayout` says which
+component owns each slot; only ``elem_cmp`` regroups the FreeReal slots.
+``unflatten`` is the one validator, and the arithmetic trusts its inputs.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Union
+from functools import cached_property, lru_cache
+from typing import Union
 
-from .errors import DslSyntaxError, NonEffectiveError, ShapeError
+from .errors import DslSyntaxError, InternalError, NonEffectiveError, ShapeError
 from .primes import INF, PartitionMap, PrimeSet, first_primes, is_prime, prime_at, prime_index
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,7 @@ class RealGen:
     def describe(self) -> str:
         if self.kind == "pi":
             return "pi"
-        return _format_rational(self.value)
+        return format_rational(self.value)
 
 
 PI_GEN = RealGen("pi")
@@ -118,7 +120,7 @@ def sign_of_real(gens: tuple[RealGen, ...], coords: tuple[int, ...]) -> int:
         if val_hi < 0:
             return -1
         digits *= 2
-    raise ShapeError("interval refinement failed to separate a real constant from zero")
+    raise InternalError("interval refinement failed to separate a real constant from zero")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,35 @@ Component = Union[Zed, Rat, LocZ, FreeReal, OmegaTower, PolyModule]
 
 
 @dataclass(frozen=True)
+class SlotLayout:
+    """Where the components of a word sit in its flat element tuple.
+
+    kinds[i] is the component owning slot i, offsets[k] the first slot of
+    component k (offsets[-1] is the slot count), and real_runs[i] the
+    (start, stop, gens) slot run of slot i's FreeReal component, or None.
+    """
+
+    effective: bool
+    kinds: tuple[Component, ...]
+    offsets: tuple[int, ...]
+    real_runs: tuple[tuple[int, int, tuple[RealGen, ...]] | None, ...]
+    zero: tuple
+
+    @staticmethod
+    def of(components: tuple[Component, ...]) -> "SlotLayout":
+        kinds, offsets, runs = [], [0], []
+        for comp in components:
+            start = len(kinds)
+            kinds.extend([comp] * comp.n_slots())
+            offsets.append(len(kinds))
+            run = (start, len(kinds), comp.gens) if isinstance(comp, FreeReal) else None
+            runs.extend([run] * comp.n_slots())
+        zero = tuple(0 if isinstance(k, (Zed, FreeReal)) else Fraction(0) for k in kinds)
+        effective = all(c.is_effective() for c in components)
+        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero)
+
+
+@dataclass(frozen=True)
 class LexWord:
     """A lexicographic word of components, index 0 most significant."""
 
@@ -326,11 +357,15 @@ class LexWord:
         if not self.components:
             raise ValueError("a group needs at least one component")
 
+    @cached_property
+    def layout(self) -> SlotLayout:
+        return SlotLayout.of(self.components)
+
     def is_effective(self) -> bool:
-        return all(c.is_effective() for c in self.components)
+        return self.layout.effective
 
     def n_slots(self) -> int:
-        return sum(c.n_slots() for c in self.components)
+        return len(self.layout.kinds)
 
     def describe(self) -> str:
         return "lex(" + ", ".join(c.describe() for c in self.components) + ")"
@@ -339,16 +374,26 @@ class LexWord:
         return f"LexWord<{self.describe()}>"
 
 
-# An element is a tuple with one entry per component:
-#   Zed -> int, Rat/LocZ -> Fraction, FreeReal -> tuple[int, ...]
+# An element is a flat tuple with one entry per slot of G.layout:
+#   Zed, FreeReal slots -> int; Rat, LocZ slots -> Fraction
 GroupElement = tuple
 
 
-def _require_effective(G: LexWord) -> None:
+def _require_effective(G: LexWord) -> SlotLayout:
     if not G.is_effective():
         raise NonEffectiveError(
             f"{G.describe()} contains schematic components; element arithmetic is unavailable"
         )
+    return G.layout
+
+
+def _fit(G: LexWord, *elems: GroupElement) -> SlotLayout:
+    """The layout of G, after checking that every element has its slot count."""
+    lay = _require_effective(G)
+    for a in elems:
+        if not isinstance(a, tuple) or len(a) != len(lay.kinds):
+            raise ShapeError(f"element {a!r} does not fit {G.describe()}")
+    return lay
 
 
 def q_adic_val(x: Fraction, q: int) -> int:
@@ -366,99 +411,57 @@ def q_adic_val(x: Fraction, q: int) -> int:
     return v
 
 
-def _coerce_coord(comp: Component, value) -> object:
-    if isinstance(comp, Zed):
-        f = Fraction(value)
-        if f.denominator != 1:
-            raise ShapeError(f"integer coordinate expected, got {value}")
-        return int(f)
-    if isinstance(comp, Rat):
-        return Fraction(value)
-    if isinstance(comp, LocZ):
-        f = Fraction(value)
-        if f.denominator % comp.q == 0:
-            raise ShapeError(
-                f"coordinate {value} has denominator divisible by {comp.q}"
-            )
+def _coerce_slot(kind: Component, value) -> int | Fraction:
+    f = Fraction(value)
+    if isinstance(kind, Rat):
         return f
-    if isinstance(comp, FreeReal):
-        vec = tuple(value)
-        if len(vec) != comp.rank:
-            raise ShapeError(f"expected {comp.rank} generator coordinates, got {len(vec)}")
-        out = []
-        for entry in vec:
-            f = Fraction(entry)
-            if f.denominator != 1:
-                raise ShapeError("real-component coordinates are integer vectors")
-            out.append(int(f))
-        return tuple(out)
-    raise NonEffectiveError(f"{comp.describe()} has no elements")
+    if isinstance(kind, LocZ):
+        if f.denominator % kind.q == 0:
+            raise ShapeError(f"coordinate {value} has denominator divisible by {kind.q}")
+        return f
+    if f.denominator != 1:
+        if isinstance(kind, FreeReal):
+            raise ShapeError("real-component coordinates are integer vectors")
+        raise ShapeError(f"integer coordinate expected, got {value}")
+    return f.numerator
+
+
+def unflatten(G: LexWord, flat) -> GroupElement:
+    """Validate a flat slot tuple as an element of G (the input boundary)."""
+    flat = tuple(flat)
+    if len(flat) != G.n_slots():
+        raise ShapeError(f"expected {G.n_slots()} slots, got {len(flat)}")
+    lay = _require_effective(G)
+    return tuple(_coerce_slot(kind, v) for kind, v in zip(lay.kinds, flat))
 
 
 def element(G: LexWord, *coords) -> GroupElement:
-    """Build a validated element from per-component coordinates."""
+    """Build a validated element from per-component coordinates; a FreeReal
+    coordinate is the vector of its generator coefficients."""
     _require_effective(G)
     if len(coords) != len(G.components):
         raise ShapeError(
             f"expected {len(G.components)} coordinates, got {len(coords)}"
         )
-    return tuple(_coerce_coord(c, v) for c, v in zip(G.components, coords))
+    flat = []
+    for comp, value in zip(G.components, coords):
+        if isinstance(comp, FreeReal):
+            vec = tuple(value)
+            if len(vec) != comp.rank:
+                raise ShapeError(f"expected {comp.rank} generator coordinates, got {len(vec)}")
+            flat.extend(vec)
+        else:
+            flat.append(value)
+    return unflatten(G, flat)
 
 
 def zero_element(G: LexWord) -> GroupElement:
-    _require_effective(G)
-    out = []
-    for comp in G.components:
-        if isinstance(comp, Zed):
-            out.append(0)
-        elif isinstance(comp, FreeReal):
-            out.append((0,) * comp.rank)
-        else:
-            out.append(Fraction(0))
-    return tuple(out)
-
-
-def flatten(G: LexWord, a: GroupElement) -> tuple:
-    """Flat scalar-slot encoding: FreeReal coordinates are spliced in place."""
-    out = []
-    for comp, coord in zip(G.components, a):
-        if isinstance(comp, FreeReal):
-            out.extend(coord)
-        else:
-            out.append(coord)
-    return tuple(out)
-
-
-def unflatten(G: LexWord, flat) -> GroupElement:
-    flat = tuple(flat)
-    if len(flat) != G.n_slots():
-        raise ShapeError(f"expected {G.n_slots()} slots, got {len(flat)}")
-    out = []
-    pos = 0
-    for comp in G.components:
-        k = comp.n_slots()
-        chunk = flat[pos : pos + k]
-        pos += k
-        out.append(chunk if isinstance(comp, FreeReal) else chunk[0])
-    return element(G, *out)
-
-
-def _check_shape(G: LexWord, a: GroupElement) -> None:
-    if not isinstance(a, tuple) or len(a) != len(G.components):
-        raise ShapeError(f"element {a!r} does not fit {G.describe()}")
+    return _require_effective(G).zero
 
 
 def elem_add(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
-    _require_effective(G)
-    _check_shape(G, a)
-    _check_shape(G, b)
-    out = []
-    for comp, x, y in zip(G.components, a, b):
-        if isinstance(comp, FreeReal):
-            out.append(tuple(u + v for u, v in zip(x, y)))
-        else:
-            out.append(x + y)
-    return element(G, *out)
+    _fit(G, a, b)
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def elem_neg(G: LexWord, a: GroupElement) -> GroupElement:
@@ -470,69 +473,39 @@ def elem_sub(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def scalar_mul(G: LexWord, k: int, a: GroupElement) -> GroupElement:
-    _require_effective(G)
-    _check_shape(G, a)
-    out = []
-    for comp, x in zip(G.components, a):
-        if isinstance(comp, FreeReal):
-            out.append(tuple(k * u for u in x))
-        else:
-            out.append(k * x)
-    return element(G, *out)
-
-
-def _coord_sign(comp: Component, x) -> int:
-    if isinstance(comp, FreeReal):
-        if all(u == 0 for u in x):
-            return 0
-        return sign_of_real(comp.gens, x)
-    return (x > 0) - (x < 0)
+    _fit(G, a)
+    return tuple(k * x for x in a)
 
 
 def elem_cmp(G: LexWord, a: GroupElement, b: GroupElement) -> int:
-    """Lexicographic comparison; returns -1, 0 or 1."""
-    _require_effective(G)
-    _check_shape(G, a)
-    _check_shape(G, b)
-    for comp, x, y in zip(G.components, a, b):
-        if isinstance(comp, FreeReal):
-            diff = tuple(u - v for u, v in zip(x, y))
-        else:
-            diff = x - y
-        s = _coord_sign(comp, diff)
-        if s != 0:
-            return s
+    """Lexicographic comparison; returns -1, 0 or 1.
+
+    The first differing slot decides, except that a FreeReal component's
+    slots are one coordinate: its generators are linearly independent, so
+    the sign of their combined difference is nonzero and decides.
+    """
+    lay = _fit(G, a, b)
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            run = lay.real_runs[i]
+            if run is None:
+                return 1 if x > y else -1
+            start, stop, gens = run
+            return sign_of_real(gens, tuple(u - v for u, v in zip(a[start:stop], b[start:stop])))
     return 0
 
 
-def is_zero_elem(G: LexWord, a: GroupElement) -> bool:
-    _check_shape(G, a)
-    for comp, x in zip(G.components, a):
-        if isinstance(comp, FreeReal):
-            if any(u != 0 for u in x):
-                return False
-        elif x != 0:
-            return False
-    return True
-
-
 def elem_p_divisible(G: LexWord, a: GroupElement, p: int) -> bool:
-    """Membership of a in pG, decided coordinatewise."""
-    _require_effective(G)
-    _check_shape(G, a)
+    """Membership of a in pG, decided slot by slot."""
+    lay = _fit(G, a)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for comp, x in zip(G.components, a):
-        if isinstance(comp, Zed):
+    for kind, x in zip(lay.kinds, a):
+        if isinstance(kind, (Zed, FreeReal)):
             if x % p != 0:
                 return False
-        elif isinstance(comp, Rat):
-            continue
-        elif isinstance(comp, LocZ):
-            if p == comp.q and x != 0 and q_adic_val(x, comp.q) < 1:
-                return False
-        elif isinstance(comp, FreeReal):
-            if any(u % p != 0 for u in x):
+        elif isinstance(kind, LocZ):
+            if p == kind.q and x != 0 and q_adic_val(x, kind.q) < 1:
                 return False
     return True
 
@@ -541,23 +514,13 @@ def elem_div_by_p(G: LexWord, a: GroupElement, p: int) -> GroupElement:
     """The b with p*b = a; requires elem_p_divisible(G, a, p)."""
     if not elem_p_divisible(G, a, p):
         raise ShapeError(f"element is not divisible by {p}")
-    out = []
-    for comp, x in zip(G.components, a):
-        if isinstance(comp, Zed):
-            out.append(x // p)
-        elif isinstance(comp, FreeReal):
-            out.append(tuple(u // p for u in x))
-        else:
-            out.append(x / p)
-    return element(G, *out)
+    return tuple(
+        x // p if isinstance(kind, (Zed, FreeReal)) else x / p
+        for kind, x in zip(G.layout.kinds, a)
+    )
 
 
-def format_element(G: LexWord, a: GroupElement) -> str:
-    slots = flatten(G, a)
-    return "(" + ", ".join(_format_rational(Fraction(s)) for s in slots) + ")"
-
-
-def _format_rational(x: Fraction) -> str:
+def format_rational(x: int | Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -717,11 +680,3 @@ def parse_group(text: str) -> LexWord:
 def print_group(G: LexWord) -> str:
     return G.describe()
 
-
-def iter_slot_components(G: LexWord) -> Iterator[tuple[int, Component]]:
-    """Yields (flat slot index, owning component) for each scalar slot."""
-    slot = 0
-    for comp in G.components:
-        for _ in range(comp.n_slots()):
-            yield slot, comp
-            slot += 1

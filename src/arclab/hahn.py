@@ -43,7 +43,7 @@ from .groups import (
     elem_neg,
     elem_p_divisible,
     elem_sub,
-    flatten,
+    format_rational,
     scalar_mul,
     unflatten,
     zero_element,
@@ -64,6 +64,8 @@ class HahnSeries:
 
 
 def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
+    """A series from (exponent, coefficient) pairs whose exponents are
+    already elements of G; equal exponents merge, zero terms drop."""
     merged: dict[GroupElement, Fraction] = {}
     for e, c in pairs:
         merged[e] = merged.get(e, Fraction(0)) + c
@@ -140,13 +142,6 @@ def series_sub(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     return series_add(a, series_neg(b))
 
 
-def series_scalar(a: HahnSeries, k) -> HahnSeries:
-    k = Fraction(k)
-    if k == 0:
-        return HahnSeries(a.group, (), a.trunc)
-    return HahnSeries(a.group, tuple((e, k * c) for e, c in a.terms), a.trunc)
-
-
 def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     _check_groups(a, b)
     G = a.group
@@ -198,8 +193,9 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
         raise TruncationError("cannot invert: series is zero modulo its truncation")
     v = v_of(a)
     lc = leading_coeff(a)
+    inv_lead = _make(G, [(elem_neg(G, v), Fraction(1) / lc)], None)
     if len(a.terms) == 1 and a.trunc is None:
-        return monomial(G, flatten(G, elem_neg(G, v)), Fraction(1) / lc)
+        return inv_lead
     if cutoff is None and a.trunc is None:
         raise TruncationError("a cutoff is required: the inverse has infinite support")
     # precision limits: the requested cutoff, and what the input itself knows
@@ -211,8 +207,8 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
         eff = from_input if eff is None else _min_trunc(G, eff, from_input)
     # a = lc * t^v * (1 + w) with v(w) > 0; invert the unit part to O(t^(eff + v))
     unit_cut = elem_add(G, eff, v)
-    lead = monomial(G, flatten(G, v), lc)
-    w = series_mul(series_sub(a, lead), monomial(G, flatten(G, elem_neg(G, v)), Fraction(1) / lc))
+    lead = _make(G, [(v, lc)], None)
+    w = series_mul(series_sub(a, lead), inv_lead)
     w = HahnSeries(G, w.terms, None)  # powers are filtered against unit_cut below
     acc = const_series(G, 1)
     power = const_series(G, 1)
@@ -220,9 +216,7 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
         power = _make(G, series_mul(power, series_neg(w)).terms, unit_cut)
         if not power.terms:
             inv_unit = _make(G, acc.terms, unit_cut)
-            result = series_mul(
-                inv_unit, monomial(G, flatten(G, elem_neg(G, v)), Fraction(1) / lc)
-            )
+            result = series_mul(inv_unit, inv_lead)
             return HahnSeries(G, result.terms, eff)
         acc = series_add(acc, power)
     raise TruncationError("inverse support is not finite below the cutoff")
@@ -334,7 +328,7 @@ def pth_root(
         raise RootError(f"leading coefficient {lc} is not an exact {p}-th power")
     # v is p-divisible (root_exists passed); the root's exponent is v/p
     e_root = elem_div_by_p(G, v, p)
-    z = monomial(G, flatten(G, e_root), root_lc)
+    z = _make(G, [(e_root, root_lc)], None)
     for step in range(512):
         defect = series_sub(a, series_pow(z, p))
         if not defect.terms:
@@ -348,7 +342,7 @@ def pth_root(
         if max_steps is not None and step >= max_steps:
             return _make(G, z.terms, _min_trunc(G, e_step, cutoff))
         coeff = leading_coeff(defect) / (p * root_lc ** (p - 1))
-        z = series_add(z, monomial(G, flatten(G, e_step), coeff))
+        z = series_add(z, _make(G, [(e_step, coeff)], None))
     raise TruncationError("root support exceeded the iteration cap; pass a cutoff")
 
 
@@ -397,24 +391,12 @@ def decompose(a: HahnSeries, c) -> tuple[tuple, HahnSeries]:
     suffix = LexWord(G.components[c.seg :])
     if not suffix.is_effective():
         raise NonEffectiveError("suffix word is schematic")
-    n_prefix_slots = sum(comp.n_slots() for comp in G.components[: c.seg])
-
-    def split(e: GroupElement) -> tuple[tuple, tuple]:
-        flat = flatten(G, e)
-        return flat[:n_prefix_slots], flat[n_prefix_slots:]
-
-    coarse, _ = split(v_of(a))
-    kept = []
-    for e, coeff in a.terms:
-        pre, post = split(e)
-        if pre == coarse:
-            kept.append((post, coeff))
-    trunc_flat = None
-    if a.trunc is not None:
-        t_pre, t_post = split(a.trunc)
-        if t_pre == coarse:
-            trunc_flat = t_post
-    return coarse, series_of(suffix, kept, trunc_flat)
+    # the slots of the suffix components are a valid element of the suffix word
+    k = G.layout.offsets[c.seg]
+    coarse = v_of(a)[:k]
+    kept = [(e[k:], coeff) for e, coeff in a.terms if e[:k] == coarse]
+    trunc = a.trunc[k:] if a.trunc is not None and a.trunc[:k] == coarse else None
+    return coarse, _make(suffix, kept, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +421,7 @@ def sample_series(
     exps: list[tuple] = []
     for _ in range(support):
         flat = []
-        for comp in _slot_kinds(G):
+        for comp in G.layout.kinds:
             if isinstance(comp, (Zed, FreeReal)):
                 flat.append(Fraction(rng.randint(-exp_mag, exp_mag)))
             elif isinstance(comp, Rat):
@@ -459,24 +441,12 @@ def sample_series(
     return out
 
 
-def _slot_kinds(G: LexWord):
-    for comp in G.components:
-        for _ in range(comp.n_slots()):
-            yield comp
-
-
 # ---------------------------------------------------------------------------
 # series literals
 
 
-def _format_exp(flat) -> str:
-    return "(" + ",".join(_fmt_q(Fraction(x)) for x in flat) + ")"
-
-
-def _fmt_q(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def _format_exp(e: GroupElement) -> str:
+    return "(" + ",".join(format_rational(x) for x in e) + ")"
 
 
 def print_series(a: HahnSeries) -> str:
@@ -485,11 +455,11 @@ def print_series(a: HahnSeries) -> str:
     chunks = []
     for e, c in a.terms:
         if e == zero:
-            body = _fmt_q(abs(c))
+            body = format_rational(abs(c))
         elif abs(c) == 1:
-            body = f"t^{_format_exp(flatten(G, e))}"
+            body = f"t^{_format_exp(e)}"
         else:
-            body = f"{_fmt_q(abs(c))}*t^{_format_exp(flatten(G, e))}"
+            body = f"{format_rational(abs(c))}*t^{_format_exp(e)}"
         chunks.append(("-" if c < 0 else "+", body))
     if not chunks:
         out = "0" if a.trunc is None else ""
@@ -499,7 +469,7 @@ def print_series(a: HahnSeries) -> str:
         for sign, body in chunks[1:]:
             out += f" {sign} {body}"
     if a.trunc is not None:
-        marker = f"O(t^{_format_exp(flatten(G, a.trunc))})"
+        marker = f"O(t^{_format_exp(a.trunc)})"
         out = marker if not out else f"{out} + {marker}"
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import ShapeError
 
@@ -59,13 +59,6 @@ def prime_index(p: int) -> int:
 
 def first_primes(n: int) -> list[int]:
     return [prime_at(k) for k in range(n)]
-
-
-def iter_primes() -> Iterator[int]:
-    k = 0
-    while True:
-        yield prime_at(k)
-        k += 1
 
 
 def _check_primes(xs: Iterable[int]) -> frozenset[int]:

@@ -108,9 +108,9 @@ def ring_member(V: ValuationDescriptor, a: HahnSeries) -> bool:
     if V.cut.inner is not None:
         raise NonEffectiveError("ring membership at a cut inside a schematic tower")
     G = V.group
-    v = v_of(a)
+    k = G.layout.offsets[V.cut.seg]
     zero = zero_element(G)
-    masked = tuple(v[:V.cut.seg]) + tuple(zero[V.cut.seg:])
+    masked = v_of(a)[:k] + zero[k:]
     return elem_cmp(G, masked, zero) >= 0
 
 
@@ -207,7 +207,7 @@ def boundary_monomials(G: LexWord) -> list[HahnSeries]:
                 exps[j] = sgn * mag
                 try:
                     s = monomial(G, tuple(exps), 1)
-                except (ShapeError, ValueError, TypeError):
+                except ShapeError:
                     continue  # slot does not admit this exponent
                 out.append(s)
                 out.append(series_neg(s))

@@ -1,9 +1,11 @@
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
+from arclab import groups
 from arclab.cli import EXAMPLES, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -69,6 +71,17 @@ def test_differential_on_schematic_group_is_usage_error(capsys):
     code, _ = run("verify", "phi-p", "--group", "lex(omega_tower(start=0))", "-p", "2")
     assert code == 2
     assert "NonEffectiveError" in capsys.readouterr().err
+
+
+def test_internal_contradiction_exits_1(monkeypatch, capsys):
+    # an enclosure of pi that never narrows trips sign_of_real's precision cap
+    monkeypatch.setattr(groups, "pi_interval", lambda digits: (Fraction(0), Fraction(10)))
+    code, _ = run(
+        "formula", "eval", "--group", "lex(real(1, pi))", "--expr", "psi_p[2](x)",
+        "--at", "x=t^(3,-1) + t^(0,1)", "--mode", "decide",
+    )
+    assert code == 1
+    assert "InternalError" in capsys.readouterr().err
 
 
 # -- formula eval -----------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_cmp_real_interval():
 
 def test_cmp_shape_mismatch():
     with pytest.raises(ShapeError):
-        elem_cmp(K1, element(K1, 1, 0), zero_element(ZPI))
+        elem_cmp(K1, element(K1, 1, 0), zero_element(parse_group("lex(Q)")))
 
 
 def test_schematic_has_no_elements():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from arclab.convex import (
@@ -10,11 +12,13 @@ from arclab.convex import (
     top_cut,
 )
 from arclab.errors import NonEffectiveError
+from arclab.formulas import SeriesFraction, _candidates, _in_cut_subgroup, build_phi_p, choose_params
 from arclab.groups import parse_group
-from arclab.hahn import parse_series, zero_series
+from arclab.hahn import decompose, parse_series, print_series, sample_series, v_of, zero_series
 from arclab.primes import PrimeSet
 from arclab.valuations import (
     ValuationDescriptor,
+    _stability_clause,
     boundary_monomials,
     differential_cross,
     differential_verify,
@@ -32,6 +36,7 @@ K2 = parse_group("lex(omega_tower(start=0))")
 ZPI = parse_group("lex(real(1, pi))")
 C0 = parse_group("lex(poly_module(Zloc(2), pi))")
 ZL2 = parse_group("lex(Zloc(2), Q)")
+PIZ = parse_group("lex(real(1, pi), Z)")  # a two-slot component above a cut
 
 
 # -- ring membership ---------------------------------------------------------------
@@ -70,6 +75,20 @@ def test_ring_member_coarsening_monotone():
         for x in probes:
             if ring_member(vd, x):
                 assert ring_member(vs, x)
+
+
+def test_two_slot_real_component_above_the_cut():
+    # seg1 sits below real(1, pi): the quotient prefix is two slots wide
+    c = parse_cut(PIZ, "seg1")
+    V = ValuationDescriptor(PIZ, c)
+    exps = ["(1,-1,0)", "(-1,1,0)", "(0,0,-3)", "(3,-1,-7)", "(0,1,-5)"]
+    xs = [parse_series(f"t^{e}", PIZ) for e in exps]
+    assert [ring_member(V, x) for x in xs] == [False, True, True, False, True]
+    assert [_in_cut_subgroup(PIZ, v_of(x), c) for x in xs] == [False, False, True, False, False]
+    coarse, residue = decompose(parse_series("t^(1,-1,2) + 3*t^(1,-1,5)", PIZ), c)
+    assert coarse == (1, -1)
+    assert print_series(residue) == "t^(2) + 3*t^(5)"
+    assert [print_series(s) for s in choose_params(PIZ, 2, 1)] == ["1", "t^(0,0,1)"]
 
 
 def test_ring_member_inner_cut_zero_only():
@@ -201,6 +220,33 @@ def test_boundary_monomials_k1():
     assert len(probes) == 33  # 5 constants + 28 signed monomials (Z slot skips 1/2)
     texts = {p.is_zero() for p in probes}
     assert True in texts  # zero is probed
+
+
+def _digest(series) -> str:
+    text = "\n".join(print_series(s) for s in series)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "dsl, n_cands, cands_digest, n_probes, probes_digest",
+    [
+        ("lex(Z, Q)", 200, "c72b0f628881728e", 33, "7cc988b9e9b12c85"),
+        ("lex(Z, Z)", 200, "724b1e8a223befb1", 29, "9a2d14ffc0e86cc1"),
+        ("lex(real(1, pi))", 200, "4fa1977b4773aa10", 29, "9a2d14ffc0e86cc1"),
+        ("lex(Zloc(2), Q)", 200, "3ab635b11d000219", 33, "7cc988b9e9b12c85"),
+        ("lex(Q)", 200, "3eac5c4cdfe7e427", 21, "1f2d56775db52f7b"),
+        ("lex(real(1, pi), Z)", 200, "0001a9491a0d1748", 41, "9b76241eac30063b"),
+    ],
+)
+def test_witness_grid_and_probes_pinned(dsl, n_cands, cands_digest, n_probes, probes_digest):
+    # both grids skip the per-slot values a slot rejects; the skipped set is pinned
+    G = parse_group(dsl)
+    body = _stability_clause(build_phi_p(2)).body
+    env = {"x": SeriesFraction.of(sample_series(G, 7))}
+    cands = _candidates(G, body, env, 200, 0)
+    probes = boundary_monomials(G)
+    assert (len(cands), _digest(cands)) == (n_cands, cands_digest)
+    assert (len(probes), _digest(probes)) == (n_probes, probes_digest)
 
 
 def test_differential_small_runs_clean():
