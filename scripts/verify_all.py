@@ -6,8 +6,8 @@ Usage: python scripts/verify_all.py [--samples N] [--seed S]
 Covers: the ring-formula differential on the five effective groups for
 p in {2, 3, 5}; the level-n differentials where levels exist; the
 three-way residue equivalence on every library group; and the example
-reports against their golden files. Exits 1 on the first failure class,
-printing what broke.
+reports against their golden files. Every block runs; each prints what
+broke, and the exit code is 1 when any block failed.
 """
 
 import argparse

@@ -21,7 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .convex import cut_name, labels_at, top_cut
+from .convex import cut_name
 from .errors import (
     ArclabError,
     DslSyntaxError,
@@ -36,9 +36,8 @@ from .groups import LexWord, is_prime, parse_group, print_group
 from .hahn import parse_series
 from .valuations import (
     classification_report,
+    definable_rows,
     differential_verify,
-    enumerate_definable,
-    is_residue_real_closed,
     v0_descriptor,
     v_p_descriptor,
     verify_thm_defblRCF,
@@ -157,14 +156,17 @@ def _dump_json(payload: dict, out) -> None:
 # subcommand bodies
 
 
-def _cmd_group_analyze(args, cfg: RunConfig, out) -> int:
-    G = parse_group(args.dsl)
+def _report(dsl: str, cfg: RunConfig, out, header: str | None = None) -> int:
+    """The classification report of one group, shared by `group analyze`,
+    `verify classification` and `examples` (which adds a header line)."""
     r = classification_report(
-        G, display_primes=cfg.display_primes, samples=cfg.samples, seed=cfg.seed
+        parse_group(dsl), display_primes=cfg.display_primes, samples=cfg.samples, seed=cfg.seed
     )
     if cfg.output == "json":
         _dump_json(r, out)
     else:
+        if header is not None:
+            print(header, file=out)
         _emit_report_text(r, out)
     bad = _report_failures(r)
     for b in bad:
@@ -174,23 +176,7 @@ def _cmd_group_analyze(args, cfg: RunConfig, out) -> int:
 
 def _cmd_valuations_list(args, cfg: RunConfig, out) -> int:
     G = parse_group(args.dsl)
-    image = enumerate_definable(G, display_primes=cfg.display_primes)
-    top = top_cut(G)
-    rows = []
-    for cut, labels in image:
-        disp = {}
-        for p in cfg.display_primes:
-            got = labels_at(G, cut, p)
-            disp[str(p)] = "unbounded" if got is None else got
-        rows.append(
-            {
-                "cut": cut_name(G, cut),
-                "labels": [e.to_json() for e in labels],
-                "display_labels": disp,
-                "residue_real_closed": is_residue_real_closed(G, cut),
-                "trivial": cut == top,
-            }
-        )
+    rows = definable_rows(G, cfg.display_primes)
     payload = {
         "group": print_group(G),
         "definable": rows,
@@ -261,28 +247,10 @@ def _cmd_formula_eval(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _emit_differential(r: dict, cfg: RunConfig, out) -> int:
-    if cfg.output == "json":
-        _dump_json(r, out)
-    else:
-        print(
-            f"p={r['p']} n={r['n']}: checked {r['checked']} points, "
-            f"{len(r['mismatches'])} mismatches",
-            file=out,
-        )
-        for m in r["mismatches"][:10]:
-            print(f"  MISMATCH {m}", file=out)
-    return 1 if r["mismatches"] else 0
-
-
 def _cmd_verify(args, cfg: RunConfig, out) -> int:
+    if args.what == "classification":
+        return _report(args.group, cfg, out)
     G = parse_group(args.group)
-    if args.what == "phi-p":
-        r = differential_verify(G, args.p, 0, samples=cfg.samples, seed=cfg.seed)
-        return _emit_differential(r, cfg, out)
-    if args.what == "phi-pn":
-        r = differential_verify(G, args.p, args.n, samples=cfg.samples, seed=cfg.seed)
-        return _emit_differential(r, cfg, out)
     if args.what == "thm26":
         t = verify_thm_defblRCF(G)
         if cfg.output == "json":
@@ -294,35 +262,20 @@ def _cmd_verify(args, cfg: RunConfig, out) -> int:
                 file=out,
             )
         return 0 if t["consistent"] else 1
-    # classification
-    r = classification_report(
-        G, display_primes=cfg.display_primes, samples=cfg.samples, seed=cfg.seed
-    )
+    # phi-p is level 0 of phi-pn
+    n = args.n if args.what == "phi-pn" else 0
+    r = differential_verify(G, args.p, n, samples=cfg.samples, seed=cfg.seed)
     if cfg.output == "json":
         _dump_json(r, out)
     else:
-        _emit_report_text(r, out)
-    bad = _report_failures(r)
-    for b in bad:
-        print(f"FAIL: {b}", file=sys.stderr)
-    return 1 if bad else 0
-
-
-def _cmd_examples(args, cfg: RunConfig, out) -> int:
-    dsl = EXAMPLES[args.name]
-    G = parse_group(dsl)
-    r = classification_report(
-        G, display_primes=cfg.display_primes, samples=cfg.samples, seed=cfg.seed
-    )
-    if cfg.output == "json":
-        _dump_json(r, out)
-    else:
-        print(f"example {args.name!r}: {dsl}", file=out)
-        _emit_report_text(r, out)
-    bad = _report_failures(r)
-    for b in bad:
-        print(f"FAIL: {b}", file=sys.stderr)
-    return 1 if bad else 0
+        print(
+            f"p={r['p']} n={r['n']}: checked {r['checked']} points, "
+            f"{len(r['mismatches'])} mismatches",
+            file=out,
+        )
+        for m in r["mismatches"][:10]:
+            print(f"  MISMATCH {m}", file=out)
+    return 1 if r["mismatches"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +366,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
     )
     try:
         if args.command == "group":
-            return _cmd_group_analyze(args, cfg, out)
+            return _report(args.dsl, cfg, out)
         if args.command == "valuations":
             return _cmd_valuations_list(args, cfg, out)
         if args.command == "formula":
             return _cmd_formula_eval(args, cfg, out)
         if args.command == "verify":
             return _cmd_verify(args, cfg, out)
-        return _cmd_examples(args, cfg, out)
+        dsl = EXAMPLES[args.name]
+        return _report(dsl, cfg, out, header=f"example {args.name!r}: {dsl}")
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

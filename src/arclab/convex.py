@@ -93,7 +93,11 @@ def cuts_cmp(a: ConvexCut, b: ConvexCut) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def chain_cuts(G: LexWord, inner_limit: int = 4) -> list[ConvexCut]:
+# how many inner cuts of a schematic tower a finite chain materializes
+INNER_LIMIT = 4
+
+
+def chain_cuts(G: LexWord, inner_limit: int = INNER_LIMIT) -> list[ConvexCut]:
     """A finite materialization: tower chains cut off after inner_limit."""
     out = []
     for seg, comp in enumerate(G.components):

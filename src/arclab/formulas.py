@@ -210,18 +210,6 @@ def free_term_vars(t) -> frozenset:
     raise ShapeError(f"not a term: {t!r}")
 
 
-def free_vars(f) -> frozenset:
-    if isinstance(f, (Eq, Neq)):
-        return free_term_vars(f.left) | free_term_vars(f.right)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.arg)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise ShapeError(f"not a formula: {f!r}")
-
-
 def term_of_series(s: HahnSeries):
     """A closed term denoting an exact series (sum of coeff * monomial)."""
     if s.trunc is not None:
@@ -313,7 +301,7 @@ _TOK_RE = re.compile(
 )
 
 _KEYWORDS = {"exists", "forall", "and", "or", "not", "params", "t"}
-_MACROS = {"psi_p", "phi_p", "psi_pn", "phi_pn"}
+_MACROS = {"psi_p", "phi_p", "phi_pn"}
 
 
 class _Parser:
@@ -420,7 +408,7 @@ class _Parser:
         self.expect("[")
         p = self.int_tok()
         n = None
-        if name in ("psi_pn", "phi_pn"):
+        if name == "phi_pn":
             self.expect(",")
             n = self.int_tok()
         self.expect("]")
@@ -446,8 +434,6 @@ class _Parser:
             if params is not None:
                 raise DslSyntaxError("phi_p takes no params", pos, self.text)
             return build_phi_p_at(p, arg)
-        if n is None:
-            raise DslSyntaxError("missing level", pos, self.text)
         if params is None:
             if self.group is None:
                 raise DslSyntaxError(
@@ -456,8 +442,7 @@ class _Parser:
             params = [term_of_series(s) for s in choose_params(self.group, p, n)]
         if len(params) != p**n:
             raise DslSyntaxError(f"expected {p**n} params, got {len(params)}", pos, self.text)
-        build = build_psi_pn_at if name == "psi_pn" else build_phi_pn_at
-        return build(p, n, params, arg)
+        return build_phi_pn_at(p, n, params, arg)
 
     def int_tok(self) -> int:
         kind, val, pos = self.next()
@@ -730,8 +715,6 @@ class SeriesFraction:
     def as_series(self, cutoff=None) -> HahnSeries:
         if not self.defined:
             raise ZeroInputError("undefined fraction has no series form")
-        if self.den.trunc is None and len(self.den.terms) == 1:
-            return series_mul(self.num, series_invert(self.den))
         return series_mul(self.num, series_invert(self.den, cutoff=cutoff))
 
 

@@ -507,9 +507,10 @@ def parse_series(text: str, G: LexWord) -> HahnSeries:
                 raise DslSyntaxError("O(...) marker cannot be subtracted", pos, text)
             trunc_flat = _parse_exp(m.group("oexp"), G, pos, text)
         elif m.group("const") is not None:
-            pairs.append(((Fraction(0),) * G.n_slots(), sign * Fraction(m.group("const"))))
+            const = _parse_coeff(m.group("const"), pos, text)
+            pairs.append(((Fraction(0),) * G.n_slots(), sign * const))
         else:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = _parse_coeff(m.group("coeff"), pos, text) if m.group("coeff") else Fraction(1)
             flat = _parse_exp(m.group("exp"), G, pos, text)
             pairs.append((flat, sign * coeff))
         pos = m.end()
@@ -517,6 +518,13 @@ def parse_series(text: str, G: LexWord) -> HahnSeries:
     if not pairs and trunc_flat is None:
         raise DslSyntaxError("empty series literal", 0, text)
     return series_of(G, pairs, trunc_flat)
+
+
+def _parse_coeff(chunk: str, pos: int, text: str) -> Fraction:
+    try:
+        return Fraction(chunk)
+    except ZeroDivisionError as exc:
+        raise DslSyntaxError(f"zero denominator in {chunk!r}", pos, text) from exc
 
 
 def _parse_exp(body: str, G: LexWord, pos: int, text: str):

@@ -133,12 +133,6 @@ class PrimeSet:
     def complement(self) -> "PrimeSet":
         return PrimeSet(not self.cofinite, self.basis)
 
-    def difference(self, other: "PrimeSet") -> "PrimeSet":
-        return self.intersection(other.complement())
-
-    def issubset(self, other: "PrimeSet") -> bool:
-        return self.difference(other).is_empty()
-
     def members_among(self, primes: Iterable[int]) -> list[int]:
         """The members of this set among a concrete finite list."""
         return sorted(p for p in primes if p in self)
@@ -268,12 +262,6 @@ class PartitionMap:
             if pred(v):
                 out = out.union(ps)
         return out
-
-    def values(self) -> list:
-        return [v for _, v in self.pieces]
-
-    def display(self, primes: Iterable[int]) -> dict[int, object]:
-        return {p: self.value_at(p) for p in sorted(primes)}
 
     def to_json(self) -> list:
         return [

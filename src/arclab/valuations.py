@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex import (
+    INNER_LIMIT,
     ConvexCut,
     chain_cuts,
     cut_labels,
@@ -42,16 +43,13 @@ from .convex import (
 )
 from .errors import NonEffectiveError, ShapeError
 from .formulas import (
-    And,
     Forall,
-    Or,
     build_phi_p,
     build_phi_pn,
     choose_params,
     eval_decidable,
     eval_sampled,
     match_phi_p,
-    match_phi_pn,
 )
 from .groups import LexWord, elem_cmp, print_group, zero_element
 from .hahn import (
@@ -139,18 +137,16 @@ def v_pn_descriptor(G: LexWord, p: int, n: int) -> ValuationDescriptor:
 # the definable family
 
 
-def enumerate_definable(
-    G: LexWord, display_primes: tuple[int, ...] = (2, 3, 5, 7), inner_limit: int = 4
-):
+def enumerate_definable(G: LexWord):
     """Labeled cuts of the materialized chain, deepest first.
 
     Returns a list of (cut, label_entries) pairs; label_entries are the
-    closed-form (prime-set, level-range) families from cut_labels, so
-    primes beyond the display list are covered symbolically. Tower chains
-    are cut off at inner_limit, mirroring chain_cuts.
+    closed-form (prime-set, level-range) families from cut_labels, so every
+    prime is covered symbolically. Tower chains are cut off as in
+    chain_cuts.
     """
     out = []
-    for c in reversed(chain_cuts(G, inner_limit=inner_limit)):
+    for c in reversed(chain_cuts(G)):
         entries = cut_labels(G, c)
         if entries:
             out.append((c, entries))
@@ -224,17 +220,6 @@ def _stability_clause(phi_p) -> Forall:
     return clause
 
 
-def _coset_clauses(phi_pn) -> list[tuple[str, Forall]]:
-    """Both universal coset-coverage clauses of a built level-n formula."""
-    if match_phi_pn(phi_pn) is None:
-        raise ShapeError("not a built level-n formula")
-    level = phi_pn.right
-    assert isinstance(level, Or) and isinstance(level.left, And)
-    b1, b2 = level.left.right, level.right
-    assert isinstance(b1, Forall) and isinstance(b2, Forall)
-    return [("coset-inside", b1), ("coset-outside", b2)]
-
-
 def differential_verify(
     G: LexWord,
     p: int,
@@ -247,14 +232,14 @@ def differential_verify(
 
     Every x (boundary probes plus `samples` random series) is judged three
     ways: the ring formula against the level-0 ring, the level-n formula
-    against the level-n ring, and — wherever a universal clause decides
-    True — a sampled falsification attempt on that clause. Any disagreement
-    or successful falsification lands in `mismatches`.
+    against the level-n ring, and — wherever the stability clause decides
+    True — a sampled falsification attempt on that clause with a witness
+    grid of falsify_budget candidates. Any disagreement or successful
+    falsification lands in `mismatches`.
 
-    falsify_budget is the witness-grid size for the stability clause; the
-    coset clauses run at min(falsify_budget, 25) since their hypothesis
-    shape makes sampled falsification structurally vacuous (kept as a live
-    execution path, not as a meaningful search).
+    The level-n coset clauses are not sampled: no grid can falsify their
+    shape (see `formulas._sampled`). Their decisions are checked against a
+    finite valuation oracle in the tests instead.
     """
     if not G.is_effective():
         raise NonEffectiveError("differential sampling needs an effective group")
@@ -262,8 +247,7 @@ def differential_verify(
     phi_pn = build_phi_pn(p, n, choose_params(G, p, n))
     vp = v_p_descriptor(G, p)
     vpn = v_pn_descriptor(G, p, n)
-    clauses = [("stability", _stability_clause(phi_p), falsify_budget)]
-    clauses += [(nm, cl, min(falsify_budget, 25)) for nm, cl in _coset_clauses(phi_pn)]
+    stability = _stability_clause(phi_p)
 
     xs = boundary_monomials(G)
     xs += [sample_series(G, seed * 6007 + i) for i in range(samples)]
@@ -283,21 +267,18 @@ def differential_verify(
             mismatches.append(
                 {"x": print_series(x), "kind": "phi_pn", "decide": d_pn, "ring": r_pn}
             )
-        for label, clause, budget in clauses:
-            if not eval_decidable(clause, env, G):
-                continue
-            out = eval_sampled(clause, env, G, budget=budget, seed=seed + 31 * i)
-            if out.status == "falsified_by":
-                mismatches.append(
-                    {
-                        "x": print_series(x),
-                        "kind": "falsified",
-                        "clause": label,
-                        "witness": {
-                            k: print_series(v) for k, v in (out.witness or {}).items()
-                        },
-                    }
-                )
+        if not eval_decidable(stability, env, G):
+            continue
+        out = eval_sampled(stability, env, G, budget=falsify_budget, seed=seed + 31 * i)
+        if out.status == "falsified_by":
+            mismatches.append(
+                {
+                    "x": print_series(x),
+                    "kind": "falsified",
+                    "clause": "stability",
+                    "witness": {k: print_series(v) for k, v in (out.witness or {}).items()},
+                }
+            )
     return {
         "p": p,
         "n": n,
@@ -376,15 +357,33 @@ def _coincidence_note(G: LexWord, display_primes: tuple[int, ...]) -> str | None
     return None
 
 
+def definable_rows(G: LexWord, display_primes: tuple[int, ...]) -> list[dict]:
+    """The definable image as report rows, deepest first: each cut's
+    closed-form labels, its levels at the display primes, and its flags."""
+    top = top_cut(G)
+    return [
+        {
+            "cut": cut_name(G, c),
+            "labels": [e.to_json() for e in entries],
+            "display_labels": _labels_display(G, c, display_primes),
+            "residue_real_closed": is_residue_real_closed(G, c),
+            "trivial": c == top,
+        }
+        for c, entries in enumerate_definable(G)
+    ]
+
+
+# the differential block of a report: these primes, levels up to this bound
+# (capped by each prime's own level bound)
+DIFFERENTIAL_PRIMES = (2, 3)
+DIFFERENTIAL_MAX_LEVEL = 1
+
+
 def classification_report(
     G: LexWord,
     display_primes: tuple[int, ...] = (2, 3, 5, 7),
     samples: int = 200,
     seed: int = 42,
-    inner_limit: int = 4,
-    falsify_budget: int = 25,
-    differential_primes: tuple[int, ...] = (2, 3),
-    differential_max_level: int = 1,
 ) -> dict:
     """Everything known about the definable coarsenings of one group.
 
@@ -393,28 +392,28 @@ def classification_report(
     undecided with a reason. A labeled cut that also gets a certificate, or
     an unlabeled one that gets none, is a contradiction in the theory layer
     itself and is reported as a red flag instead of being patched over.
+    Tower chains are materialized to INNER_LIMIT inner cuts.
 
-    The differential block reruns the formula-vs-ring sweep for the first
-    differential_primes at levels up to differential_max_level (capped by
-    each prime's own level bound) on effective groups; schematic groups
-    record why sampling is impossible instead.
+    The differential block reruns the formula-vs-ring sweep with `samples`
+    random points for each of DIFFERENTIAL_PRIMES at levels up to
+    DIFFERENTIAL_MAX_LEVEL (capped by each prime's own level bound) on
+    effective groups; schematic groups record why sampling is impossible
+    instead.
     """
-    chain = chain_cuts(G, inner_limit=inner_limit)
-    image = enumerate_definable(G, display_primes, inner_limit=inner_limit)
-    image_cuts = {c for c, _ in image}
+    definable = definable_rows(G, display_primes)
+    definable_names = {row["cut"] for row in definable}
 
     notes: list[str] = []
     cuts_rows = []
-    definable_rows = []
     cert_rows = []
     residue_rows = []
-    for c in chain:
+    for c in chain_cuts(G):
         nm = cut_name(G, c)
         residue_rows.append(
             {"cut": nm, "residue_real_closed": is_residue_real_closed(G, c)}
         )
         cert = non_definability_certificate(G, c, display_primes)
-        if c in image_cuts:
+        if nm in definable_names:
             status = "definable"
             if cert is not None:
                 status = "red-flag"
@@ -435,27 +434,13 @@ def classification_report(
             )
         cuts_rows.append({"cut": nm, "status": status})
 
-    for c, entries in image:
-        definable_rows.append(
-            {
-                "cut": cut_name(G, c),
-                "labels": [e.to_json() for e in entries],
-                "display_labels": _labels_display(G, c, display_primes),
-                "residue_real_closed": is_residue_real_closed(G, c),
-                "trivial": c == top_cut(G),
-            }
-        )
-
     differential = []
     if G.is_effective():
-        for p in differential_primes:
+        for p in DIFFERENTIAL_PRIMES:
             np_v = np_map(G).value_at(p)
-            top_n = differential_max_level if np_v is INF else min(np_v, differential_max_level)
+            top_n = DIFFERENTIAL_MAX_LEVEL if np_v is INF else min(np_v, DIFFERENTIAL_MAX_LEVEL)
             for nn in range(top_n + 1):
-                run = differential_verify(
-                    G, p, nn, samples=samples, seed=seed, falsify_budget=falsify_budget
-                )
-                differential.append(run)
+                differential.append(differential_verify(G, p, nn, samples=samples, seed=seed))
     else:
         notes.append(
             "differential sampling skipped: the group has schematic components "
@@ -465,7 +450,7 @@ def classification_report(
     if has_tower(G):
         notes.append(
             f"the cut chain is infinite; the report materializes the first "
-            f"{inner_limit} tower cuts and the deep limit cut"
+            f"{INNER_LIMIT} tower cuts and the deep limit cut"
         )
     coin = _coincidence_note(G, display_primes)
     if coin is not None:
@@ -477,12 +462,12 @@ def classification_report(
             "display_primes": list(display_primes),
             "samples": samples,
             "seed": seed,
-            "inner_limit": inner_limit,
+            "inner_limit": INNER_LIMIT,
         },
         "np_table": _np_display(G, display_primes),
         "cuts": cuts_rows,
         "chain_truncated": has_tower(G),
-        "definable": definable_rows,
+        "definable": definable,
         "certificates": cert_rows,
         "residue_flags": residue_rows,
         "thm26": verify_thm_defblRCF(G),

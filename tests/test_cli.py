@@ -35,11 +35,13 @@ def test_bad_group_dsl_is_usage_error(capsys):
 
 
 def test_bad_series_is_usage_error(capsys):
-    code, _ = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
-        "--at", "x=t^(nope)",
-    )
-    assert code == 2
+    for binding in ("x=t^(nope)", "x=1/0", "x=3/0*t^(1,0)"):
+        code, _ = run(
+            "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
+            "--at", binding,
+        )
+        assert code == 2, binding
+        assert "DslSyntaxError" in capsys.readouterr().err, binding
 
 
 def test_unsupported_decide_quantifier_is_usage_error(capsys):
@@ -168,6 +170,29 @@ def test_valuations_list_json_names():
     payload = json.loads(text)
     assert payload["v0"] == "seg1"
     assert {row["cut"] for row in payload["definable"]} == {"seg1", "top"}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_valuations_list_rows_are_the_report_definable_block(name):
+    _, listing = run("valuations", "list", EXAMPLES[name], "--json")
+    _, report = run("group", "analyze", EXAMPLES[name], "--json")
+    assert json.loads(listing)["definable"] == json.loads(report)["definable"]
+
+
+# -- one report path -----------------------------------------------------------------
+
+
+def test_examples_text_is_header_plus_group_analyze():
+    code, example = run("examples", "k1")
+    assert (code, example) == (0, "example 'k1': lex(Z, Q)\n" + run("group", "analyze", "lex(Z, Q)")[1])
+
+
+def test_verify_classification_is_group_analyze(capsys):
+    for fmt in ((), ("--json",)):
+        verified = run("verify", "classification", "--group", "lex(Z, Q)", *fmt)
+        verified_err = capsys.readouterr().err
+        analyzed = run("group", "analyze", "lex(Z, Q)", *fmt)
+        assert (verified, verified_err) == (analyzed, capsys.readouterr().err)
 
 
 # -- examples and goldens ----------------------------------------------------------------

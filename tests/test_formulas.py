@@ -58,6 +58,12 @@ def test_phi_pn_macro_without_group_or_params_rejected():
         parse_formula("phi_pn[2,1](x)")
 
 
+def test_psi_pn_is_not_a_macro():
+    # the level-n clause pair is reachable only through phi_pn
+    with pytest.raises(DslSyntaxError):
+        parse_formula("psi_pn[2,1](x, params=1,t^(1,0))", group=K1)
+
+
 def test_builders_reject_bad_primes():
     from arclab.errors import ShapeError
 

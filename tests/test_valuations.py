@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +10,34 @@ from arclab.convex import (
     cut_name,
     cuts_cmp,
     max_divisible,
+    np_map,
     parse_cut,
     top_cut,
 )
-from arclab.errors import NonEffectiveError
-from arclab.formulas import SeriesFraction, _candidates, _in_cut_subgroup, build_phi_p, choose_params
-from arclab.groups import parse_group
-from arclab.hahn import decompose, parse_series, print_series, sample_series, v_of, zero_series
+from arclab.errors import NonEffectiveError, ShapeError
+from arclab.formulas import (
+    SeriesFraction,
+    Var,
+    _candidates,
+    _in_cut_subgroup,
+    build_phi_p,
+    build_psi_pn_at,
+    choose_params,
+    eval_decidable,
+    match_coset_clause,
+    term_of_series,
+)
+from arclab.groups import elem_add, elem_p_divisible, elem_sub, parse_group
+from arclab.hahn import (
+    const_series,
+    decompose,
+    monomial,
+    parse_series,
+    print_series,
+    sample_series,
+    v_of,
+    zero_series,
+)
 from arclab.primes import PrimeSet
 from arclab.valuations import (
     ValuationDescriptor,
@@ -254,6 +277,91 @@ def test_differential_small_runs_clean():
         run = differential_verify(G, p, n, samples=25, seed=7, falsify_budget=10)
         assert run["mismatches"] == []
         assert run["checked"] == 25 + len(boundary_monomials(G))
+
+
+# -- coset clauses against a finite valuation oracle ------------------------------------
+#
+# Both level-n coset clauses speak only about valuations: the hypothesis is
+# ring membership of y and of x/y (inside) or y/x (outside) in the v_p ring,
+# and the conclusion "some parameter s has s*y/z^p a v_p unit" holds exactly
+# when v(s) + v(y) is p-divisible (the v_p subgroup is itself p-divisible).
+# So the oracle enumerates y = t^g over a box of exponents and judges the
+# clause with ring_member and elem_p_divisible alone.
+
+_SLOT_VALUES = [Fraction(k) for k in range(-3, 4)] + [
+    Fraction(sgn, d) for d in (2, 3) for sgn in (1, -1)
+]
+
+
+def _exponent_box(G):
+    """Every t^g with each slot in _SLOT_VALUES that the slot admits."""
+    out = []
+    for exps in itertools.product(_SLOT_VALUES, repeat=G.n_slots()):
+        try:
+            out.append(v_of(monomial(G, exps)))
+        except ShapeError:
+            continue  # slot does not admit this value
+    return out
+
+
+def _coset_oracle(G, p, params, x, side, box) -> bool:
+    """No t^g on the box (nor t^v(x)) meets the hypothesis and misses every
+    parameter coset."""
+    vp = v_p_descriptor(G, p)
+
+    def member(g):
+        return ring_member(vp, monomial(G, g))
+
+    ys = list(box)
+    if not x.is_zero():
+        vx = v_of(x)
+        ys.append(vx)
+    for g in ys:
+        if x.is_zero():
+            hyp = side == "inside" and member(g)
+        elif side == "inside":
+            hyp = member(g) and member(elem_sub(G, vx, g))
+        else:
+            hyp = not member(g) and member(elem_sub(G, g, vx))
+        if hyp and not any(elem_p_divisible(G, elem_add(G, v_of(s), g), p) for s in params):
+            return False
+    return True
+
+
+def _coset_oracle_mismatches(G, p, n, oracle_params) -> list:
+    """Decided coset clauses (built with choose_params) against the oracle
+    (judged with oracle_params) on the boundary probes and 30 samples."""
+    params = [term_of_series(s) for s in choose_params(G, p, n)]
+    psi = build_psi_pn_at(p, n, params, Var("x"))
+    clauses = [psi.left.right, psi.right]
+    box = _exponent_box(G)
+    xs = boundary_monomials(G) + [sample_series(G, 4001 + i) for i in range(30)]
+    bad = []
+    for clause in clauses:
+        side = match_coset_clause(clause)[3]
+        for x in xs:
+            decided = eval_decidable(clause, {"x": x}, G)
+            if decided != _coset_oracle(G, p, oracle_params, x, side, box):
+                bad.append((side, print_series(x), decided))
+    return bad
+
+
+@pytest.mark.parametrize("dsl", ["lex(Z, Q)", "lex(real(1, pi))", "lex(Zloc(2), Q)", "lex(Z, Z)"])
+def test_coset_clauses_match_finite_oracle(dsl):
+    G = parse_group(dsl)
+    for p in (2, 3):
+        for n in range(np_map(G).value_at(p) + 1):
+            bad = _coset_oracle_mismatches(G, p, n, choose_params(G, p, n))
+            assert bad == [], (p, n, bad[:5])
+
+
+@pytest.mark.parametrize("G, p, n", [(ZPI, 3, 2), (ZL2, 2, 1)])
+def test_coset_oracle_is_not_blind(G, p, n):
+    # one parameter coset instead of p^e: the oracle must see clauses the
+    # real parameters make true fail
+    ones = [const_series(G, 1)] * p**n
+    found = _coset_oracle_mismatches(G, p, n, ones)
+    assert found, "coset oracle found no mismatch with wrong parameters; it is blind"
 
 
 def test_differential_needs_effective_group():
