@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .convex import cut_name
 from .errors import (
@@ -49,15 +48,6 @@ EXAMPLES = {
     "zpluspi": "lex(real(1, pi))",
     "c0": "lex(poly_module(Zloc(2), pi))",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 42
-    samples: int = 200
-    display_primes: tuple[int, ...] = (2, 3, 5, 7)
-    cutoff: int = 9
-    output: str = "text"  # or "json"
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +146,13 @@ def _dump_json(payload: dict, out) -> None:
 # subcommand bodies
 
 
-def _report(dsl: str, cfg: RunConfig, out, header: str | None = None) -> int:
+def _report(dsl: str, args, out, header: str | None = None) -> int:
     """The classification report of one group, shared by `group analyze`,
     `verify classification` and `examples` (which adds a header line)."""
     r = classification_report(
-        parse_group(dsl), display_primes=cfg.display_primes, samples=cfg.samples, seed=cfg.seed
+        parse_group(dsl), display_primes=args.primes, samples=args.samples, seed=args.seed
     )
-    if cfg.output == "json":
+    if args.json:
         _dump_json(r, out)
     else:
         if header is not None:
@@ -174,16 +164,16 @@ def _report(dsl: str, cfg: RunConfig, out, header: str | None = None) -> int:
     return 1 if bad else 0
 
 
-def _cmd_valuations_list(args, cfg: RunConfig, out) -> int:
+def _cmd_valuations_list(args, out) -> int:
     G = parse_group(args.dsl)
-    rows = definable_rows(G, cfg.display_primes)
+    rows = definable_rows(G, args.primes)
     payload = {
         "group": print_group(G),
         "definable": rows,
         "v0": cut_name(G, v0_descriptor(G).cut),
-        "v_p": {str(p): cut_name(G, v_p_descriptor(G, p).cut) for p in cfg.display_primes},
+        "v_p": {str(p): cut_name(G, v_p_descriptor(G, p).cut) for p in args.primes},
     }
-    if cfg.output == "json":
+    if args.json:
         _dump_json(payload, out)
         return 0
     print(f"group: {payload['group']}", file=out)
@@ -218,26 +208,26 @@ def _parse_bindings(text: str, G: LexWord) -> dict:
     return env
 
 
-def _cmd_formula_eval(args, cfg: RunConfig, out) -> int:
+def _cmd_formula_eval(args, out) -> int:
     G = parse_group(args.group)
     F = parse_formula(args.expr, group=G)
     env = _parse_bindings(args.at or "", G)
     if args.mode == "decide":
         verdict = eval_decidable(F, env, G)
         payload = {"mode": "decide", "result": verdict}
-        if cfg.output == "json":
+        if args.json:
             _dump_json(payload, out)
         else:
             print("true" if verdict else "false", file=out)
         return 0
-    o = eval_sampled(F, env, G, budget=cfg.samples, seed=cfg.seed, cutoff_mag=cfg.cutoff)
+    o = eval_sampled(F, env, G, budget=args.samples, seed=args.seed, cutoff_mag=args.cutoff)
     payload = {
         "mode": "sample",
         "status": o.status,
         "certain": o.certain,
         "witness": None if o.witness is None else {k: print_series(v) for k, v in sorted(o.witness.items())},
     }
-    if cfg.output == "json":
+    if args.json:
         _dump_json(payload, out)
     else:
         line = o.status if o.certain else f"{o.status} (sampled, not a proof)"
@@ -247,13 +237,13 @@ def _cmd_formula_eval(args, cfg: RunConfig, out) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg: RunConfig, out) -> int:
+def _cmd_verify(args, out) -> int:
     if args.what == "classification":
-        return _report(args.group, cfg, out)
+        return _report(args.group, args, out)
     G = parse_group(args.group)
     if args.what == "thm26":
         t = verify_thm_defblRCF(G)
-        if cfg.output == "json":
+        if args.json:
             _dump_json(t, out)
         else:
             print(
@@ -264,8 +254,8 @@ def _cmd_verify(args, cfg: RunConfig, out) -> int:
         return 0 if t["consistent"] else 1
     # phi-p is level 0 of phi-pn
     n = args.n if args.what == "phi-pn" else 0
-    r = differential_verify(G, args.p, n, samples=cfg.samples, seed=cfg.seed)
-    if cfg.output == "json":
+    r = differential_verify(G, args.p, n, samples=args.samples, seed=args.seed)
+    if args.json:
         _dump_json(r, out)
     else:
         print(
@@ -292,11 +282,14 @@ def _primes_arg(text: str) -> tuple[int, ...]:
     return ps
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--samples", type=int, default=200)
-    sub.add_argument("--primes", type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,...")
-    sub.add_argument("--cutoff", type=int, default=9, help="truncation exponent magnitude")
+def _add_flags(sub, sampling: bool, primes: bool) -> None:
+    """Register --json and, on the commands that read them, the sampling and
+    display-prime flags."""
+    if sampling:
+        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument("--samples", type=int, default=200)
+    if primes:
+        sub.add_argument("--primes", type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,...")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -312,14 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ga = g.add_parser("analyze", help="full classification report")
     ga.add_argument("dsl", help='group expression, e.g. "lex(Z, Q)"')
-    _add_common(ga)
+    _add_flags(ga, sampling=True, primes=True)
 
     v = top.add_parser("valuations", help="definable coarsening listings").add_subparsers(
         dest="sub", required=True
     )
     vl = v.add_parser("list", help="the definable image with labels")
     vl.add_argument("dsl")
-    _add_common(vl)
+    _add_flags(vl, sampling=False, primes=True)
 
     f = top.add_parser("formula", help="formula evaluation").add_subparsers(
         dest="sub", required=True
@@ -329,18 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--expr", required=True, help='e.g. "phi_p[2](x)" or "exists y. y^2 = x"')
     fe.add_argument("--at", default="", help='bindings "x=t^(1,0); y=2"')
     fe.add_argument("--mode", choices=("decide", "sample"), default="decide")
-    _add_common(fe)
+    fe.add_argument("--cutoff", type=int, default=9, help="truncation exponent magnitude")
+    _add_flags(fe, sampling=True, primes=False)
 
     vf = top.add_parser("verify", help="verification suites")
     vf.add_argument("what", choices=("phi-p", "phi-pn", "thm26", "classification"))
     vf.add_argument("--group", required=True)
     vf.add_argument("-p", type=int, default=2, help="prime under test")
     vf.add_argument("-n", type=int, default=0, help="coarsening level")
-    _add_common(vf)
+    _add_flags(vf, sampling=True, primes=True)
 
     ex = top.add_parser("examples", help="canned library reports")
     ex.add_argument("name", choices=sorted(EXAMPLES))
-    _add_common(ex)
+    _add_flags(ex, sampling=True, primes=True)
     return ap
 
 
@@ -357,24 +351,17 @@ _USAGE_ERRORS = (
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        display_primes=args.primes,
-        cutoff=args.cutoff,
-        output="json" if args.json else "text",
-    )
     try:
         if args.command == "group":
-            return _report(args.dsl, cfg, out)
+            return _report(args.dsl, args, out)
         if args.command == "valuations":
-            return _cmd_valuations_list(args, cfg, out)
+            return _cmd_valuations_list(args, out)
         if args.command == "formula":
-            return _cmd_formula_eval(args, cfg, out)
+            return _cmd_formula_eval(args, out)
         if args.command == "verify":
-            return _cmd_verify(args, cfg, out)
+            return _cmd_verify(args, out)
         dsl = EXAMPLES[args.name]
-        return _report(dsl, cfg, out, header=f"example {args.name!r}: {dsl}")
+        return _report(dsl, args, out, header=f"example {args.name!r}: {dsl}")
     except _USAGE_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -97,13 +97,13 @@ def cuts_cmp(a: ConvexCut, b: ConvexCut) -> int:
 INNER_LIMIT = 4
 
 
-def chain_cuts(G: LexWord, inner_limit: int = INNER_LIMIT) -> list[ConvexCut]:
-    """A finite materialization: tower chains cut off after inner_limit."""
+def chain_cuts(G: LexWord) -> list[ConvexCut]:
+    """A finite materialization: tower chains cut off after INNER_LIMIT."""
     out = []
     for seg, comp in enumerate(G.components):
         out.append(ConvexCut(seg))
         if isinstance(comp, OmegaTower):
-            out.extend(ConvexCut(seg, m) for m in range(1, inner_limit + 1))
+            out.extend(ConvexCut(seg, m) for m in range(1, INNER_LIMIT + 1))
     out.append(bottom_cut(G))
     return out
 

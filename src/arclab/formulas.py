@@ -776,14 +776,19 @@ def eval_term(G: LexWord, t, env: dict) -> SeriesFraction:
 
 
 def _match_root_or(f, yname: str):
-    """Or(y^p = U, y^p = -U) -> (p, U); None otherwise."""
+    """Or(y^p = U, y^p = -U) for a prime p -> (p, U); None otherwise.
+
+    The root shapes are the prime boundary of the formula layer: every
+    psi_p, phi_p, stability and coset matcher goes through this function
+    or _match_root_exists, so a matched p is prime.
+    """
     if not (isinstance(f, Or) and isinstance(f.left, Eq) and isinstance(f.right, Eq)):
         return None
     e1, e2 = f.left, f.right
     for e in (e1, e2):
         if not (isinstance(e.left, Pow) and e.left.base == Var(yname)):
             return None
-    if e1.left.n != e2.left.n:
+    if e1.left.n != e2.left.n or not is_prime(e1.left.n):
         return None
     p = e1.left.n
     if not isinstance(e2.right, Neg) or e2.right.arg != e1.right:
@@ -815,14 +820,20 @@ def match_psi_p(f):
 
 
 def _match_root_exists(f):
-    """Exists y. Or(y^p = U, y^p = -U) -> (p, U, True); Exists y. y^p = U -> (p, U, False)."""
+    """Exists y. Or(y^p = U, y^p = -U) -> (p, U, True); Exists y. y^p = U -> (p, U, False);
+    None otherwise, and for a p that is not prime."""
     if not isinstance(f, Exists):
         return None
     m = _match_root_or(f.body, f.var)
     if m is not None:
         return (m[0], m[1], True)
     b = f.body
-    if isinstance(b, Eq) and isinstance(b.left, Pow) and b.left.base == Var(f.var):
+    if (
+        isinstance(b, Eq)
+        and isinstance(b.left, Pow)
+        and b.left.base == Var(f.var)
+        and is_prime(b.left.n)
+    ):
         u = b.right
         if f.var not in free_term_vars(u):
             return (b.left.n, u, False)
@@ -986,42 +997,6 @@ def _exact_log(m: int, p: int) -> int | None:
         m //= p
         n += 1
     return n if m == 1 else None
-
-
-def match_psi_pn(f):
-    """The built psi_pn shape -> (p, n, arg, params); None otherwise."""
-    if not isinstance(f, Or):
-        return None
-    b1, b2 = f.left, f.right
-    if not isinstance(b1, And):
-        return None
-    mphi = match_phi_p(b1.left)
-    mc1 = match_coset_clause(b1.right)
-    mc2 = match_coset_clause(b2)
-    if mphi is None or mc1 is None or mc2 is None:
-        return None
-    p, arg = mphi
-    if (mc1[0], mc1[1], mc1[3]) != (p, arg, "inside"):
-        return None
-    if (mc2[0], mc2[1], mc2[3]) != (p, arg, "outside") or mc2[2] != mc1[2]:
-        return None
-    n = _exact_log(len(mc1[2]), p)
-    if n is None:
-        return None
-    return (p, n, arg, mc1[2])
-
-
-def match_phi_pn(f):
-    """The built phi_pn shape -> (p, n, arg, params); None otherwise."""
-    if not isinstance(f, Or):
-        return None
-    mphi = match_phi_p(f.left)
-    mpsi = match_psi_pn(f.right)
-    if mphi is None or mpsi is None:
-        return None
-    if mpsi[0] != mphi[0] or mpsi[2] != mphi[1]:
-        return None
-    return mpsi
 
 
 # ---------------------------------------------------------------------------
@@ -1274,9 +1249,15 @@ def _sv_or(a: _SV, b: _SV) -> _SV:
 
 
 def _root_equation_targets(f, out: list) -> None:
-    """Collect (p, U) from every `y^p = U` atom, for root-derived witnesses."""
+    """Collect (p, U) from every `y^p = U` atom with p prime, for
+    root-derived witnesses."""
     if isinstance(f, (Eq, Neq)):
-        if isinstance(f, Eq) and isinstance(f.left, Pow) and isinstance(f.left.base, Var):
+        if (
+            isinstance(f, Eq)
+            and isinstance(f.left, Pow)
+            and isinstance(f.left.base, Var)
+            and is_prime(f.left.n)
+        ):
             u = f.right.arg if isinstance(f.right, Neg) else f.right
             out.append((f.left.n, u))
         return

@@ -23,7 +23,15 @@ slot: one slot for Zed, Rat and LocZ, and one slot per generator for
 FreeReal, spliced in place.  Zed and FreeReal slots hold ``int``, Rat and
 LocZ slots hold ``Fraction``.  The word's :class:`SlotLayout` says which
 component owns each slot; only ``elem_cmp`` regroups the FreeReal slots.
-``unflatten`` is the one validator, and the arithmetic trusts its inputs.
+
+Inputs are validated where they enter, and the arithmetic trusts them:
+
+* elements: ``unflatten`` (and ``element``, which delegates to it) checks
+  slot count and slot kinds, and ``zero_element`` checks effectiveness;
+* series groups: ``formulas._norm_env`` rejects a binding over another
+  group, the only way series of two groups can meet;
+* primes: the formula builders and matchers, ``hahn.root_exists`` and the
+  CLI's ``--primes`` check primality, so ``elem_p_divisible`` assumes it.
 """
 
 from __future__ import annotations
@@ -387,15 +395,6 @@ def _require_effective(G: LexWord) -> SlotLayout:
     return G.layout
 
 
-def _fit(G: LexWord, *elems: GroupElement) -> SlotLayout:
-    """The layout of G, after checking that every element has its slot count."""
-    lay = _require_effective(G)
-    for a in elems:
-        if not isinstance(a, tuple) or len(a) != len(lay.kinds):
-            raise ShapeError(f"element {a!r} does not fit {G.describe()}")
-    return lay
-
-
 def q_adic_val(x: Fraction, q: int) -> int:
     """The q-adic valuation of a nonzero rational."""
     if x == 0:
@@ -460,7 +459,6 @@ def zero_element(G: LexWord) -> GroupElement:
 
 
 def elem_add(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
-    _fit(G, a, b)
     return tuple(x + y for x, y in zip(a, b))
 
 
@@ -473,7 +471,6 @@ def elem_sub(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def scalar_mul(G: LexWord, k: int, a: GroupElement) -> GroupElement:
-    _fit(G, a)
     return tuple(k * x for x in a)
 
 
@@ -484,10 +481,9 @@ def elem_cmp(G: LexWord, a: GroupElement, b: GroupElement) -> int:
     slots are one coordinate: its generators are linearly independent, so
     the sign of their combined difference is nonzero and decides.
     """
-    lay = _fit(G, a, b)
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            run = lay.real_runs[i]
+            run = G.layout.real_runs[i]
             if run is None:
                 return 1 if x > y else -1
             start, stop, gens = run
@@ -496,11 +492,8 @@ def elem_cmp(G: LexWord, a: GroupElement, b: GroupElement) -> int:
 
 
 def elem_p_divisible(G: LexWord, a: GroupElement, p: int) -> bool:
-    """Membership of a in pG, decided slot by slot."""
-    lay = _fit(G, a)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    for kind, x in zip(lay.kinds, a):
+    """Membership of a in pG for a prime p, decided slot by slot."""
+    for kind, x in zip(G.layout.kinds, a):
         if isinstance(kind, (Zed, FreeReal)):
             if x % p != 0:
                 return False

@@ -48,6 +48,7 @@ from .groups import (
     unflatten,
     zero_element,
 )
+from .primes import is_prime
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,6 @@ def zero_series(G: LexWord) -> HahnSeries:
     return HahnSeries(G, ())
 
 
-def _check_groups(a: HahnSeries, b: HahnSeries) -> None:
-    if a.group != b.group:
-        raise ShapeError("series live over different groups")
-
-
 def _min_trunc(G: LexWord, t1, t2):
     if t1 is None:
         return t2
@@ -129,7 +125,6 @@ def leading_coeff(a: HahnSeries) -> Fraction:
 
 
 def series_add(a: HahnSeries, b: HahnSeries) -> HahnSeries:
-    _check_groups(a, b)
     trunc = _min_trunc(a.group, a.trunc, b.trunc)
     return _make(a.group, list(a.terms) + list(b.terms), trunc)
 
@@ -143,7 +138,6 @@ def series_sub(a: HahnSeries, b: HahnSeries) -> HahnSeries:
 
 
 def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
-    _check_groups(a, b)
     G = a.group
     if a.is_zero() or b.is_zero():
         return zero_series(G)
@@ -233,7 +227,6 @@ def equal_mod_trunc(a: HahnSeries, b: HahnSeries) -> tuple[bool, bool]:
     Disagreement below the bound is a certain inequality; agreement is
     certain only when both series are exact.
     """
-    _check_groups(a, b)
     G = a.group
     bound = _min_trunc(G, a.trunc, b.trunc)
     diff = series_sub(a, b)
@@ -252,8 +245,11 @@ def root_exists(a: HahnSeries, p: int, allow_negation: bool = False) -> bool:
 
     Decided by exponent divisibility and, for even p, the sign of the
     leading coefficient; coefficients range over a real closed field, so no
-    rational root extraction is involved.
+    rational root extraction is involved.  p must be prime (ShapeError
+    otherwise): this is where a root degree enters the series layer.
     """
+    if not is_prime(p):
+        raise ShapeError(f"{p} is not prime")
     if a.is_zero():
         raise ZeroInputError("root existence of zero")
     v = v_of(a)
@@ -414,7 +410,7 @@ def sample_series(
     exp_mag: int = 3,
     coeff_mag: int = 9,
 ) -> HahnSeries:
-    """Deterministic nonzero pseudo-random series (support <= support)."""
+    """Deterministic nonzero pseudo-random series with 1..support terms."""
     if not G.is_effective():
         raise NonEffectiveError("cannot sample elements of a schematic word")
     rng = random.Random(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
@@ -423,7 +419,7 @@ def sample_series(
         flat = []
         for comp in G.layout.kinds:
             if isinstance(comp, (Zed, FreeReal)):
-                flat.append(Fraction(rng.randint(-exp_mag, exp_mag)))
+                flat.append(rng.randint(-exp_mag, exp_mag))
             elif isinstance(comp, Rat):
                 flat.append(Fraction(rng.randint(-exp_mag, exp_mag), rng.choice((1, 2, 3, 4))))
             elif isinstance(comp, LocZ):
@@ -435,10 +431,8 @@ def sample_series(
     for flat in exps:
         num = rng.randint(1, coeff_mag) * rng.choice((1, -1))
         pairs.append((flat, Fraction(num, rng.choice((1, 2, 3)))))
-    out = series_of(G, pairs)
-    if out.is_zero():  # pragma: no cover - coefficients are never zero
-        out = const_series(G, 1)
-    return out
+    # the slots are drawn valid for their kinds, so no unflatten is needed
+    return _make(G, pairs, None)
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,29 @@ def test_bad_series_is_usage_error(capsys):
 
 
 def test_unsupported_decide_quantifier_is_usage_error(capsys):
-    code, _ = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall z. z = z",
-        "--at", "x=1", "--mode", "decide",
-    )
-    assert code == 2
-    assert "UnsupportedQuantifierPattern" in capsys.readouterr().err
+    # a root shape with a non-prime degree is no root test the procedure knows
+    for expr, at in (
+        ("forall z. z = z", "x=1"),
+        ("exists y. y^4 = x", "x=t^(4,0)"),
+        ("exists y. y^1 = x", "x=t^(4,0)"),
+    ):
+        code, _ = run(
+            "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", at,
+            "--mode", "decide",
+        )
+        assert code == 2, expr
+        assert "UnsupportedQuantifierPattern" in capsys.readouterr().err, expr
+
+
+def test_non_prime_root_degree_is_searched_under_sample():
+    # searched like any other existential: a grid witness, or no verdict
+    for at, want in (("x=16", "true   y = 2"), ("x=t^(4,0)", "unknown_on_sample")):
+        code, text = run(
+            "formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^4 = x",
+            "--at", at, "--mode", "sample",
+        )
+        assert code == 0, at
+        assert text.startswith(want), at
 
 
 def test_primes_flag_validated(capsys):
@@ -58,6 +75,12 @@ def test_primes_flag_validated(capsys):
     # interpreter-level usage exit rather than a return code
     with pytest.raises(SystemExit) as exc:
         run("examples", "k1", "--primes", "2,3,4")
+    assert exc.value.code == 2
+
+
+def test_flag_the_command_does_not_read_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("valuations", "list", "lex(Z, Q)", "--cutoff", "3")
     assert exc.value.code == 2
 
 

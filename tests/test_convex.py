@@ -50,7 +50,7 @@ def test_chain_lq():
 
 
 def test_chain_tower_truncated():
-    names = [cut_name(K2, c) for c in chain_cuts(K2, inner_limit=4)]
+    names = [cut_name(K2, c) for c in chain_cuts(K2)]
     assert names == ["top", "seg0+1", "seg0+2", "seg0+3", "seg0+4", "bottom"]
 
 

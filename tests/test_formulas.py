@@ -1,13 +1,12 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.convex import g_pn, max_p_divisible, top_cut
+from arclab.convex import g_pn, max_p_divisible
 from arclab.errors import (
     DslSyntaxError,
     ParameterError,
+    ShapeError,
     UnsupportedQuantifierPattern,
 )
 from arclab.formulas import (
@@ -20,9 +19,7 @@ from arclab.formulas import (
     eval_decidable,
     eval_sampled,
     match_phi_p,
-    match_phi_pn,
     match_psi_p,
-    match_psi_pn,
     parse_formula,
     print_formula,
     term_of_series,
@@ -65,8 +62,6 @@ def test_psi_pn_is_not_a_macro():
 
 
 def test_builders_reject_bad_primes():
-    from arclab.errors import ShapeError
-
     for bad in (0, 1, 4, 6, -3):
         with pytest.raises(ShapeError):
             build_psi_p(bad)
@@ -92,8 +87,6 @@ def test_matchers_round_trip():
     assert match_psi_p(build_psi_p(3)) == (3, Var("x"))
     assert match_phi_p(build_phi_p(5)) == (5, Var("x"))
     assert match_psi_p(build_phi_p(2)) is None
-    got = match_phi_pn(build_phi_pn(2, 1, choose_params(K1, 2, 1)))
-    assert got is not None and got[0] == 2 and got[1] == 1
 
 
 def test_match_rejects_perturbed_shape():
@@ -133,6 +126,12 @@ def test_zero_argument_edge():
 def test_unsupported_quantifier_is_loud():
     with pytest.raises(UnsupportedQuantifierPattern):
         eval_decidable(parse_formula("forall z. z = z"), {}, K1)
+
+
+def test_env_over_another_group_is_rejected():
+    # the one place series of two groups could meet
+    with pytest.raises(ShapeError):
+        eval_decidable(build_psi_p(2), {"x": parse_series("t^(1)", parse_group("lex(Q)"))}, K1)
 
 
 # -- sampled pins -------------------------------------------------------------------

@@ -15,6 +15,7 @@ from arclab.groups import (
     parse_group,
     print_group,
     scalar_mul,
+    unflatten,
     zero_element,
 )
 
@@ -95,9 +96,18 @@ def test_cmp_real_interval():
     assert elem_cmp(ZPI, elem_neg(ZPI, d), zero_element(ZPI)) == -1
 
 
-def test_cmp_shape_mismatch():
+@pytest.mark.parametrize(
+    "dsl, flat",
+    [
+        ("lex(Z, Q)", (1,)),  # wrong slot count
+        ("lex(Z, Q)", (Fraction(3, 2), 0)),  # non-integer in a Z slot
+        ("lex(Zloc(2), Q)", (Fraction(1, 2), 0)),  # denominator 2 in a Zloc(2) slot
+        ("lex(real(1, pi))", (Fraction(1, 2), 0)),  # non-integer in a real slot
+    ],
+)
+def test_unflatten_is_the_element_boundary(dsl, flat):
     with pytest.raises(ShapeError):
-        elem_cmp(K1, element(K1, 1, 0), zero_element(parse_group("lex(Q)")))
+        unflatten(parse_group(dsl), flat)
 
 
 def test_schematic_has_no_elements():

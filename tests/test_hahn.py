@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.errors import NonEffectiveError, RootError, ZeroInputError
+from arclab.errors import NonEffectiveError, RootError, ShapeError, ZeroInputError
 from arclab.groups import element, parse_group, print_group
 from arclab.convex import parse_cut
 from arclab.hahn import (
@@ -102,6 +102,11 @@ def test_root_exists_pins():
 def test_root_exists_zero_rejected():
     with pytest.raises(ZeroInputError):
         root_exists(zero_series(K1), 2)
+
+
+def test_root_exists_rejects_non_prime_degree():
+    with pytest.raises(ShapeError):
+        root_exists(S("t^(4,0)"), 4)
 
 
 def test_pth_root_exact_square():
