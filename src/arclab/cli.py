@@ -275,10 +275,10 @@ def _cmd_verify(args, out) -> int:
 def _primes_arg(text: str) -> tuple[int, ...]:
     try:
         ps = tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
+        if not ps or not all(is_prime(p) for p in ps):
+            raise ValueError
+    except (ValueError, ParameterError) as exc:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from exc
-    if not ps or not all(is_prime(p) for p in ps):
-        raise argparse.ArgumentTypeError(f"bad prime list {text!r}")
     return ps
 
 

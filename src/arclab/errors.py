@@ -39,7 +39,9 @@ class UnsupportedQuantifierPattern(ArclabError):
 
 
 class ParameterError(ArclabError):
-    """Supplied parameters violate the coset-representative contract."""
+    """Supplied parameters violate the coset-representative contract, or a
+    parameter lies outside the range arclab decides (a prime too large to
+    test)."""
 
 
 class UnboundVariableError(ArclabError):

@@ -303,11 +303,33 @@ _TOK_RE = re.compile(
 _KEYWORDS = {"exists", "forall", "and", "or", "not", "params", "t"}
 _MACROS = {"psi_p", "phi_p", "phi_pn"}
 
+# Nested steps a parse may hold open at once; each costs at most four
+# interpreter frames, so the parser stays well inside the default
+# recursion limit.
+_MAX_NESTING = 150
+
+
+def _nested(step):
+    """Count one nesting level around a recursive parser step, so input
+    nested too deeply is a DslSyntaxError and not a RecursionError."""
+
+    def guarded(self):
+        if self.depth >= _MAX_NESTING:
+            self.fail("input nested too deeply")
+        self.depth += 1
+        try:
+            return step(self)
+        finally:
+            self.depth -= 1
+
+    return guarded
+
 
 class _Parser:
     def __init__(self, text: str, group: LexWord | None):
         self.text = text
         self.group = group
+        self.depth = 0
         self.toks: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -342,6 +364,7 @@ class _Parser:
         raise DslSyntaxError(msg, self.peek()[2], self.text)
 
     # -- formulas
+    @_nested
     def formula(self):
         left = self.f_or()
         if self.at("->"):
@@ -363,6 +386,7 @@ class _Parser:
             out = And(out, self.f_not())
         return out
 
+    @_nested
     def f_not(self):
         if self.at("not"):
             self.next()
@@ -451,6 +475,7 @@ class _Parser:
         return int(val)
 
     # -- terms
+    @_nested
     def term(self):
         out = self.t_prod()
         while self.at("+") or self.at("-"):
@@ -472,6 +497,7 @@ class _Parser:
                 out = Mul(out, rhs) if op == "*" else Div(out, rhs)
         return out
 
+    @_nested
     def t_unary(self):
         if self.at("-"):
             self.next()
@@ -1316,9 +1342,10 @@ def _candidates(
             return
         if not isinstance(s, HahnSeries):
             s = const_series(G, Fraction(s))
-        key = (s.trunc, s.terms)
-        if key not in seen:
-            seen.add(key)
+        # one hash of the key per candidate: hashing its Fractions is the cost
+        n_seen = len(seen)
+        seen.add((s.trunc, s.terms))
+        if len(seen) > n_seen:
             out.append(s)
 
     for c in (1, -1, 2, -2, 3, Fraction(1, 2)):
@@ -1358,7 +1385,7 @@ def _candidates(
         if half is not None:
             multiples += [half, elem_neg(G, half)]
         for g in multiples:
-            push(_make(G, [(g, 1)], None))
+            push(_make(G, [(g, Fraction(1))], None))
         neg = elem_neg(G, v)
         for j in range(len(neg)):
             for step in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2)):

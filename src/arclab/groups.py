@@ -467,7 +467,7 @@ def elem_neg(G: LexWord, a: GroupElement) -> GroupElement:
 
 
 def elem_sub(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
-    return elem_add(G, a, elem_neg(G, b))
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def scalar_mul(G: LexWord, k: int, a: GroupElement) -> GroupElement:

@@ -66,16 +66,28 @@ class HahnSeries:
 
 def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
     """A series from (exponent, coefficient) pairs whose exponents are
-    already elements of G; equal exponents merge, zero terms drop."""
+    already elements of G; equal exponents merge, zero terms drop, and
+    terms at or above trunc drop.
+
+    Every series operation ends here, so each step is kept cheap: the
+    coefficients must already be Fractions (the first one seen for an
+    exponent is stored as is, so an int would survive into the series),
+    and the sort runs only when two or more terms remain.  Merging comes
+    before sorting because series_mul hands over many repeated exponents,
+    which would otherwise each pay elem_cmp calls in the sort.
+    """
     merged: dict[GroupElement, Fraction] = {}
+    get = merged.get
     for e, c in pairs:
-        merged[e] = merged.get(e, Fraction(0)) + c
+        prev = get(e)
+        merged[e] = c if prev is None else prev + c
     kept = [
         (e, c)
         for e, c in merged.items()
-        if c != 0 and (trunc is None or elem_cmp(G, e, trunc) < 0)
+        if c and (trunc is None or elem_cmp(G, e, trunc) < 0)
     ]
-    kept.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
+    if len(kept) > 1:
+        kept.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
     return HahnSeries(G, tuple(kept), trunc)
 
 
@@ -403,6 +415,9 @@ def default_cutoff(G: LexWord, magnitude: int = 9) -> GroupElement:
     return unflatten(G, (magnitude,) * G.n_slots())
 
 
+_SAMPLE_RNG = random.Random()
+
+
 def sample_series(
     G: LexWord,
     seed: int,
@@ -410,10 +425,18 @@ def sample_series(
     exp_mag: int = 3,
     coeff_mag: int = 9,
 ) -> HahnSeries:
-    """Deterministic nonzero pseudo-random series with 1..support terms."""
+    """Deterministic nonzero pseudo-random series with 1..support terms.
+
+    The draws depend only on the arguments: the module's one generator is
+    reseeded from them on every call (seeding resets its whole state, so
+    the stream equals that of a fresh random.Random with the same seed,
+    without building one per call).  Not safe to call from two threads
+    at once.
+    """
     if not G.is_effective():
         raise NonEffectiveError("cannot sample elements of a schematic word")
-    rng = random.Random(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
+    rng = _SAMPLE_RNG
+    rng.seed(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
     exps: list[tuple] = []
     for _ in range(support):
         flat = []

@@ -14,23 +14,57 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 
 INF = float("inf")
 
 
+# Trial division below this bound (every prime the classification meets is
+# tiny), deterministic Miller-Rabin from it.
+_TRIAL_LIMIT = 10_000
+# The first 13 primes are a deterministic Miller-Rabin base set for every
+# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality; ParameterError at or above _MR_LIMIT."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
+    if n >= _TRIAL_LIMIT:
+        return _miller_rabin(n)
     d = 3
     while d * d <= n:
         if n % d == 0:
             return False
         d += 2
+    return True
+
+
+def _miller_rabin(n: int) -> bool:
+    """Strong-probable-prime test of an odd n > 41 to every base in
+    _MR_BASES, which decides primality below _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ParameterError(f"primality of {n} is not decided at or above {_MR_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

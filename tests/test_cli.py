@@ -120,6 +120,21 @@ def test_formula_eval_decide_true():
     assert code == 0 and text.strip() == "true"
 
 
+def test_formula_eval_with_a_19_digit_prime_degree():
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[1000000000000000003](x)",
+        "--at", "x=t^(1,0)",
+    )
+    assert code == 0 and text.strip() == "true"
+
+
+def test_deeply_nested_formula_is_usage_error(capsys):
+    for expr in ("(" * 600 + "x=x" + ")" * 600, "-" * 2000 + "x=x", "not " * 2000 + "x=x"):
+        code, _ = run("formula", "eval", "--group", "lex(Z, Q)", f"--expr={expr}", "--at", "x=1")
+        assert code == 2
+        assert "DslSyntaxError" in capsys.readouterr().err
+
+
 def test_formula_eval_decide_false():
     code, text = run(
         "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",

@@ -61,6 +61,14 @@ def test_psi_pn_is_not_a_macro():
         parse_formula("psi_pn[2,1](x, params=1,t^(1,0))", group=K1)
 
 
+def test_deeply_nested_input_is_a_syntax_error():
+    for text in ("(" * 600 + "x=x" + ")" * 600, "-" * 2000 + "x=x", "not " * 2000 + "x=x"):
+        with pytest.raises(DslSyntaxError):
+            parse_formula(text)
+    # nesting well inside the limit still parses
+    assert parse_formula("(" * 60 + "x=x" + ")" * 60) == parse_formula("x=x")
+
+
 def test_builders_reject_bad_primes():
     for bad in (0, 1, 4, 6, -3):
         with pytest.raises(ShapeError):

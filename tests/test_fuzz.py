@@ -1,13 +1,22 @@
 """Input boundaries under generated input: the parsers and both evaluators
-fail only with ArclabError, never with a raw Python exception."""
+fail only with ArclabError, never with a raw Python exception, and printing
+then parsing gives back the series or formula that was printed."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arclab.errors import ArclabError
-from arclab.formulas import eval_decidable, eval_sampled, parse_formula
+from arclab.formulas import (
+    build_phi_p,
+    build_phi_pn,
+    choose_params,
+    eval_decidable,
+    eval_sampled,
+    parse_formula,
+    print_formula,
+)
 from arclab.groups import parse_group
-from arclab.hahn import parse_series, sample_series
+from arclab.hahn import parse_series, print_series, sample_series
 
 K1 = parse_group("lex(Z, Q)")
 GROUPS = [K1, parse_group("lex(real(1, pi))"), parse_group("lex(Zloc(2), Q)")]
@@ -90,3 +99,31 @@ def test_evaluators_raise_only_arclab_errors(text, G, seed):
             evaluate()
         except ArclabError:
             pass
+
+
+# -- print then parse is the identity -------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.integers(0, 10_000),
+    st.sampled_from([{}, {"support": 2, "exp_mag": 2, "coeff_mag": 5}, {"support": 5}]),
+)
+def test_print_parse_round_trip_on_series(G, seed, params):
+    s = sample_series(G, seed, **params)
+    assert parse_series(print_series(s), G) == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(), st.sampled_from(GROUPS))
+def test_print_parse_round_trip_on_formulas(text, G):
+    f = parse_formula(text, group=G)
+    assert parse_formula(print_formula(f), G) == f
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(GROUPS), st.sampled_from([2, 3, 5]), st.integers(0, 2))
+def test_print_parse_round_trip_on_built_formulas(G, p, n):
+    for f in (build_phi_p(p), build_phi_pn(p, n, choose_params(G, p, n))):
+        assert parse_formula(print_formula(f), G) == f

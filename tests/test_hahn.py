@@ -1,14 +1,17 @@
+import hashlib
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arclab.errors import NonEffectiveError, RootError, ShapeError, ZeroInputError
-from arclab.groups import element, parse_group, print_group
+from arclab.groups import elem_cmp, element, parse_group, print_group
 from arclab.convex import parse_cut
 from arclab.hahn import (
     HahnSeries,
+    _make,
     const_series,
     decompose,
     default_cutoff,
@@ -198,6 +201,82 @@ def test_sample_series_nonzero_bounded_support():
         s = sample_series(ZPI, seed, support=3)
         assert not s.is_zero()
         assert 1 <= len(s.terms) <= 3
+
+
+POOL = ["lex(Z, Q)", "lex(Z, Z)", "lex(real(1, pi))", "lex(Zloc(2), Q)", "lex(Q)"]
+
+
+def _describe(s: HahnSeries) -> str:
+    # the printed series hides whether a slot or coefficient is int or Fraction
+    slots = "".join(type(x).__name__[0] for e, _ in s.terms for x in e)
+    coeffs = "".join(type(c).__name__[0] for _, c in s.terms)
+    return f"{print_series(s)}|{slots}|{coeffs}"
+
+
+@pytest.mark.parametrize(
+    "dsl, default_digest, small_digest",
+    [
+        ("lex(Z, Q)", "7ae5fe10fa43ea14", "3917ffb2959770a7"),
+        ("lex(Z, Z)", "d8257c052a2ef1d6", "5c7152684e90c6bd"),
+        ("lex(real(1, pi))", "2509bfdcd6768f0b", "4346695953aab2c1"),
+        ("lex(Zloc(2), Q)", "8fc6340c0d50ba6c", "01fd731cacb53330"),
+        ("lex(Q)", "970cb0673fb5f9d3", "85cfb80a723f42cc"),
+    ],
+)
+def test_sample_series_stream_pinned(dsl, default_digest, small_digest):
+    # seeds 0..299 at the default parameters and at the witness grid's
+    G = parse_group(dsl)
+    for params, digest in (
+        ({}, default_digest),
+        ({"support": 2, "exp_mag": 2, "coeff_mag": 5}, small_digest),
+    ):
+        text = "\n".join(_describe(sample_series(G, seed, **params)) for seed in range(300))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, params
+
+
+def _make_reference(G, pairs, trunc):
+    """_make without its shortcuts: every coefficient is added onto
+    Fraction(0), zeros drop by comparison, and the sort always runs."""
+    merged = {}
+    for e, c in pairs:
+        merged[e] = merged.get(e, Fraction(0)) + c
+    kept = [
+        (e, c)
+        for e, c in merged.items()
+        if c != 0 and (trunc is None or elem_cmp(G, e, trunc) < 0)
+    ]
+    kept.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
+    return HahnSeries(G, tuple(kept), trunc)
+
+
+@st.composite
+def _make_inputs(draw):
+    G = parse_group(draw(st.sampled_from(["lex(Z, Q)", "lex(real(1, pi))", "lex(Zloc(2), Q)"])))
+    # a small pool of exponents, so that pairs repeat them
+    pool = [
+        e
+        for seed in draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
+        for e, _ in sample_series(G, seed, exp_mag=1).terms
+    ]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=8))
+    # cancel some of the pairs outright
+    pairs += [(e, -c) for e, c in pairs[: draw(st.integers(0, len(pairs)))]]
+    pairs = draw(st.permutations(pairs))
+    trunc = draw(st.one_of(st.none(), st.sampled_from(pool)))
+    return G, pairs, trunc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_make_inputs())
+def test_make_matches_reference(inputs):
+    G, pairs, trunc = inputs
+    got, want = _make(G, pairs, trunc), _make_reference(G, pairs, trunc)
+    assert got == want
+    assert [type(c) for _, c in got.terms] == [type(c) for _, c in want.terms]
+    assert [type(x) for e, _ in got.terms for x in e] == [
+        type(x) for e, _ in want.terms for x in e
+    ]
 
 
 def test_print_parse_round_trip_on_samples():

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arclab.primes import INF, PartitionMap, PrimeSet
+from arclab.errors import ParameterError
+from arclab.primes import INF, PartitionMap, PrimeSet, is_prime
 
 SOME_PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
@@ -40,6 +42,29 @@ def test_complement_involution(a):
 @given(prime_sets)
 def test_json_round_trip(a):
     assert PrimeSet.from_json(a.to_json()) == a
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    # covers the switch from trial division to Miller-Rabin
+    assert [n for n in range(20_000) if is_prime(n)] == [
+        n for n in range(20_000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_on_pseudoprimes_and_large_n():
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    m61 = 2**61 - 1
+    assert is_prime(m61)
+    assert not is_prime(m61 * (2**17 - 1))
+    # above the range the 13 bases decide, the answer is refused
+    with pytest.raises(ParameterError):
+        is_prime(m61 * (2**31 - 1))
 
 
 def test_smallest():
