@@ -12,7 +12,6 @@ broke, and the exit code is 1 when any block failed.
 
 import argparse
 import io
-import json
 import pathlib
 import sys
 import time

@@ -131,24 +131,14 @@ def pred_cut(G: LexWord, c: ConvexCut) -> ConvexCut | None:
 # ---------------------------------------------------------------------------
 # segment exponents
 
-_ZERO_MAP = PartitionMap.constant(0)
-
-
-def _summand_map(tower: OmegaTower, offset: int) -> PartitionMap:
-    p = tower.summand_prime(offset)
-    return PartitionMap.from_pairs(
-        [(PrimeSet.single(p), 1), (PrimeSet.single(p).complement(), 0)]
-    )
-
 
 def _tower_slice_map(tower: OmegaTower, lo: int, hi: int | None) -> PartitionMap:
     """Exponent map of the tower offsets in (lo, hi]; hi None means the tail."""
     if hi is None:
         return tower.tail_exponent_map(lo + 1)
-    acc = _ZERO_MAP
-    for off in range(lo + 1, hi + 1):
-        acc = acc.add(_summand_map(tower, off))
-    return acc
+    offsets = range(lo + 1, hi + 1)
+    # a list, not a generator, as in primes._canonical
+    return PartitionMap(0, tuple([(tower.summand_prime(off), 1) for off in offsets]))
 
 
 def _segment_parts(G: LexWord, low: ConvexCut, high: ConvexCut):
@@ -176,7 +166,7 @@ def segment_exponent_map(G: LexWord, low: ConvexCut, high: ConvexCut) -> Partiti
     validate_cut(G, high)
     if cuts_cmp(high, low) > 0:
         raise ShapeError("segment endpoints out of order")
-    acc = _ZERO_MAP
+    acc = PartitionMap(0)
     for i, start_off, end_off in _segment_parts(G, low, high):
         comp = G.components[i]
         if isinstance(comp, OmegaTower):
@@ -193,10 +183,6 @@ def suffix_exponent_map(G: LexWord, c: ConvexCut) -> PartitionMap:
 def np_map(G: LexWord) -> PartitionMap:
     """Exponent of the whole group: n_p = log_p |G / pG| (INF allowed)."""
     return segment_exponent_map(G, bottom_cut(G), top_cut(G))
-
-
-def quotient_exponent(G: LexWord, low: ConvexCut, high: ConvexCut, p: int):
-    return segment_exponent_map(G, low, high).value_at(p)
 
 
 def suffix_divisible_primes(G: LexWord, c: ConvexCut) -> PrimeSet:
@@ -217,7 +203,7 @@ def max_divisible(G: LexWord) -> ConvexCut:
     """The largest divisible convex subgroup."""
     k0 = len(G.components)
     for k in range(len(G.components) - 1, -1, -1):
-        if G.components[k].divisible_primes().is_all():
+        if G.components[k].exponent_map().where(lambda v: v == 0).is_all():
             k0 = k
         else:
             break
@@ -265,7 +251,7 @@ def thm_condition_prime(G: LexWord) -> PrimeSet:
         # the inner cuts above c0 absorb every prime of the tower eventually
         return PrimeSet.empty()
     pred = G.components[c0.seg - 1]
-    return pred.divisible_primes().complement()
+    return pred.exponent_map().where(lambda v: v != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,7 @@ def _segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, b
                 pieces.append((comp.tail_exponent_map(start_off + 1), "tower-tail"))
             else:
                 for off in range(start_off + 1, end_off + 1):
-                    pieces.append((_summand_map(comp, off), "tower-summand"))
+                    pieces.append((_tower_slice_map(comp, off - 1, off), "tower-summand"))
         else:
             pieces.append((comp.exponent_map(), "component"))
     if not pieces:

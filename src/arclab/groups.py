@@ -16,7 +16,12 @@ significant.  Component kinds:
 
 The first four kinds are *effective*: elements exist and arithmetic is exact.
 The last two are analysis-only; words containing them expose the symbolic
-interfaces (divisibility, quotient exponents) but no element arithmetic.
+interfaces but no element arithmetic.
+
+Every component declares one per-prime fact, its ``exponent_map()``: log_p
+of the size of C/pC at each prime p (INF when infinite), as a default value
+plus finitely many exceptions.  Divisibility by p is exponent 0, so the
+convex layer reads it from the same map.
 
 An element of an effective word is a flat tuple with one entry per scalar
 slot: one slot for Zed, Rat and LocZ, and one slot per generator for
@@ -43,7 +48,7 @@ from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import DslSyntaxError, InternalError, NonEffectiveError, ShapeError
-from .primes import INF, PartitionMap, PrimeSet, first_primes, is_prime, prime_at, prime_index
+from .primes import INF, PartitionMap, is_prime, prime_at, prime_index
 
 # ---------------------------------------------------------------------------
 # certified interval arithmetic for pi
@@ -137,11 +142,8 @@ def sign_of_real(gens: tuple[RealGen, ...], coords: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class Zed:
-    def divisible_primes(self) -> PrimeSet:
-        return PrimeSet.empty()
-
     def exponent_map(self) -> PartitionMap:
-        return PartitionMap.constant(1)
+        return PartitionMap(1)
 
     def is_effective(self) -> bool:
         return True
@@ -155,11 +157,8 @@ class Zed:
 
 @dataclass(frozen=True)
 class Rat:
-    def divisible_primes(self) -> PrimeSet:
-        return PrimeSet.all_primes()
-
     def exponent_map(self) -> PartitionMap:
-        return PartitionMap.constant(0)
+        return PartitionMap(0)
 
     def is_effective(self) -> bool:
         return True
@@ -179,13 +178,8 @@ class LocZ:
         if not is_prime(self.q):
             raise ValueError(f"localization prime expected, got {self.q}")
 
-    def divisible_primes(self) -> PrimeSet:
-        return PrimeSet.single(self.q).complement()
-
     def exponent_map(self) -> PartitionMap:
-        return PartitionMap.from_pairs(
-            [(PrimeSet.single(self.q), 1), (PrimeSet.single(self.q).complement(), 0)]
-        )
+        return PartitionMap(0, ((self.q, 1),))
 
     def is_effective(self) -> bool:
         return True
@@ -214,11 +208,8 @@ class FreeReal:
     def rank(self) -> int:
         return len(self.gens)
 
-    def divisible_primes(self) -> PrimeSet:
-        return PrimeSet.empty()
-
     def exponent_map(self) -> PartitionMap:
-        return PartitionMap.constant(self.rank)
+        return PartitionMap(self.rank)
 
     def is_effective(self) -> bool:
         return True
@@ -257,17 +248,11 @@ class OmegaTower:
         k = prime_index(p)
         return k - self.start if k >= self.start + 1 else None
 
-    def tail_excluded(self, from_offset: int) -> PrimeSet:
-        """Primes of the summands in the tail starting at from_offset."""
-        bound = self.start + from_offset
-        return PrimeSet.cofinite_excluding(first_primes(bound))
-
     def tail_exponent_map(self, from_offset: int) -> PartitionMap:
-        tail = self.tail_excluded(from_offset)
-        return PartitionMap.from_pairs([(tail, 1), (tail.complement(), 0)])
-
-    def divisible_primes(self) -> PrimeSet:
-        return self.tail_excluded(1).complement()
+        """1 at the primes of the summands from from_offset on, 0 at the
+        primes before them."""
+        # a list, not a generator, as in primes._canonical
+        return PartitionMap(1, tuple([(prime_at(k), 0) for k in range(self.start + from_offset)]))
 
     def exponent_map(self) -> PartitionMap:
         return self.tail_exponent_map(1)
@@ -300,13 +285,8 @@ class PolyModule:
         if self.gen.kind != "pi":
             raise ValueError("poly_module generator must be transcendental")
 
-    def divisible_primes(self) -> PrimeSet:
-        return PrimeSet.single(self.q).complement()
-
     def exponent_map(self) -> PartitionMap:
-        return PartitionMap.from_pairs(
-            [(PrimeSet.single(self.q), INF), (PrimeSet.single(self.q).complement(), 0)]
-        )
+        return PartitionMap(0, ((self.q, INF),))
 
     def is_effective(self) -> bool:
         return False

@@ -2,16 +2,19 @@
 
 Everything downstream that talks about "which primes" does so through
 :class:`PrimeSet` (a finite or cofinite set of primes, closed under boolean
-operations) and :class:`PartitionMap` (a piecewise-constant map from primes to
-extended naturals with finitely many pieces).  Keeping these closed under the
-operations we need is what makes the classification machinery terminate on
-groups with infinitely many relevant primes.
+operations) and :class:`PartitionMap` (a map from primes to extended
+naturals, stored as a default value and the finitely many primes where it
+differs).  Keeping these closed under the operations we need is what makes
+the classification machinery terminate on groups with infinitely many
+relevant primes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
+from math import isqrt
 from typing import Callable, Iterable
 
 from .errors import ParameterError, ShapeError
@@ -68,31 +71,46 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# prime_at and prime_index raise ParameterError rather than sieve past this.
+_PRIME_LIMIT = 10_000_000
+# Every prime below _sieved_to, ascending; grown by _sieve on demand.
+_primes: list[int] = []
+_sieved_to = 2
+
+
+def _sieve(n: int) -> None:
+    """Grow _primes to every prime below n, at least doubling the range."""
+    global _sieved_to
+    n = min(max(n, 2 * _sieved_to), _PRIME_LIMIT)
+    flags = bytearray([1]) * n
+    flags[:2] = b"\x00\x00"
+    for i in range(2, isqrt(n - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, n, i)))
+    _primes[:] = compress(range(n), flags)
+    _sieved_to = n
+
+
 def prime_at(k: int) -> int:
     """k-th prime, zero-indexed: prime_at(0) == 2."""
     if k < 0:
         raise ValueError(f"prime index must be >= 0, got {k}")
-    if k == 0:
-        return 2
-    n = prime_at(k - 1) + 1
-    while not is_prime(n):
-        n += 1
-    return n
+    while k >= len(_primes):
+        if _sieved_to >= _PRIME_LIMIT:
+            raise ParameterError(f"prime index {k} is beyond the primes below {_PRIME_LIMIT}")
+        _sieve(2 * _sieved_to)
+    return _primes[k]
 
 
 def prime_index(p: int) -> int:
     """Inverse of prime_at. Raises ValueError if p is not prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    k = 0
-    while prime_at(k) != p:
-        k += 1
-    return k
-
-
-def first_primes(n: int) -> list[int]:
-    return [prime_at(k) for k in range(n)]
+    if p >= _PRIME_LIMIT:
+        raise ParameterError(f"primes are indexed only below {_PRIME_LIMIT}, got {p}")
+    if p >= _sieved_to:
+        _sieve(p + 1)
+    return bisect_left(_primes, p)
 
 
 def _check_primes(xs: Iterable[int]) -> frozenset[int]:
@@ -220,9 +238,6 @@ def _check_value(v):
         return v
     if isinstance(v, float) and v == INF:
         return INF
-    if isinstance(v, tuple):
-        # combine() builds paired maps; validate each coordinate.
-        return tuple(_check_value(x) for x in v)
     raise ValueError(f"partition value must be a natural or INF, got {v!r}")
 
 
@@ -236,15 +251,22 @@ def _sort_key(v):
 class PartitionMap:
     """A map primes -> N ∪ {INF} that is constant on finitely many pieces.
 
-    Canonical form: one piece per distinct value, pieces sorted by value
-    (INF last).  Construction validates that the pieces are pairwise
-    disjoint and jointly cover every prime.
+    It takes ``default`` everywhere except at ``exceptions``: (prime, value)
+    pairs sorted by prime, each value other than the default, so equal maps
+    compare equal.  Finitely many disjoint finite-or-cofinite pieces that
+    cover the primes include exactly one cofinite piece, which gives the
+    default, so this form holds every such map.  An overlap or a gap cannot
+    be written in it: the algebra below works prime by prime and checks
+    nothing, and only ``from_pairs``, which reads pieces, checks them.
     """
 
-    pieces: tuple[tuple[PrimeSet, object], ...]
+    default: object
+    exceptions: tuple[tuple[int, object], ...] = ()
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[PrimeSet, object]]) -> "PartitionMap":
+        """The map with value v on each piece (ps, v).  Pieces of different
+        values must be disjoint, and together they must cover every prime."""
         by_value: dict = {}
         for ps, v in pairs:
             v = _check_value(v)
@@ -252,50 +274,52 @@ class PartitionMap:
                 by_value[v] = by_value[v].union(ps)
             else:
                 by_value[v] = ps
-        merged = [(ps, v) for v, ps in by_value.items() if not ps.is_empty()]
-        merged.sort(key=lambda item: _sort_key(item[1]))
         total = PrimeSet.empty()
-        for ps, _ in merged:
+        for ps in by_value.values():
             if not total.intersection(ps).is_empty():
                 raise ShapeError("partition pieces overlap")
             total = total.union(ps)
         if not total.is_all():
             raise ShapeError("partition pieces do not cover all primes")
-        return PartitionMap(tuple(merged))
+        default = next(v for v, ps in by_value.items() if ps.cofinite)
+        exceptions = [(p, v) for v, ps in by_value.items() if not ps.cofinite for p in ps.basis]
+        return PartitionMap(default, tuple(sorted(exceptions)))
 
-    @staticmethod
-    def constant(v) -> "PartitionMap":
-        return PartitionMap.from_pairs([(PrimeSet.all_primes(), v)])
+    @property
+    def pieces(self) -> tuple[tuple[PrimeSet, object], ...]:
+        """One (prime set, value) piece per value, sorted by value (INF last)."""
+        by_value: dict = {}
+        for p, v in self.exceptions:
+            by_value.setdefault(v, set()).add(p)
+        out = [(PrimeSet(False, frozenset(ps)), v) for v, ps in by_value.items()]
+        out.append((PrimeSet(True, frozenset(p for p, _ in self.exceptions)), self.default))
+        return tuple(sorted(out, key=lambda item: _sort_key(item[1])))
 
     def value_at(self, p: int):
-        for ps, v in self.pieces:
-            if p in ps:
-                return v
-        raise ShapeError(f"partition does not cover {p}")  # unreachable
+        i = bisect_left(self.exceptions, (p,))
+        if i < len(self.exceptions) and self.exceptions[i][0] == p:
+            return self.exceptions[i][1]
+        return self.default
 
     def combine(self, other: "PartitionMap", fn: Callable) -> "PartitionMap":
-        """Pointwise combination through the common refinement."""
-        out = []
-        for ps_a, va in self.pieces:
-            for ps_b, vb in other.pieces:
-                cell = ps_a.intersection(ps_b)
-                if not cell.is_empty():
-                    out.append((cell, fn(va, vb)))
-        return PartitionMap.from_pairs(out)
+        """Pointwise combination: fn at the defaults and at every exception
+        of either map."""
+        primes = sorted({p for p, _ in self.exceptions + other.exceptions})
+        return _canonical(
+            fn(self.default, other.default),
+            [(p, fn(self.value_at(p), other.value_at(p))) for p in primes],
+        )
 
     def add(self, other: "PartitionMap") -> "PartitionMap":
         return self.combine(other, lambda a, b: INF if INF in (a, b) else a + b)
 
     def map_values(self, fn: Callable) -> "PartitionMap":
-        return PartitionMap.from_pairs([(ps, fn(v)) for ps, v in self.pieces])
+        return _canonical(fn(self.default), [(p, fn(v)) for p, v in self.exceptions])
 
     def where(self, pred: Callable) -> PrimeSet:
         """The set of primes whose value satisfies `pred`."""
-        out = PrimeSet.empty()
-        for ps, v in self.pieces:
-            if pred(v):
-                out = out.union(ps)
-        return out
+        hit = bool(pred(self.default))
+        return PrimeSet(hit, frozenset(p for p, v in self.exceptions if bool(pred(v)) != hit))
 
     def to_json(self) -> list:
         return [
@@ -306,3 +330,11 @@ class PartitionMap:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = "; ".join(f"{ps.describe()} -> {v}" for ps, v in self.pieces)
         return f"PartitionMap<{body}>"
+
+
+def _canonical(default, items: Iterable[tuple[int, object]]) -> PartitionMap:
+    """The map with the given default and (prime, value) items sorted by
+    prime, dropping the items whose value is the default."""
+    # From a list: CPython resizes a tuple built from a generator, then frees
+    # it onto a free list of its final size that nothing reuses (~1 MB RSS).
+    return PartitionMap(default, tuple([(p, v) for p, v in items if v != default]))

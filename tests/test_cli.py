@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,6 +128,29 @@ def test_formula_eval_with_a_19_digit_prime_degree():
         "--at", "x=t^(1,0)",
     )
     assert code == 0 and text.strip() == "true"
+
+
+def test_large_display_prime_is_indexed_quickly():
+    # 1000003 is the 78,499th prime: its tower summand sits at offset 78498
+    start = time.perf_counter()
+    code, text = run(
+        "group", "analyze", "lex(omega_tower(start=0))", "--primes", "2,1000003", "--json"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert '"high": "seg0+78498"' in text
+    # the report as printed before prime indexing moved to a sieve
+    digest = "f49e95d83789a886dad3fad13c9cd21a5139d7bafa5d970d40a54baa00903ae8"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_prime_beyond_the_index_bound_is_usage_error(capsys):
+    start = time.perf_counter()
+    code, _ = run("group", "analyze", "lex(omega_tower(start=0))", "--primes", "2,1000000007")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ParameterError" in err and "Traceback" not in err
 
 
 def test_deeply_nested_formula_is_usage_error(capsys):

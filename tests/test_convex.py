@@ -1,7 +1,5 @@
-from functools import cmp_to_key
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from arclab.convex import (
@@ -20,7 +18,7 @@ from arclab.convex import (
     non_definability_certificate,
     np_map,
     parse_cut,
-    quotient_exponent,
+    segment_exponent_map,
     suffix_divisible_primes,
     thm_condition_prime,
     top_cut,
@@ -142,11 +140,11 @@ def test_max_p_divisible_brute_oracle():
 
 
 def test_quotient_exponent_pins():
-    assert quotient_exponent(K1, bottom_cut(K1), top_cut(K1), 5) == 1
-    assert quotient_exponent(ZPI, bottom_cut(ZPI), top_cut(ZPI), 3) == 2
-    assert quotient_exponent(K2, bottom_cut(K2), top_cut(K2), 2) == 0
-    assert quotient_exponent(C0, bottom_cut(C0), top_cut(C0), 2) is INF
-    assert quotient_exponent(C0, bottom_cut(C0), top_cut(C0), 7) == 0
+    assert segment_exponent_map(K1, bottom_cut(K1), top_cut(K1)).value_at(5) == 1
+    assert segment_exponent_map(ZPI, bottom_cut(ZPI), top_cut(ZPI)).value_at(3) == 2
+    assert segment_exponent_map(K2, bottom_cut(K2), top_cut(K2)).value_at(2) == 0
+    assert segment_exponent_map(C0, bottom_cut(C0), top_cut(C0)).value_at(2) is INF
+    assert segment_exponent_map(C0, bottom_cut(C0), top_cut(C0)).value_at(7) == 0
 
 
 def test_np_tables():

@@ -30,7 +30,6 @@ from arclab.hahn import (
     series_mul,
     series_neg,
     series_pow,
-    series_sub,
     v_of,
     zero_series,
 )

@@ -1,9 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arclab.errors import ParameterError
-from arclab.primes import INF, PartitionMap, PrimeSet, is_prime
+import arclab
+from arclab import primes
+from arclab.errors import ParameterError, ShapeError
+from arclab.primes import INF, PartitionMap, PrimeSet, is_prime, prime_at, prime_index
 
 SOME_PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
@@ -55,6 +62,36 @@ def test_is_prime_matches_trial_division():
     ]
 
 
+def test_prime_at_and_prime_index_match_trial_division():
+    below = [n for n in range(20_000) if _trial_division(n)]
+    assert [prime_at(k) for k in range(len(below))] == below
+    assert [prime_index(p) for p in below] == list(range(len(below)))
+    with pytest.raises(ValueError):
+        prime_index(20_001)
+
+
+def test_prime_at_on_a_cold_start_does_not_recurse():
+    src = pathlib.Path(arclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "from arclab.primes import prime_at; print(prime_at(5000))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "48619"
+
+
+def test_prime_indexing_stops_at_the_sieve_limit(monkeypatch):
+    monkeypatch.setattr(primes, "_PRIME_LIMIT", 100)
+    monkeypatch.setattr(primes, "_primes", [])
+    monkeypatch.setattr(primes, "_sieved_to", 2)
+    assert prime_at(24) == 97 and prime_index(97) == 24
+    with pytest.raises(ParameterError):
+        prime_at(25)
+    with pytest.raises(ParameterError):
+        prime_index(101)
+
+
 def test_is_prime_on_pseudoprimes_and_large_n():
     # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
     for n in (561, 41041, 3215031751):
@@ -94,7 +131,7 @@ def test_partition_map_add_saturates_at_inf():
     a = PartitionMap.from_pairs(
         [(PrimeSet.single(2), INF), (PrimeSet.cofinite_excluding([2]), 1)]
     )
-    b = PartitionMap.constant(1)
+    b = PartitionMap(1)
     s = a.add(b)
     assert s.value_at(2) is INF
     assert s.value_at(5) == 2
@@ -108,3 +145,117 @@ def test_partition_map_piecewise_get(p, a, b):
     assert m.value_at(p) == b
     q = 2 if p != 2 else 3
     assert m.value_at(q) == a
+
+
+# -- the map algebra against the piece-based algebra it replaced ----------------
+
+
+def _ref_sort_key(v):
+    if isinstance(v, tuple):
+        return (1, tuple(_ref_sort_key(x) for x in v))
+    return (0, float(v))
+
+
+class RefMap:
+    """Reference: a map stored as its pieces, merged by value and sorted,
+    and combined through the common refinement of two partitions."""
+
+    def __init__(self, pairs):
+        by_value = {}
+        for ps, v in pairs:
+            by_value[v] = by_value[v].union(ps) if v in by_value else ps
+        merged = [(ps, v) for v, ps in by_value.items() if not ps.is_empty()]
+        merged.sort(key=lambda item: _ref_sort_key(item[1]))
+        self.pieces = tuple(merged)
+
+    def value_at(self, p):
+        return next(v for ps, v in self.pieces if p in ps)
+
+    def combine(self, other, fn):
+        out = []
+        for ps_a, va in self.pieces:
+            for ps_b, vb in other.pieces:
+                cell = ps_a.intersection(ps_b)
+                if not cell.is_empty():
+                    out.append((cell, fn(va, vb)))
+        return RefMap(out)
+
+    def add(self, other):
+        return self.combine(other, lambda a, b: INF if INF in (a, b) else a + b)
+
+    def map_values(self, fn):
+        return RefMap([(ps, fn(v)) for ps, v in self.pieces])
+
+    def where(self, pred):
+        out = PrimeSet.empty()
+        for ps, v in self.pieces:
+            if pred(v):
+                out = out.union(ps)
+        return out
+
+    def to_json(self):
+        return [
+            {"primes": ps.to_json(), "value": "inf" if v == INF else v}
+            for ps, v in self.pieces
+        ]
+
+
+MAP_VALUES = st.sampled_from([0, 1, 2, 3, INF])
+OUTSIDE = 17  # a prime no generated map names
+
+
+@st.composite
+def piece_lists(draw):
+    """Pieces of a map: a value at some primes of SOME_PRIMES, one piece
+    each, and a default on the cofinite rest, in a random order.  A value
+    equal to the default gives a piece that merges into the default's."""
+    default = draw(MAP_VALUES)
+    assigned = draw(st.dictionaries(st.sampled_from(SOME_PRIMES), MAP_VALUES))
+    pairs = [(PrimeSet.cofinite_excluding(assigned), default)]
+    pairs += [(PrimeSet.single(p), v) for p, v in assigned.items()]
+    return draw(st.permutations(pairs))
+
+
+VALUE_FNS = (
+    lambda v: INF if v is INF else v + 1,
+    lambda v: 0 if v is INF else min(v, 2),
+    lambda v: 1,
+)
+PREDICATES = (lambda v: v == 0, lambda v: v is INF, lambda v: v != 0, lambda v: v >= 2)
+
+
+@given(piece_lists(), piece_lists())
+def test_partition_map_matches_piece_reference(pairs_a, pairs_b):
+    a, b = PartitionMap.from_pairs(pairs_a), PartitionMap.from_pairs(pairs_b)
+    ref_a, ref_b = RefMap(pairs_a), RefMap(pairs_b)
+    for p in SOME_PRIMES + [OUTSIDE]:
+        assert a.value_at(p) == ref_a.value_at(p)
+        assert (a.value_at(p) is INF) == (ref_a.value_at(p) is INF)
+    assert a.pieces == ref_a.pieces
+    assert a.to_json() == ref_a.to_json()
+    assert a.add(b).pieces == ref_a.add(ref_b).pieces
+    assert (
+        a.combine(b, lambda x, y: (x, y)).pieces
+        == ref_a.combine(ref_b, lambda x, y: (x, y)).pieces
+    )
+    for fn in VALUE_FNS:
+        assert a.map_values(fn).pieces == ref_a.map_values(fn).pieces
+    for pred in PREDICATES:
+        assert a.where(pred) == ref_a.where(pred)
+    assert PartitionMap.from_pairs(a.pieces) == a
+
+
+@pytest.mark.parametrize(
+    "pairs, error, match",
+    [
+        ([(PrimeSet.all_primes(), 0), (PrimeSet.cofinite_excluding([2]), 1)], ShapeError, "overlap"),
+        ([(PrimeSet.cofinite_excluding([2]), 0), (PrimeSet.single(3), 1)], ShapeError, "overlap"),
+        ([(PrimeSet.cofinite_excluding([2, 3]), 0), (PrimeSet.single(2), 1)], ShapeError, "cover"),
+        ([(PrimeSet.all_primes(), True)], ValueError, "bool"),
+        ([(PrimeSet.all_primes(), -1)], ValueError, ">= 0"),
+    ],
+    ids=["two-cofinite", "finite-inside-cofinite", "gap", "bool", "negative"],
+)
+def test_from_pairs_rejects(pairs, error, match):
+    with pytest.raises(error, match=match):
+        PartitionMap.from_pairs(pairs)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from arclab.valuations import (
     ValuationDescriptor,
     _stability_clause,
     boundary_monomials,
+    classification_report,
     differential_cross,
     differential_verify,
     enumerate_definable,
@@ -53,6 +55,8 @@ from arclab.valuations import (
     v_pn_descriptor,
     verify_thm_defblRCF,
 )
+
+from schematic_words import schematic_words
 
 K1 = parse_group("lex(Z, Q)")
 K2 = parse_group("lex(omega_tower(start=0))")
@@ -469,3 +473,13 @@ def test_report_thm_blocks(reports):
     assert reports["k2"]["thm26"]["cond1"] is False
     for rep in reports.values():
         assert rep["thm26"]["consistent"]
+
+
+def test_schematic_reports_pinned():
+    """Labels, certificates, n_p pieces and residue flags of 100 random
+    schematic words, pinned by a digest of their reports."""
+    h = hashlib.sha256()
+    for word in schematic_words(0, 100):
+        report = classification_report(parse_group(word), display_primes=(2, 3, 5, 7, 11))
+        h.update(json.dumps(report, sort_keys=True).encode())
+    assert h.hexdigest() == "7e4ea0d5dde9ad8c85b5d689907977e6cafa4eabdaf7fe0a8f3fca09a43e7c82"
