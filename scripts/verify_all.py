@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from arclab.cli import EXAMPLES, main as cli_main  # noqa: E402
 from arclab.groups import parse_group  # noqa: E402
-from arclab.valuations import differential_verify, verify_thm_defblRCF  # noqa: E402
+from arclab.valuations import differential_sweep, verify_thm_defblRCF  # noqa: E402
 
 POOL = ["lex(Z, Q)", "lex(Z, Z)", "lex(real(1, pi))", "lex(Zloc(2), Q)", "lex(Q)"]
 LEVELED = {"lex(Z, Q)": {2: 1, 3: 1}, "lex(real(1, pi))": {2: 2, 3: 2}}
@@ -34,20 +34,17 @@ def run(samples: int, seed: int) -> int:
 
     for dsl in POOL:
         G = parse_group(dsl)
-        for p in (2, 3, 5):
-            r = differential_verify(G, p, 0, samples=samples, seed=seed)
+        for r in differential_sweep(G, [(p, 0) for p in (2, 3, 5)], samples=samples, seed=seed):
             mark = "ok" if not r["mismatches"] else f"{len(r['mismatches'])} MISMATCHES"
-            print(f"differential {dsl:20s} p={p}: {r['checked']} points, {mark}")
+            print(f"differential {dsl:20s} p={r['p']}: {r['checked']} points, {mark}")
             bad += bool(r["mismatches"])
 
     for dsl, levels in LEVELED.items():
-        G = parse_group(dsl)
-        for p, n_max in levels.items():
-            for n in range(1, n_max + 1):
-                r = differential_verify(G, p, n, samples=samples, seed=seed)
-                mark = "ok" if not r["mismatches"] else "MISMATCHES"
-                print(f"differential {dsl:20s} p={p} n={n}: {mark}")
-                bad += bool(r["mismatches"])
+        cells = [(p, n) for p, n_max in levels.items() for n in range(1, n_max + 1)]
+        for r in differential_sweep(parse_group(dsl), cells, samples=samples, seed=seed):
+            mark = "ok" if not r["mismatches"] else "MISMATCHES"
+            print(f"differential {dsl:20s} p={r['p']} n={r['n']}: {mark}")
+            bad += bool(r["mismatches"])
 
     for name, dsl in sorted(EXAMPLES.items()):
         rep = verify_thm_defblRCF(parse_group(dsl))

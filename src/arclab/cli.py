@@ -282,12 +282,27 @@ def _primes_arg(text: str) -> tuple[int, ...]:
     return ps
 
 
+def _count_arg(least: int):
+    """An integer flag value of at least `least`, checked like --primes."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def _add_flags(sub, sampling: bool, primes: bool) -> None:
     """Register --json and, on the commands that read them, the sampling and
     display-prime flags."""
     if sampling:
         sub.add_argument("--seed", type=int, default=42)
-        sub.add_argument("--samples", type=int, default=200)
+        sub.add_argument("--samples", type=_count_arg(0), default=200)
     if primes:
         sub.add_argument("--primes", type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,...")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
@@ -322,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--expr", required=True, help='e.g. "phi_p[2](x)" or "exists y. y^2 = x"')
     fe.add_argument("--at", default="", help='bindings "x=t^(1,0); y=2"')
     fe.add_argument("--mode", choices=("decide", "sample"), default="decide")
-    fe.add_argument("--cutoff", type=int, default=9, help="truncation exponent magnitude")
+    fe.add_argument("--cutoff", type=_count_arg(1), default=9, help="truncation exponent magnitude")
     _add_flags(fe, sampling=True, primes=False)
 
     vf = top.add_parser("verify", help="verification suites")

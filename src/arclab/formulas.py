@@ -13,7 +13,12 @@ quantifiers.  On top of the raw AST the module provides
     all three builders;
   * ``eval_decidable`` -- an exact, pattern-based decision procedure that
     recognizes the quantifier shapes appearing in the builders and decides
-    them through the root oracle and cut comparisons;
+    them through the root oracle and cut comparisons.  It runs through a
+    ``decision_plan``: the formula compiled once for a group, with each
+    quantifier node matched once and its point-independent data (level
+    table entry, cuts, validated coset parameters) computed once, then
+    called once per assignment.  Callers that decide one formula at many
+    points build the plan themselves;
   * ``eval_sampled`` -- a witness-search evaluator that never uses the
     quantifier reductions and exists to hunt counterexamples against
     ``eval_decidable``.
@@ -1121,83 +1126,151 @@ def _validate_coset_params(G: LexWord, p: int, param_terms) -> tuple[int, Convex
     return n, cut
 
 
-def _decide_stability(G: LexWord, p: int, x_term, env) -> bool:
-    """The multiplication-stability clause, decided through the cut structure."""
-    if np_map(G).value_at(p) == 0:
-        return True
-    sf = eval_term(G, x_term, env)
-    if not sf.defined or sf.num.is_zero():
-        return False
-    v = sf.valuation(G)
-    if not elem_p_divisible(G, v, p):
-        return False
-    return _ring_member_cut(G, v, max_p_divisible(G, p))
-
-
-def _decide_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str, env) -> bool:
-    _n, cut = _validate_coset_params(G, p, param_terms)
-    sf = eval_term(G, x_term, env)
-    if not sf.defined:
-        return True
-    if sf.num.is_zero():
-        if side == "outside":
-            return True
-        return cut == top_cut(G)
-    v = sf.valuation(G)
-    in_ring_p = _ring_member_cut(G, v, max_p_divisible(G, p))
-    if side == "inside":
-        return (not in_ring_p) or _in_cut_subgroup(G, v, cut)
-    return in_ring_p or _in_cut_subgroup(G, v, cut)
-
-
 def eval_decidable(F, env, G: LexWord) -> bool:
     """Exact evaluation through the supported quantifier patterns.
 
     Anything quantified that is not a root test, a stability clause, or a
     coset clause raises UnsupportedQuantifierPattern.  Atoms whose truth is
     hidden behind a truncation raise TruncationError rather than guess.
+    A caller that decides one formula at many points builds its
+    ``decision_plan`` once instead.
+    """
+    return decision_plan(F, G)(env)
+
+
+def decision_plan(F, G: LexWord):
+    """F compiled once for G into a function env -> bool that decides it
+    exactly as ``eval_decidable`` does.
+
+    Connectives and atoms are planned at once. A quantifier node runs its
+    matchers the first time evaluation reaches it, and a stability clause
+    then reads its level-table entry and v_p cut. A coset clause validates
+    its parameters the first time it is reached after being matched. A node
+    that fails to build raises on that evaluation and builds again on the
+    next one, so every error is raised exactly where and whenever the
+    evaluation reaches it, and none is kept as a success. The plan holds no
+    state beyond its own nodes.
     """
     _require_effective(G)
-    return _decide(G, F, _norm_env(G, env))
+    decide = _plan(G, F)
+    return lambda env: decide(_norm_env(G, env))
 
 
-def _decide(G: LexWord, f, env) -> bool:
+def _on_first_reach(build):
+    """A decision function that calls build() when first reached and keeps
+    the result; a build that raises is retried on the next reach."""
+    decide = None
+
+    def run(env) -> bool:
+        nonlocal decide
+        if decide is None:
+            decide = build()
+        return decide(env)
+
+    return run
+
+
+def _plan(G: LexWord, f):
     if isinstance(f, (Eq, Neq)):
-        truth, certain = _atom_status(G, f, env)
-        if not certain:
-            raise TruncationError("atom truth is hidden below a truncation")
-        return truth
-    if isinstance(f, And):
-        return _decide(G, f.left, env) and _decide(G, f.right, env)
-    if isinstance(f, Or):
-        return _decide(G, f.left, env) or _decide(G, f.right, env)
-    if isinstance(f, Implies):
-        return (not _decide(G, f.left, env)) or _decide(G, f.right, env)
+
+        def atom(env) -> bool:
+            truth, certain = _atom_status(G, f, env)
+            if not certain:
+                raise TruncationError("atom truth is hidden below a truncation")
+            return truth
+
+        return atom
     if isinstance(f, Not):
-        return not _decide(G, f.arg, env)
+        arg = _plan(G, f.arg)
+        return lambda env: not arg(env)
+    if isinstance(f, (And, Or, Implies)):
+        left, right = _plan(G, f.left), _plan(G, f.right)
+        if isinstance(f, And):
+            return lambda env: left(env) and right(env)
+        if isinstance(f, Or):
+            return lambda env: left(env) or right(env)
+        return lambda env: (not left(env)) or right(env)
+    if isinstance(f, (Exists, Forall)):
+        return _on_first_reach(lambda: _plan_quantifier(G, f))
+
+    def not_a_formula(env) -> bool:
+        raise ShapeError(f"not a formula: {f!r}")
+
+    return not_a_formula
+
+
+def _plan_quantifier(G: LexWord, f):
+    """Match a quantifier node against the decidable shapes, once."""
     if isinstance(f, Exists):
         m = _match_root_exists(f)
         if m is not None:
             p, u, allow_neg = m
-            return _sf_root_decision(G, eval_term(G, u, env), p, allow_neg)
+            return lambda env: _sf_root_decision(G, eval_term(G, u, env), p, allow_neg)
         m = _match_coset_probe(f)
         if m is not None:
             p, w = m
-            sf = eval_term(G, w, env)
-            if not sf.defined or sf.num.is_zero():
-                return False
-            return elem_p_divisible(G, sf.valuation(G), p)
-        raise UnsupportedQuantifierPattern(print_formula(f)[:120])
-    if isinstance(f, Forall):
+
+            def coset_probe(env) -> bool:
+                sf = eval_term(G, w, env)
+                if not sf.defined or sf.num.is_zero():
+                    return False
+                return elem_p_divisible(G, sf.valuation(G), p)
+
+            return coset_probe
+    else:
         m = match_stability_clause(f)
         if m is not None:
-            return _decide_stability(G, m[0], m[1], env)
+            return _plan_stability(G, m[0], m[1])
         m = match_coset_clause(f)
         if m is not None:
-            p, x, params, side = m
-            return _decide_coset_clause(G, p, x, params, side, env)
-        raise UnsupportedQuantifierPattern(print_formula(f)[:120])
-    raise ShapeError(f"not a formula: {f!r}")
+            return _on_first_reach(lambda: _plan_coset_clause(G, *m))
+    msg = print_formula(f)[:120]
+
+    def unsupported(env) -> bool:
+        raise UnsupportedQuantifierPattern(msg)
+
+    return unsupported
+
+
+def _plan_stability(G: LexWord, p: int, x_term):
+    """The multiplication-stability clause, decided through the cut structure."""
+    if np_map(G).value_at(p) == 0:
+        return lambda env: True
+    cut = max_p_divisible(G, p)
+
+    def stability(env) -> bool:
+        sf = eval_term(G, x_term, env)
+        if not sf.defined or sf.num.is_zero():
+            return False
+        v = sf.valuation(G)
+        if not elem_p_divisible(G, v, p):
+            return False
+        return _ring_member_cut(G, v, cut)
+
+    return stability
+
+
+def _plan_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str):
+    """A level-n coset clause; its parameters are validated here, once, so
+    a ParameterError leaves the clause unbuilt and is raised again on the
+    next reach."""
+    _n, cut = _validate_coset_params(G, p, param_terms)
+    ring_p = max_p_divisible(G, p)
+    at_zero = side == "outside" or cut == top_cut(G)
+
+    def coset_clause(env) -> bool:
+        sf = eval_term(G, x_term, env)
+        if not sf.defined:
+            return True
+        if sf.num.is_zero():
+            return at_zero
+        v = sf.valuation(G)
+        in_ring_p = _ring_member_cut(G, v, ring_p)
+        if side == "inside":
+            return (not in_ring_p) or _in_cut_subgroup(G, v, cut)
+        return in_ring_p or _in_cut_subgroup(G, v, cut)
+
+    return coset_clause
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,16 @@ membership.
 
 The differential runs are deliberately two-track: membership comes from
 `ring_member` (a lexicographic sign test on the exponent), truth comes from
-`eval_decidable` on the built formulas (pattern decisions through the root
-oracle and the quotient-exponent tables). The two never share a code path
-past the cut construction itself, so a bug in either side shows up as a
-mismatch instead of cancelling out.
+decision plans of the built formulas (`formulas.decision_plan`: pattern
+decisions through the root oracle and the quotient-exponent tables). The
+two never share a code path past the cut construction itself, so a bug in
+either side shows up as a mismatch instead of cancelling out.
+
+`differential_sweep` runs many (p, n) cells of one group in one pass over
+the points: each formula is planned once, and the checks that depend only
+on the prime run once per point and prime, however many levels of that
+prime are asked for. `differential_verify` is its one-cell case, and a
+classification report makes one sweep per group.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .formulas import (
     build_phi_p,
     build_phi_pn,
     choose_params,
-    eval_decidable,
+    decision_plan,
     eval_sampled,
     match_phi_p,
 )
@@ -220,6 +226,94 @@ def _stability_clause(phi_p) -> Forall:
     return clause
 
 
+def differential_sweep(
+    G: LexWord,
+    cells,
+    samples: int = 200,
+    seed: int = 42,
+    falsify_budget: int = 25,
+) -> list[dict]:
+    """Compare the formula layer against ring membership, one pass for many
+    (p, n) cells.
+
+    Every x (boundary probes plus `samples` random series, the same for
+    every cell) is judged three ways per cell: the ring formula against the
+    level-0 ring, the level-n formula against the level-n ring, and —
+    wherever the stability clause decides True — a sampled falsification
+    attempt on that clause with a witness grid of falsify_budget candidates.
+    Any disagreement or successful falsification lands in the cell's
+    `mismatches`, in that order per x.
+
+    Points are the outer loop. The ring formula, the level-0 ring, the
+    stability decision and its sampling depend on the prime only, so they
+    run once per (prime, x) and their mismatches go to every cell of that
+    prime; each formula is compiled once into a decision plan. Returns one
+    dict per cell, in cell order, equal to what a one-cell sweep of that
+    cell returns.
+
+    The level-n coset clauses are not sampled: no grid can falsify their
+    shape (see `formulas._sampled`). Their decisions are checked against a
+    finite valuation oracle in the tests instead.
+    """
+    if not G.is_effective():
+        raise NonEffectiveError("differential sampling needs an effective group")
+    primes: dict[int, tuple] = {}
+    levels = []
+    for p, n in cells:
+        if p not in primes:
+            phi_p = build_phi_p(p)
+            stability = _stability_clause(phi_p)
+            primes[p] = (
+                decision_plan(phi_p, G),
+                v_p_descriptor(G, p),
+                stability,
+                decision_plan(stability, G),
+            )
+        phi_pn = build_phi_pn(p, n, choose_params(G, p, n))
+        levels.append((p, n, decision_plan(phi_pn, G), v_pn_descriptor(G, p, n)))
+
+    xs = boundary_monomials(G)
+    xs += [sample_series(G, seed * 6007 + i) for i in range(samples)]
+
+    found: list[list[dict]] = [[] for _ in levels]
+    for i, x in enumerate(xs):
+        env = {"x": x}
+        by_prime = {}
+        for p, (decide_p, vp, stability, decide_stable) in primes.items():
+            d_p = decide_p(env)
+            r_p = ring_member(vp, x)
+            ring_mm = None
+            if d_p != r_p:
+                ring_mm = {"x": print_series(x), "kind": "phi_p", "decide": d_p, "ring": r_p}
+            falsified = None
+            if decide_stable(env):
+                out = eval_sampled(stability, env, G, budget=falsify_budget, seed=seed + 31 * i)
+                if out.status == "falsified_by":
+                    falsified = {
+                        "x": print_series(x),
+                        "kind": "falsified",
+                        "clause": "stability",
+                        "witness": {k: print_series(v) for k, v in (out.witness or {}).items()},
+                    }
+            by_prime[p] = (ring_mm, falsified)
+        for (p, _n, decide_pn, vpn), mismatches in zip(levels, found):
+            ring_mm, falsified = by_prime[p]
+            if ring_mm is not None:
+                mismatches.append(dict(ring_mm))
+            d_pn = decide_pn(env)
+            r_pn = ring_member(vpn, x)
+            if d_pn != r_pn:
+                mismatches.append(
+                    {"x": print_series(x), "kind": "phi_pn", "decide": d_pn, "ring": r_pn}
+                )
+            if falsified is not None:
+                mismatches.append(dict(falsified))
+    return [
+        {"p": p, "n": n, "samples": samples, "checked": len(xs), "mismatches": mismatches}
+        for (p, n, _, _), mismatches in zip(levels, found)
+    ]
+
+
 def differential_verify(
     G: LexWord,
     p: int,
@@ -228,64 +322,8 @@ def differential_verify(
     seed: int = 42,
     falsify_budget: int = 25,
 ) -> dict:
-    """Compare the formula layer against ring membership on a sample sweep.
-
-    Every x (boundary probes plus `samples` random series) is judged three
-    ways: the ring formula against the level-0 ring, the level-n formula
-    against the level-n ring, and — wherever the stability clause decides
-    True — a sampled falsification attempt on that clause with a witness
-    grid of falsify_budget candidates. Any disagreement or successful
-    falsification lands in `mismatches`.
-
-    The level-n coset clauses are not sampled: no grid can falsify their
-    shape (see `formulas._sampled`). Their decisions are checked against a
-    finite valuation oracle in the tests instead.
-    """
-    if not G.is_effective():
-        raise NonEffectiveError("differential sampling needs an effective group")
-    phi_p = build_phi_p(p)
-    phi_pn = build_phi_pn(p, n, choose_params(G, p, n))
-    vp = v_p_descriptor(G, p)
-    vpn = v_pn_descriptor(G, p, n)
-    stability = _stability_clause(phi_p)
-
-    xs = boundary_monomials(G)
-    xs += [sample_series(G, seed * 6007 + i) for i in range(samples)]
-
-    mismatches: list[dict] = []
-    for i, x in enumerate(xs):
-        env = {"x": x}
-        d_p = eval_decidable(phi_p, env, G)
-        r_p = ring_member(vp, x)
-        if d_p != r_p:
-            mismatches.append(
-                {"x": print_series(x), "kind": "phi_p", "decide": d_p, "ring": r_p}
-            )
-        d_pn = eval_decidable(phi_pn, env, G)
-        r_pn = ring_member(vpn, x)
-        if d_pn != r_pn:
-            mismatches.append(
-                {"x": print_series(x), "kind": "phi_pn", "decide": d_pn, "ring": r_pn}
-            )
-        if not eval_decidable(stability, env, G):
-            continue
-        out = eval_sampled(stability, env, G, budget=falsify_budget, seed=seed + 31 * i)
-        if out.status == "falsified_by":
-            mismatches.append(
-                {
-                    "x": print_series(x),
-                    "kind": "falsified",
-                    "clause": "stability",
-                    "witness": {k: print_series(v) for k, v in (out.witness or {}).items()},
-                }
-            )
-    return {
-        "p": p,
-        "n": n,
-        "samples": samples,
-        "checked": len(xs),
-        "mismatches": mismatches,
-    }
+    """The differential sweep of the single cell (p, n)."""
+    return differential_sweep(G, [(p, n)], samples, seed, falsify_budget)[0]
 
 
 def differential_cross(
@@ -296,13 +334,13 @@ def differential_cross(
     mismatches — if it cannot, the differential harness is blind."""
     if not G.is_effective():
         raise NonEffectiveError("differential sampling needs an effective group")
-    phi = build_phi_p(p_formula)
+    decide = decision_plan(build_phi_p(p_formula), G)
     V = v_p_descriptor(G, p_ring)
     xs = boundary_monomials(G)
     xs += [sample_series(G, seed * 7457 + i) for i in range(samples)]
     found = []
     for x in xs:
-        d = eval_decidable(phi, {"x": x}, G)
+        d = decide({"x": x})
         r = ring_member(V, x)
         if d != r:
             found.append({"x": print_series(x), "decide": d, "ring": r})
@@ -394,8 +432,8 @@ def classification_report(
     itself and is reported as a red flag instead of being patched over.
     Tower chains are materialized to INNER_LIMIT inner cuts.
 
-    The differential block reruns the formula-vs-ring sweep with `samples`
-    random points for each of DIFFERENTIAL_PRIMES at levels up to
+    The differential block is one formula-vs-ring sweep with `samples`
+    random points over the cells of DIFFERENTIAL_PRIMES at levels up to
     DIFFERENTIAL_MAX_LEVEL (capped by each prime's own level bound) on
     effective groups; schematic groups record why sampling is impossible
     instead.
@@ -436,11 +474,12 @@ def classification_report(
 
     differential = []
     if G.is_effective():
+        cells = []
         for p in DIFFERENTIAL_PRIMES:
             np_v = np_map(G).value_at(p)
             top_n = DIFFERENTIAL_MAX_LEVEL if np_v is INF else min(np_v, DIFFERENTIAL_MAX_LEVEL)
-            for nn in range(top_n + 1):
-                differential.append(differential_verify(G, p, nn, samples=samples, seed=seed))
+            cells += [(p, nn) for nn in range(top_n + 1)]
+        differential = differential_sweep(G, cells, samples=samples, seed=seed)
     else:
         notes.append(
             "differential sampling skipped: the group has schematic components "

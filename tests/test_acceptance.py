@@ -34,7 +34,7 @@ from arclab.hahn import (
     v_of,
 )
 from arclab.primes import INF, PrimeSet
-from arclab.valuations import differential_verify, verify_thm_defblRCF
+from arclab.valuations import differential_sweep, verify_thm_defblRCF
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -49,10 +49,9 @@ def test_ring_formula_differential_200_samples():
     total_checked = 0
     for dsl in POOL:
         G = parse_group(dsl)
-        for p in (2, 3, 5):
-            run = differential_verify(
-                G, p, 0, samples=200, seed=42, falsify_budget=200
-            )
+        cells = [(p, 0) for p in (2, 3, 5)]
+        runs = differential_sweep(G, cells, samples=200, seed=42, falsify_budget=200)
+        for (p, _), run in zip(cells, runs):
             assert run["mismatches"] == [], (dsl, p, run["mismatches"][:3])
             total_checked += run["checked"]
     print(f"PASS: ring-formula differential, {total_checked} points, 0 mismatches")
@@ -86,12 +85,10 @@ def test_classification_image_certificates_and_levels(reports, groups):
                 assert row["certificate"]["pieces"], (name, row)
     runs = 0
     for name, levels in (("k1", {2: 1, 3: 1}), ("zpluspi", {2: 2, 3: 2})):
-        G = groups[name]
-        for p, n_max in levels.items():
-            for n in range(n_max + 1):
-                run = differential_verify(G, p, n, samples=200, seed=42)
-                assert run["mismatches"] == [], (name, p, n)
-                runs += 1
+        cells = [(p, n) for p, n_max in levels.items() for n in range(n_max + 1)]
+        for (p, n), run in zip(cells, differential_sweep(groups[name], cells, samples=200, seed=42)):
+            assert run["mismatches"] == [], (name, p, n)
+            runs += 1
     assert runs == 10
     print(f"PASS: classification certificates + {runs} level-n differentials clean")
 

@@ -80,6 +80,35 @@ def test_primes_flag_validated(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "-3"),
+        ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+         "--at", "x=2", "--mode", "sample", "--samples", "-4"),
+        ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
+         "--at", "x=2", "--mode", "sample", "--cutoff", "0"),
+        ("examples", "k1", "--samples", "ten"),
+    ],
+)
+def test_negative_sample_count_and_zero_cutoff_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("must be at least" in err or "bad integer" in err)
+
+
+def test_zero_samples_and_unit_cutoff_are_accepted():
+    code, text = run("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "0")
+    assert (code, text) == (0, "p=2 n=0: checked 33 points, 0 mismatches\n")
+    code, _ = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
+        "--at", "x=2", "--mode", "sample", "--cutoff", "1",
+    )
+    assert code == 0
+
+
 def test_flag_the_command_does_not_read_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run("valuations", "list", "lex(Z, Q)", "--cutoff", "3")

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arclab import formulas
+
 from arclab.convex import g_pn, max_p_divisible
 from arclab.errors import (
     DslSyntaxError,
@@ -16,6 +18,7 @@ from arclab.formulas import (
     build_psi_p,
     build_psi_pn_at,
     choose_params,
+    decision_plan,
     eval_decidable,
     eval_sampled,
     match_phi_p,
@@ -134,6 +137,35 @@ def test_zero_argument_edge():
 def test_unsupported_quantifier_is_loud():
     with pytest.raises(UnsupportedQuantifierPattern):
         eval_decidable(parse_formula("forall z. z = z"), {}, K1)
+
+
+def test_plan_raises_only_where_evaluation_reaches_an_unsupported_node():
+    plan = decision_plan(parse_formula("x = 0 or forall z. z = z"), K1)
+    for _ in range(2):  # raised on every reach, never cached as a verdict
+        assert plan(at("0")) is True
+        with pytest.raises(UnsupportedQuantifierPattern):
+            plan(at("1"))
+
+
+def test_plan_validates_coset_parameters_only_where_reached(monkeypatch):
+    # two equal parameters represent one coset where the level-1 subgroup
+    # has two; phi_p(x) short-circuits before the coset clauses unless x
+    # lies outside the v_2 ring
+    matched = []
+    match = formulas.match_coset_clause
+    monkeypatch.setattr(formulas, "match_coset_clause", lambda f: matched.append(f) or match(f))
+    F = parse_formula("x = 0 or phi_pn[2,1](x, params=1,1)")
+    plan = decision_plan(F, K1)
+    for _ in range(2):
+        assert plan(at("0")) is True
+        assert plan(at("t^(1,0)")) is True
+        with pytest.raises(ParameterError):
+            plan(at("t^(-1,0)"))
+    # only the outside clause is reached, and it is matched once: a failed
+    # validation is retried, the match is not
+    assert len(matched) == 1
+    with pytest.raises(ParameterError):
+        eval_decidable(F, at("t^(-1,0)"), K1)
 
 
 def test_env_over_another_group_is_rejected():

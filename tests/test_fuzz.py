@@ -1,6 +1,7 @@
 """Input boundaries under generated input: the parsers and both evaluators
-fail only with ArclabError, never with a raw Python exception, and printing
-then parsing gives back the series or formula that was printed."""
+fail only with ArclabError, never with a raw Python exception; a decision
+plan answers as the decision walk it replaced; and printing then parsing
+gives back the series or formula that was printed."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +11,16 @@ from arclab.formulas import (
     build_phi_p,
     build_phi_pn,
     choose_params,
+    decision_plan,
     eval_decidable,
     eval_sampled,
     parse_formula,
     print_formula,
 )
 from arclab.groups import parse_group
-from arclab.hahn import parse_series, print_series, sample_series
+from arclab.hahn import parse_series, print_series, sample_series, zero_series
+
+from reference_eval import reference_decide
 
 K1 = parse_group("lex(Z, Q)")
 GROUPS = [K1, parse_group("lex(real(1, pi))"), parse_group("lex(Zloc(2), Q)")]
@@ -99,6 +103,30 @@ def test_evaluators_raise_only_arclab_errors(text, G, seed):
             evaluate()
         except ArclabError:
             pass
+
+
+def _outcome(decide):
+    """The verdict, or the class of the error raised instead."""
+    try:
+        return decide()
+    except ArclabError as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    formulas(),
+    st.sampled_from(GROUPS),
+    st.lists(st.one_of(st.none(), st.integers(0, 1000)), min_size=1, max_size=4),
+)
+def test_decision_plan_matches_the_reference_walk(text, G, points):
+    # one plan reused across points (None is x = 0) against the walk it
+    # replaced: the same verdict or the same error class at every point
+    F = parse_formula(text, group=G)
+    plan = decision_plan(F, G)
+    for seed in points:
+        env = {"x": zero_series(G) if seed is None else sample_series(G, seed)}
+        assert _outcome(lambda: plan(env)) == _outcome(lambda: reference_decide(F, env, G)), seed
 
 
 # -- print then parse is the identity -------------------------------------------------

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import json
+import zlib
 from fractions import Fraction
 
 import pytest
 
+from arclab import valuations
 from arclab.convex import (
     bottom_cut,
     chain_cuts,
@@ -46,6 +48,7 @@ from arclab.valuations import (
     boundary_monomials,
     classification_report,
     differential_cross,
+    differential_sweep,
     differential_verify,
     enumerate_definable,
     is_residue_real_closed,
@@ -56,6 +59,8 @@ from arclab.valuations import (
     verify_thm_defblRCF,
 )
 
+from conftest import EFFECTIVE_POOL
+from reference_eval import reference_differential_verify
 from schematic_words import schematic_words
 
 K1 = parse_group("lex(Z, Q)")
@@ -281,6 +286,53 @@ def test_differential_small_runs_clean():
         run = differential_verify(G, p, n, samples=25, seed=7, falsify_budget=10)
         assert run["mismatches"] == []
         assert run["checked"] == 25 + len(boundary_monomials(G))
+
+
+# -- the grouped sweep against the per-cell reference loop ---------------------------------
+
+
+def _sweep_cells(G):
+    return [
+        (p, n) for p in (2, 3, 5) for n in range(min(np_map(G).value_at(p), 2) + 1)
+    ]
+
+
+def _sweep_and_reference(G):
+    cells = _sweep_cells(G)
+    got = differential_sweep(G, cells, samples=6, seed=11, falsify_budget=8)
+    want = [
+        reference_differential_verify(G, p, n, samples=6, seed=11, falsify_budget=8)
+        for p, n in cells
+    ]
+    return got, want
+
+
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL)
+def test_sweep_matches_per_cell_reference(dsl):
+    got, want = _sweep_and_reference(parse_group(dsl))
+    assert got == want
+
+
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL)
+def test_sweep_matches_per_cell_reference_under_a_planted_fault(dsl, monkeypatch):
+    # ring membership negated on a fixed subset of points: both loops must
+    # report the same non-empty mismatch lists, in the same order
+    honest = valuations.ring_member
+
+    def faulty(V, a):
+        flip = zlib.crc32(print_series(a).encode()) % 3 == 0
+        return honest(V, a) != flip
+
+    monkeypatch.setattr(valuations, "ring_member", faulty)
+    got, want = _sweep_and_reference(parse_group(dsl))
+    assert all(run["mismatches"] for run in want)
+    assert got == want
+
+
+def test_differential_verify_is_a_one_cell_sweep():
+    assert differential_verify(ZPI, 3, 1, samples=4, seed=5) == differential_sweep(
+        ZPI, [(3, 1)], samples=4, seed=5
+    )[0]
 
 
 # -- coset clauses against a finite valuation oracle ------------------------------------
