@@ -8,7 +8,10 @@ quantifiers.  On top of the raw AST the module provides
     non-power unit" test), ``build_phi_p`` (the ring test for the finest
     p-compatible coarsening) and ``build_phi_pn`` (the parameterized coset
     refinement), plus ``choose_params`` which picks canonical coset
-    representatives;
+    representatives.  The builders are the one statement of each shape:
+    the matchers unify a formula against a builder's output at the
+    formula's prime, so a hand-written formula is decided only when it
+    equals a built shape up to bound-variable names and product order;
   * a small DSL (``parse_formula`` / ``print_formula``) with macros for
     all three builders;
   * ``eval_decidable`` -- an exact, pattern-based decision procedure that
@@ -37,6 +40,7 @@ implicit nonzero guard on hypotheses like phi_p(x/y).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -573,7 +577,9 @@ def parse_formula(text: str, group: LexWord | None = None):
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: the one statement of each shape.  The public builders compose
+# the clause builders below, and the matchers further down unify against
+# the same builders' output, so a shape is written down exactly once.
 
 
 def _check_prime(p: int) -> None:
@@ -592,18 +598,49 @@ def _fresh(base: str, used: set) -> str:
     return f"{base}{k}"
 
 
+def _root_test(p: int, u, signed: bool, used: set):
+    """exists y. (y^p = u or y^p = -u) when signed, else exists z. z^p = u."""
+    y = _fresh("y" if signed else "z", used)
+    yp = Pow(Var(y), p)
+    return Exists(y, Or(Eq(yp, u), Eq(yp, Neg(u))) if signed else Eq(yp, u))
+
+
+def _stability_test(p: int, arg, used: set):
+    """forall z. psi_p(z) -> psi_p(arg*z): multiplication by arg keeps the class."""
+    z = _fresh("z", used)
+    return Forall(
+        z, Implies(build_psi_p_at(p, Var(z), used), build_psi_p_at(p, Mul(arg, Var(z)), used))
+    )
+
+
+def _coset_probe(p: int, w, used: set):
+    """exists z. phi_p(w/z^p) and phi_p(z^p/w): w is a p-th power times a unit."""
+    z = _fresh("z", used)
+    zp = Pow(Var(z), p)
+    return Exists(z, And(build_phi_p_at(p, Div(w, zp), used), build_phi_p_at(p, Div(zp, w), used)))
+
+
+def _coset_clause(p: int, params, arg, side: str, used: set):
+    """forall y. hypothesis -> OR_i probe(params[i]*y). The "inside" hypothesis
+    keeps y in the ring (y != 0, phi_p(y), phi_p(arg/y)); the "outside" one
+    mirrors it (y != 0, not phi_p(y), phi_p(y/arg))."""
+    y = Var(_fresh("y", used))
+    nonzero = Neq(y, Const(Fraction(0)))
+    if side == "inside":
+        hyp = And(And(nonzero, build_phi_p_at(p, y, used)), build_phi_p_at(p, Div(arg, y), used))
+    else:
+        hyp = And(And(nonzero, Not(build_phi_p_at(p, y, used))), build_phi_p_at(p, Div(y, arg), used))
+    probes = [_coset_probe(p, Mul(prm, y), used) for prm in params]
+    return Forall(y.name, Implies(hyp, functools.reduce(Or, probes)))
+
+
 def build_psi_p_at(p: int, arg, used: set | None = None):
     """x is positive, not a p-th power up to sign, and 1 + x has a p-th root."""
     _check_prime(p)
     used = used if used is not None else set()
     used |= free_term_vars(arg)
-    y = _fresh("y", used)
-    z = _fresh("z", used)
-    no_root = Not(
-        Exists(y, Or(Eq(Pow(Var(y), p), arg), Eq(Pow(Var(y), p), Neg(arg))))
-    )
-    unit_shift = Exists(z, Eq(Pow(Var(z), p), Add(Const(Fraction(1)), arg)))
-    return And(no_root, unit_shift)
+    no_root = Not(_root_test(p, arg, True, used))
+    return And(no_root, _root_test(p, Add(Const(Fraction(1)), arg), False, used))
 
 
 def build_psi_p(p: int):
@@ -617,37 +654,12 @@ def build_phi_p_at(p: int, arg, used: set | None = None):
     used = used if used is not None else set()
     used |= free_term_vars(arg)
     psi = build_psi_p_at(p, arg, used)
-    y = _fresh("y", used)
-    root = Exists(y, Or(Eq(Pow(Var(y), p), arg), Eq(Pow(Var(y), p), Neg(arg))))
-    z = _fresh("z", used)
-    stable = Forall(
-        z, Implies(build_psi_p_at(p, Var(z), used), build_psi_p_at(p, Mul(arg, Var(z)), used))
-    )
-    return Or(Or(psi, And(root, stable)), Eq(arg, Const(Fraction(0))))
+    root = _root_test(p, arg, True, used)
+    return Or(Or(psi, And(root, _stability_test(p, arg, used))), Eq(arg, Const(Fraction(0))))
 
 
 def build_phi_p(p: int):
     return build_phi_p_at(p, Var("x"))
-
-
-def _build_bigor(p: int, param_terms, yname: str, used: set):
-    branches = []
-    for prm in param_terms:
-        z = _fresh("z", used)
-        w = Mul(prm, Var(yname))
-        branches.append(
-            Exists(
-                z,
-                And(
-                    build_phi_p_at(p, Div(w, Pow(Var(z), p)), used),
-                    build_phi_p_at(p, Div(Pow(Var(z), p), w), used),
-                ),
-            )
-        )
-    out = branches[0]
-    for b in branches[1:]:
-        out = Or(out, b)
-    return out
 
 
 def build_psi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
@@ -658,22 +670,9 @@ def build_psi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
     used |= free_term_vars(arg)
     for prm in param_terms:
         used |= free_term_vars(prm)
-
-    y = _fresh("y", used)
-    hyp1 = And(
-        And(Neq(Var(y), Const(Fraction(0))), build_phi_p_at(p, Var(y), used)),
-        build_phi_p_at(p, Div(arg, Var(y)), used),
-    )
-    clause1 = Forall(y, Implies(hyp1, _build_bigor(p, param_terms, y, used)))
-    b1 = And(build_phi_p_at(p, arg, used), clause1)
-
-    y2 = _fresh("y", used)
-    hyp2 = And(
-        And(Neq(Var(y2), Const(Fraction(0))), Not(build_phi_p_at(p, Var(y2), used))),
-        build_phi_p_at(p, Div(Var(y2), arg), used),
-    )
-    b2 = Forall(y2, Implies(hyp2, _build_bigor(p, param_terms, y2, used)))
-    return Or(b1, b2)
+    inside = _coset_clause(p, param_terms, arg, "inside", used)
+    b1 = And(build_phi_p_at(p, arg, used), inside)
+    return Or(b1, _coset_clause(p, param_terms, arg, "outside", used))
 
 
 def build_phi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
@@ -802,176 +801,138 @@ def eval_term(G: LexWord, t, env: dict) -> SeriesFraction:
 
 
 # ---------------------------------------------------------------------------
-# structural pattern matchers (alpha-insensitive by construction: bound names
-# are read off the nodes, never compared against fixed strings)
+# matchers: no shape is written down here.  Each matcher reads p off the
+# formula and unifies it with the builder's output at p, whose free
+# variables are the holes that return the shape's arguments.
 
 
-def _match_root_or(f, yname: str):
-    """Or(y^p = U, y^p = -U) for a prime p -> (p, U); None otherwise.
+_AST = _TERM_NODES + (Eq, Neq, And, Or, Not, Implies, Exists, Forall)
+_BINARY = frozenset((Add, Sub, Div, Eq, Neq, And, Or, Implies))
+_X = Var("x")  # the hole for a shape's argument
 
-    The root shapes are the prime boundary of the formula layer: every
-    psi_p, phi_p, stability and coset matcher goes through this function
-    or _match_root_exists, so a matched p is prime.
+
+@functools.lru_cache(maxsize=256)
+def _pattern(build, p: int, *holes):
+    """The builder's formula at p over the hole terms, built once per prime."""
+    return build(p, *holes, set())
+
+
+def _unify(pattern, f) -> dict | None:
+    """The terms that fill the pattern's free variables (its holes) to give
+    f, or None.
+
+    Bound variables match by binding position, not by name. A hole takes a
+    term that mentions no variable bound inside the shape, and the same term
+    at every occurrence. A product matches in either order.
     """
-    if not (isinstance(f, Or) and isinstance(f.left, Eq) and isinstance(f.right, Eq)):
+    holes: dict = {}
+    return holes if _unify_into(pattern, f, {}, {}, holes) else None
+
+
+def _unify_into(pattern, f, pbound: dict, fbound: dict, holes: dict) -> bool:
+    # bound names map to one token per binder pair, shared by both sides;
+    # a work list rather than recursion, since disjunctions can be long
+    todo = [(pattern, f, pbound, fbound)]
+    while todo:
+        pat, g, pbound, fbound = todo.pop()
+        kind = type(pat)
+        if kind is Var:
+            binder = pbound.get(pat.name)
+            if binder is not None:
+                if not (type(g) is Var and fbound.get(g.name) is binder):
+                    return False
+            elif not (free_term_vars(g).isdisjoint(fbound) and holes.setdefault(pat.name, g) == g):
+                return False
+        elif kind is not type(g):
+            return False
+        elif kind in _BINARY:
+            todo.append((pat.right, g.right, pbound, fbound))
+            todo.append((pat.left, g.left, pbound, fbound))
+        elif kind is Not or kind is Neg:
+            todo.append((pat.arg, g.arg, pbound, fbound))
+        elif kind is Exists or kind is Forall:
+            binder = object()
+            todo.append((pat.body, g.body, {**pbound, pat.var: binder}, {**fbound, g.var: binder}))
+        elif kind is Pow:
+            if pat.n != g.n:
+                return False
+            todo.append((pat.base, g.base, pbound, fbound))
+        elif kind is Mul:
+            saved = dict(holes)
+            for left, right in ((g.left, g.right), (g.right, g.left)):
+                if _unify_into(pat.left, left, pbound, fbound, holes) and _unify_into(
+                    pat.right, right, pbound, fbound, holes
+                ):
+                    break
+                holes.clear()
+                holes.update(saved)
+            else:
+                return False
+        elif pat != g:  # Const, Monomial
+            return False
+    return True
+
+
+def _shape_prime(f) -> int | None:
+    """The p of a formula read as a built shape, or None if it is not prime.
+
+    Every shape's first power, reading left to right, is the y^p of a root
+    test, and no product comes before it. The root shapes are the prime
+    boundary of the formula layer: every matcher reads p here, so a matched
+    p is prime.
+    """
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Pow):
+            return node.n if is_prime(node.n) else None
+        todo.extend(reversed([v for v in vars(node).values() if isinstance(v, _AST)]))
+    return None
+
+
+def _match(f, build, *holes) -> tuple[int, dict] | None:
+    """(p, hole fillings) when f is build's shape at its own prime."""
+    p = _shape_prime(f)
+    if p is None:
         return None
-    e1, e2 = f.left, f.right
-    for e in (e1, e2):
-        if not (isinstance(e.left, Pow) and e.left.base == Var(yname)):
-            return None
-    if e1.left.n != e2.left.n or not is_prime(e1.left.n):
-        return None
-    p = e1.left.n
-    if not isinstance(e2.right, Neg) or e2.right.arg != e1.right:
-        return None
-    u = e1.right
-    if yname in free_term_vars(u):
-        return None
-    return (p, u)
+    filled = _unify(_pattern(build, p, *holes), f)
+    return None if filled is None else (p, filled)
+
+
+def _match_arg(f, build) -> tuple | None:
+    """(p, arg) when f is build's shape at its own prime over some arg."""
+    m = _match(f, build, _X)
+    return None if m is None else (m[0], m[1][_X.name])
 
 
 def match_psi_p(f):
     """The built psi_p shape -> (p, arg); None otherwise."""
-    if not (isinstance(f, And) and isinstance(f.left, Not) and isinstance(f.left.arg, Exists)):
-        return None
-    ex = f.left.arg
-    m = _match_root_or(ex.body, ex.var)
-    if m is None:
-        return None
-    p, u = m
-    g = f.right
-    if not (isinstance(g, Exists) and isinstance(g.body, Eq)):
-        return None
-    lhs, rhs = g.body.left, g.body.right
-    if not (isinstance(lhs, Pow) and lhs.base == Var(g.var) and lhs.n == p):
-        return None
-    if rhs != Add(Const(Fraction(1)), u) or g.var in free_term_vars(u):
-        return None
-    return (p, u)
+    return _match_arg(f, build_psi_p_at)
 
 
 def _match_root_exists(f):
     """Exists y. Or(y^p = U, y^p = -U) -> (p, U, True); Exists y. y^p = U -> (p, U, False);
     None otherwise, and for a p that is not prime."""
-    if not isinstance(f, Exists):
-        return None
-    m = _match_root_or(f.body, f.var)
-    if m is not None:
-        return (m[0], m[1], True)
-    b = f.body
-    if (
-        isinstance(b, Eq)
-        and isinstance(b.left, Pow)
-        and b.left.base == Var(f.var)
-        and is_prime(b.left.n)
-    ):
-        u = b.right
-        if f.var not in free_term_vars(u):
-            return (b.left.n, u, False)
+    for signed in (True, False):
+        m = _match(f, _root_test, _X, signed)
+        if m is not None:
+            return (m[0], m[1][_X.name], signed)
     return None
 
 
 def match_phi_p(f):
     """The built phi_p shape -> (p, arg); None otherwise."""
-    if not (isinstance(f, Or) and isinstance(f.left, Or) and isinstance(f.right, Eq)):
-        return None
-    zero_eq = f.right
-    if zero_eq.right != Const(Fraction(0)):
-        return None
-    arg = zero_eq.left
-    m = match_psi_p(f.left.left)
-    if m is None or m[1] != arg:
-        return None
-    p = m[0]
-    mid = f.left.right
-    if not (isinstance(mid, And) and isinstance(mid.left, Exists) and isinstance(mid.right, Forall)):
-        return None
-    r = _match_root_exists(mid.left)
-    if r != (p, arg, True):
-        return None
-    fa = mid.right
-    if not isinstance(fa.body, Implies):
-        return None
-    mh = match_psi_p(fa.body.left)
-    mc = match_psi_p(fa.body.right)
-    if mh is None or mc is None or mh[0] != p or mc[0] != p:
-        return None
-    if mh[1] != Var(fa.var):
-        return None
-    if mc[1] not in (Mul(arg, Var(fa.var)), Mul(Var(fa.var), arg)):
-        return None
-    return (p, arg)
+    return _match_arg(f, build_phi_p_at)
 
 
 def match_stability_clause(f):
     """Forall z. psi_p(z) -> psi_p(x*z)   ->  (p, x); None otherwise."""
-    if not (isinstance(f, Forall) and isinstance(f.body, Implies)):
-        return None
-    mh = match_psi_p(f.body.left)
-    mc = match_psi_p(f.body.right)
-    if mh is None or mc is None or mh[0] != mc[0]:
-        return None
-    if mh[1] != Var(f.var):
-        return None
-    c = mc[1]
-    if isinstance(c, Mul) and c.right == Var(f.var) and f.var not in free_term_vars(c.left):
-        return (mh[0], c.left)
-    if isinstance(c, Mul) and c.left == Var(f.var) and f.var not in free_term_vars(c.right):
-        return (mh[0], c.right)
-    return None
+    return _match_arg(f, _stability_test)
 
 
 def _match_coset_probe(f):
     """Exists z. phi_p(W/z^p) and phi_p(z^p/W)  ->  (p, W); None otherwise."""
-    if not (isinstance(f, Exists) and isinstance(f.body, And)):
-        return None
-    m1 = match_phi_p(f.body.left)
-    m2 = match_phi_p(f.body.right)
-    if m1 is None or m2 is None or m1[0] != m2[0]:
-        return None
-    p = m1[0]
-    a, b = m1[1], m2[1]
-    zp = Pow(Var(f.var), p)
-    if not (isinstance(a, Div) and a.right == zp):
-        return None
-    if not (isinstance(b, Div) and b.left == zp and b.right == a.left):
-        return None
-    w = a.left
-    if f.var in free_term_vars(w):
-        return None
-    return (p, w)
-
-
-def _flatten_or(f) -> list:
-    out = []
-    while isinstance(f, Or):
-        out.append(f.right)
-        f = f.left
-    out.append(f)
-    out.reverse()
-    return out
-
-
-def _match_bigor(f, yname: str):
-    """Left-assoc Or of coset probes at Mul(param_i, y) -> (p, [param terms])."""
-    params = []
-    p = None
-    for leaf in _flatten_or(f):
-        m = _match_coset_probe(leaf)
-        if m is None:
-            return None
-        lp, w = m
-        if p is None:
-            p = lp
-        elif p != lp:
-            return None
-        if not (isinstance(w, Mul) and w.right == Var(yname)):
-            return None
-        prm = w.left
-        if yname in free_term_vars(prm):
-            return None
-        params.append(prm)
-    return (p, params)
+    return _match_arg(f, _coset_probe)
 
 
 def match_coset_clause(f):
@@ -980,45 +941,19 @@ def match_coset_clause(f):
     Returns (p, x, params, side) with side "inside" for the clause whose
     hypothesis keeps y in the ring (y != 0, phi_p(y), phi_p(x/y)) and
     "outside" for the mirrored clause (y != 0, not phi_p(y), phi_p(y/x)).
+    The parameter count is read off the conclusion, one probe per parameter.
     """
     if not (isinstance(f, Forall) and isinstance(f.body, Implies)):
         return None
-    hyp, concl = f.body.left, f.body.right
-    if not (isinstance(hyp, And) and isinstance(hyp.left, And)):
-        return None
-    nz, g1, g2 = hyp.left.left, hyp.left.right, hyp.right
-    if nz != Neq(Var(f.var), Const(Fraction(0))):
-        return None
-    mb = _match_bigor(concl, f.var)
-    if mb is None:
-        return None
-    p, params = mb
-    m1 = match_phi_p(g1)
-    if m1 is not None and m1 == (p, Var(f.var)):
-        m2 = match_phi_p(g2)
-        if m2 is None or m2[0] != p:
-            return None
-        d = m2[1]
-        if not (isinstance(d, Div) and d.right == Var(f.var)):
-            return None
-        x = d.left
-        if f.var in free_term_vars(x):
-            return None
-        return (p, x, params, "inside")
-    if isinstance(g1, Not):
-        m1 = match_phi_p(g1.arg)
-        if m1 is None or m1 != (p, Var(f.var)):
-            return None
-        m2 = match_phi_p(g2)
-        if m2 is None or m2[0] != p:
-            return None
-        d = m2[1]
-        if not (isinstance(d, Div) and d.left == Var(f.var)):
-            return None
-        x = d.right
-        if f.var in free_term_vars(x):
-            return None
-        return (p, x, params, "outside")
+    k, g = 1, f.body.right
+    while isinstance(g, Or):
+        k, g = k + 1, g.left
+    params = tuple(Var(f"c{i}") for i in range(k))
+    for side in ("inside", "outside"):
+        m = _match(f, _coset_clause, params, _X, side)
+        if m is not None:
+            p, filled = m
+            return (p, filled[_X.name], [filled[c.name] for c in params], side)
     return None
 
 
@@ -1642,8 +1577,11 @@ def eval_sampled(
     clauses exactly (their hypotheses contain the ring test itself), so a
     falsified_by from this evaluator always pins a genuinely false clause.
     cutoff_mag bounds the exponent depth of any truncated root the search
-    manufactures (witnesses and candidate roots).
+    manufactures (witnesses and candidate roots). A budget below 1 is a
+    ParameterError: an empty witness grid would let every universal survive.
     """
+    if budget < 1:
+        raise ParameterError(f"the witness budget must be at least 1, got {budget}")
     _require_effective(G)
     sv = _sampled(G, F, _norm_env(G, env), budget, seed, 0, cutoff_mag)
     if sv.truth is True:

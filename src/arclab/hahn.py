@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .convex import bottom_cut, validate_cut
 from .errors import (
     DslSyntaxError,
     NonEffectiveError,
@@ -229,23 +228,8 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
 
 
 def series_eq(a: HahnSeries, b: HahnSeries) -> bool:
-    """Exact equality of exact series; truncated operands use equal_mod_trunc."""
+    """Exact equality, truncation bounds included."""
     return a.group == b.group and a.terms == b.terms and a.trunc == b.trunc
-
-
-def equal_mod_trunc(a: HahnSeries, b: HahnSeries) -> tuple[bool, bool]:
-    """(equal, certain): compare below the coarser truncation bound.
-
-    Disagreement below the bound is a certain inequality; agreement is
-    certain only when both series are exact.
-    """
-    G = a.group
-    bound = _min_trunc(G, a.trunc, b.trunc)
-    diff = series_sub(a, b)
-    live = [e for e, _ in diff.terms if bound is None or elem_cmp(G, e, bound) < 0]
-    if live:
-        return False, True
-    return True, bound is None
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +298,7 @@ def pth_root(
     the defect's leading coefficient by p * lc(y)^(p-1) and appends one
     exact term, strictly raising the defect valuation (Hensel lifting, one
     coefficient at a time).  Exact mode requires the leading coefficient to
-    be a perfect rational p-th power; enclosure-based checks live in
-    root_enclosure and never feed oracle decisions.
+    be a perfect rational p-th power.
 
     A lexicographic cutoff only terminates the loop once the defect climbs
     in a slot the cutoff dominates, which never happens when corrections
@@ -352,59 +335,6 @@ def pth_root(
         coeff = leading_coeff(defect) / (p * root_lc ** (p - 1))
         z = series_add(z, _make(G, [(e_step, coeff)], None))
     raise TruncationError("root support exceeded the iteration cap; pass a cutoff")
-
-
-def root_enclosure(a: HahnSeries, p: int, digits: int = 12) -> tuple[Fraction, Fraction]:
-    """A certified rational interval around the real p-th root of the
-    leading coefficient (sanity checks only; oracle decisions are exact)."""
-    if a.is_zero():
-        raise ZeroInputError("root of zero")
-    lc = leading_coeff(a)
-    if p % 2 == 0 and lc < 0:
-        raise RootError("even root of a negative leading coefficient")
-    sign = -1 if lc < 0 else 1
-    target = abs(lc)
-    eps = Fraction(1, 10**digits)
-    lo, hi = Fraction(0), max(Fraction(1), target)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid**p < target:
-            lo = mid
-        else:
-            hi = mid
-    if sign < 0:
-        return -hi, -lo
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# decomposition along a convex cut
-
-
-def decompose(a: HahnSeries, c) -> tuple[tuple, HahnSeries]:
-    """Split the valuation at a convex cut: coordinates above the cut, and
-    the residue series over the suffix word.
-
-    The residue collects every term whose exponent prefix above the cut
-    matches the leading term's, re-based over the suffix group; the leading
-    exponent of a is the concatenation of the coarse prefix with the
-    residue's valuation.
-    """
-    G = a.group
-    validate_cut(G, c)
-    if a.is_zero() or not a.terms:
-        raise ZeroInputError("decompose needs a leading term")
-    if c.inner is not None or c == bottom_cut(G):
-        raise NonEffectiveError("residue needs a nonempty effective suffix word")
-    suffix = LexWord(G.components[c.seg :])
-    if not suffix.is_effective():
-        raise NonEffectiveError("suffix word is schematic")
-    # the slots of the suffix components are a valid element of the suffix word
-    k = G.layout.offsets[c.seg]
-    coarse = v_of(a)[:k]
-    kept = [(e[k:], coeff) for e, coeff in a.terms if e[:k] == coarse]
-    trunc = a.trunc[k:] if a.trunc is not None and a.trunc[:k] == coarse else None
-    return coarse, _make(suffix, kept, trunc)
 
 
 # ---------------------------------------------------------------------------

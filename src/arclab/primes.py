@@ -139,10 +139,6 @@ class PrimeSet:
         return PrimeSet(False, _check_primes(members))
 
     @staticmethod
-    def cofinite_excluding(excluded: Iterable[int] = ()) -> "PrimeSet":
-        return PrimeSet(True, _check_primes(excluded))
-
-    @staticmethod
     def all_primes() -> "PrimeSet":
         return PrimeSet(True, frozenset())
 
@@ -206,14 +202,6 @@ class PrimeSet:
     def to_json(self) -> dict:
         key = "cofinite_excluding" if self.cofinite else "finite"
         return {key: sorted(self.basis)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PrimeSet":
-        if "finite" in obj:
-            return PrimeSet.finite(obj["finite"])
-        if "cofinite_excluding" in obj:
-            return PrimeSet.cofinite_excluding(obj["cofinite_excluding"])
-        raise ValueError(f"not a prime-set object: {obj!r}")
 
     def describe(self) -> str:
         if self.is_empty():

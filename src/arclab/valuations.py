@@ -94,9 +94,6 @@ class ValuationDescriptor:
     def name(self) -> str:
         return cut_name(self.group, self.cut)
 
-    def is_trivial(self) -> bool:
-        return self.cut == top_cut(self.group)
-
 
 def ring_member(V: ValuationDescriptor, a: HahnSeries) -> bool:
     """Is `a` in the valuation ring of the coarsening?

@@ -1,24 +1,35 @@
-"""Reference copies of the decision walk and the per-cell differential loop
-that `formulas.decision_plan` and `valuations.differential_sweep` replaced.
+"""Reference copies of the decision walk, the per-cell differential loop
+and the hand-written shape matchers that `formulas.decision_plan`,
+`valuations.differential_sweep` and the builder-derived matchers replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
-at every point; the loop runs one (p, n) cell at a time. Both are kept only
-so the tests can check that the plans and the grouped sweep give the same
-answers, errors and mismatch lists.
+at every point; the loop runs one (p, n) cell at a time; the matchers state
+each shape a second time, by hand. All are kept only so the tests can check
+that the plans, the grouped sweep and the unifier give the same answers,
+errors, mismatch lists and matches.
 """
+
+from fractions import Fraction
 
 from arclab import valuations
 from arclab.convex import max_p_divisible, np_map, top_cut
 from arclab.errors import NonEffectiveError, ShapeError, TruncationError, UnsupportedQuantifierPattern
 from arclab.formulas import (
+    Add,
     And,
+    Const,
+    Div,
     Eq,
     Exists,
     Forall,
     Implies,
+    Mul,
+    Neg,
     Neq,
     Not,
     Or,
+    Pow,
+    Var,
     _atom_status,
     _in_cut_subgroup,
     _match_coset_probe,
@@ -33,12 +44,14 @@ from arclab.formulas import (
     choose_params,
     eval_sampled,
     eval_term,
+    free_term_vars,
     match_coset_clause,
     match_stability_clause,
     print_formula,
 )
 from arclab.groups import elem_p_divisible
 from arclab.hahn import print_series, sample_series
+from arclab.primes import is_prime
 
 
 def reference_decide(F, env, G) -> bool:
@@ -151,3 +164,192 @@ def reference_differential_verify(G, p, n, samples=200, seed=42, falsify_budget=
                 }
             )
     return {"p": p, "n": n, "samples": samples, "checked": len(xs), "mismatches": mismatches}
+
+
+# -- the hand-written matchers ------------------------------------------------------
+
+
+def _ref_match_root_or(f, yname: str):
+    if not (isinstance(f, Or) and isinstance(f.left, Eq) and isinstance(f.right, Eq)):
+        return None
+    e1, e2 = f.left, f.right
+    for e in (e1, e2):
+        if not (isinstance(e.left, Pow) and e.left.base == Var(yname)):
+            return None
+    if e1.left.n != e2.left.n or not is_prime(e1.left.n):
+        return None
+    p = e1.left.n
+    if not isinstance(e2.right, Neg) or e2.right.arg != e1.right:
+        return None
+    u = e1.right
+    if yname in free_term_vars(u):
+        return None
+    return (p, u)
+
+
+def ref_match_psi_p(f):
+    if not (isinstance(f, And) and isinstance(f.left, Not) and isinstance(f.left.arg, Exists)):
+        return None
+    ex = f.left.arg
+    m = _ref_match_root_or(ex.body, ex.var)
+    if m is None:
+        return None
+    p, u = m
+    g = f.right
+    if not (isinstance(g, Exists) and isinstance(g.body, Eq)):
+        return None
+    lhs, rhs = g.body.left, g.body.right
+    if not (isinstance(lhs, Pow) and lhs.base == Var(g.var) and lhs.n == p):
+        return None
+    if rhs != Add(Const(Fraction(1)), u) or g.var in free_term_vars(u):
+        return None
+    return (p, u)
+
+
+def ref_match_root_exists(f):
+    if not isinstance(f, Exists):
+        return None
+    m = _ref_match_root_or(f.body, f.var)
+    if m is not None:
+        return (m[0], m[1], True)
+    b = f.body
+    if isinstance(b, Eq) and isinstance(b.left, Pow) and b.left.base == Var(f.var) and is_prime(b.left.n):
+        u = b.right
+        if f.var not in free_term_vars(u):
+            return (b.left.n, u, False)
+    return None
+
+
+def ref_match_phi_p(f):
+    if not (isinstance(f, Or) and isinstance(f.left, Or) and isinstance(f.right, Eq)):
+        return None
+    zero_eq = f.right
+    if zero_eq.right != Const(Fraction(0)):
+        return None
+    arg = zero_eq.left
+    m = ref_match_psi_p(f.left.left)
+    if m is None or m[1] != arg:
+        return None
+    p = m[0]
+    mid = f.left.right
+    if not (isinstance(mid, And) and isinstance(mid.left, Exists) and isinstance(mid.right, Forall)):
+        return None
+    if ref_match_root_exists(mid.left) != (p, arg, True):
+        return None
+    fa = mid.right
+    if not isinstance(fa.body, Implies):
+        return None
+    mh = ref_match_psi_p(fa.body.left)
+    mc = ref_match_psi_p(fa.body.right)
+    if mh is None or mc is None or mh[0] != p or mc[0] != p:
+        return None
+    if mh[1] != Var(fa.var):
+        return None
+    if mc[1] not in (Mul(arg, Var(fa.var)), Mul(Var(fa.var), arg)):
+        return None
+    return (p, arg)
+
+
+def ref_match_stability_clause(f):
+    if not (isinstance(f, Forall) and isinstance(f.body, Implies)):
+        return None
+    mh = ref_match_psi_p(f.body.left)
+    mc = ref_match_psi_p(f.body.right)
+    if mh is None or mc is None or mh[0] != mc[0]:
+        return None
+    if mh[1] != Var(f.var):
+        return None
+    c = mc[1]
+    if isinstance(c, Mul) and c.right == Var(f.var) and f.var not in free_term_vars(c.left):
+        return (mh[0], c.left)
+    if isinstance(c, Mul) and c.left == Var(f.var) and f.var not in free_term_vars(c.right):
+        return (mh[0], c.right)
+    return None
+
+
+def ref_match_coset_probe(f):
+    if not (isinstance(f, Exists) and isinstance(f.body, And)):
+        return None
+    m1 = ref_match_phi_p(f.body.left)
+    m2 = ref_match_phi_p(f.body.right)
+    if m1 is None or m2 is None or m1[0] != m2[0]:
+        return None
+    p = m1[0]
+    a, b = m1[1], m2[1]
+    zp = Pow(Var(f.var), p)
+    if not (isinstance(a, Div) and a.right == zp):
+        return None
+    if not (isinstance(b, Div) and b.left == zp and b.right == a.left):
+        return None
+    w = a.left
+    if f.var in free_term_vars(w):
+        return None
+    return (p, w)
+
+
+def _ref_match_bigor(f, yname: str):
+    leaves = []
+    while isinstance(f, Or):
+        leaves.append(f.right)
+        f = f.left
+    leaves.append(f)
+    params = []
+    p = None
+    for leaf in reversed(leaves):
+        m = ref_match_coset_probe(leaf)
+        if m is None:
+            return None
+        lp, w = m
+        if p is None:
+            p = lp
+        elif p != lp:
+            return None
+        if not (isinstance(w, Mul) and w.right == Var(yname)):
+            return None
+        prm = w.left
+        if yname in free_term_vars(prm):
+            return None
+        params.append(prm)
+    return (p, params)
+
+
+def ref_match_coset_clause(f):
+    if not (isinstance(f, Forall) and isinstance(f.body, Implies)):
+        return None
+    hyp, concl = f.body.left, f.body.right
+    if not (isinstance(hyp, And) and isinstance(hyp.left, And)):
+        return None
+    nz, g1, g2 = hyp.left.left, hyp.left.right, hyp.right
+    if nz != Neq(Var(f.var), Const(Fraction(0))):
+        return None
+    mb = _ref_match_bigor(concl, f.var)
+    if mb is None:
+        return None
+    p, params = mb
+    m1 = ref_match_phi_p(g1)
+    if m1 is not None and m1 == (p, Var(f.var)):
+        m2 = ref_match_phi_p(g2)
+        if m2 is None or m2[0] != p:
+            return None
+        d = m2[1]
+        if not (isinstance(d, Div) and d.right == Var(f.var)):
+            return None
+        x = d.left
+        if f.var in free_term_vars(x):
+            return None
+        return (p, x, params, "inside")
+    if isinstance(g1, Not):
+        m1 = ref_match_phi_p(g1.arg)
+        if m1 is None or m1 != (p, Var(f.var)):
+            return None
+        m2 = ref_match_phi_p(g2)
+        if m2 is None or m2[0] != p:
+            return None
+        d = m2[1]
+        if not (isinstance(d, Div) and d.left == Var(f.var)):
+            return None
+        x = d.right
+        if f.var in free_term_vars(x):
+            return None
+        return (p, x, params, "outside")
+    return None

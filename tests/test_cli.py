@@ -109,6 +109,21 @@ def test_zero_samples_and_unit_cutoff_are_accepted():
     assert code == 0
 
 
+def test_sampling_on_an_empty_witness_grid_is_usage_error(capsys):
+    # with no candidates every universal would survive: refused, not "true"
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+        "--at", "x=4", "--mode", "sample", "--samples", "0",
+    )
+    assert (code, text) == (2, "")
+    assert "ParameterError" in capsys.readouterr().err
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+        "--at", "x=4", "--mode", "sample", "--samples", "5",
+    )
+    assert (code, text) == (0, "falsified_by   y = 2\n")
+
+
 def test_flag_the_command_does_not_read_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run("valuations", "list", "lex(Z, Q)", "--cutoff", "3")

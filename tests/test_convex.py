@@ -86,7 +86,7 @@ def test_suffix_divisible_tower_inner():
 
 
 def test_suffix_divisible_c0():
-    assert suffix_divisible_primes(C0, top_cut(C0)) == PrimeSet.cofinite_excluding([2])
+    assert suffix_divisible_primes(C0, top_cut(C0)) == PrimeSet.finite([2]).complement()
 
 
 # -- G_p, G_0 -------------------------------------------------------------------

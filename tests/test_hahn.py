@@ -6,22 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.errors import NonEffectiveError, RootError, ShapeError, ZeroInputError
-from arclab.groups import elem_cmp, element, parse_group, print_group
-from arclab.convex import parse_cut
+from arclab.errors import RootError, ShapeError, ZeroInputError
+from arclab.groups import elem_cmp, element, parse_group
 from arclab.hahn import (
     HahnSeries,
     _make,
     const_series,
-    decompose,
     default_cutoff,
-    equal_mod_trunc,
     leading_coeff,
     monomial,
     parse_series,
     print_series,
     pth_root,
-    root_enclosure,
     root_exists,
     sample_series,
     series_add,
@@ -30,6 +26,7 @@ from arclab.hahn import (
     series_mul,
     series_neg,
     series_pow,
+    series_sub,
     v_of,
     zero_series,
 )
@@ -85,8 +82,8 @@ def test_invert_times_original_is_one():
     co = element(K1, 0, 5)  # same slot the unit part's powers climb in
     inv = series_invert(a, cutoff=co)
     prod = series_mul(a, inv)
-    same, exact = equal_mod_trunc(prod, const_series(K1, 1))
-    assert same and not exact  # agreement holds below the cutoff only
+    d = series_sub(prod, const_series(K1, 1))
+    assert not d.terms and d.trunc is not None  # agreement holds below the cutoff only
 
 
 # -- root oracle pins -----------------------------------------------------------
@@ -147,42 +144,8 @@ def test_pth_root_verifies_to_cutoff():
     co = element(K1, 0, 4)  # the correction terms march in the minor slot
     r = pth_root(a, 2, cutoff=co)
     back = series_pow(r, 2)
-    same, exact = equal_mod_trunc(back, a)
-    assert same and not exact
-
-
-def test_root_enclosure_brackets():
-    lo, hi = root_enclosure(S("2*t^(2,0)"), 2)
-    assert lo < hi
-    assert lo * lo < 2 < hi * hi
-
-
-# -- decompose -------------------------------------------------------------------
-
-
-def test_decompose_pin():
-    a = S("2*t^(1,1/2) + 3*t^(1,2) + 5*t^(2,0)")
-    coarse, residue = decompose(a, parse_cut(K1, "seg1"))
-    assert coarse == (Fraction(1),)
-    assert print_group(residue.group) == "lex(Q)"
-    assert print_series(residue) == "2*t^(1/2) + 3*t^(2)"
-
-
-def test_decompose_drops_terms_off_the_leading_prefix():
-    a = S("2*t^(1,1/2) + 3*t^(1,2) + 5*t^(2,0)")
-    _, residue = decompose(a, parse_cut(K1, "seg1"))
-    assert len(residue.terms) == 2  # the (2,0) term lives on another prefix
-
-
-def test_decompose_reassembles_leading_exponent():
-    a = S("2*t^(1,1/2) + 3*t^(1,2) + 5*t^(2,0)")
-    coarse, residue = decompose(a, parse_cut(K1, "seg1"))
-    assert coarse + v_of(residue) == v_of(a)
-
-
-def test_decompose_needs_effective_suffix():
-    with pytest.raises(NonEffectiveError):
-        decompose(S("t^(1,0)"), parse_cut(K1, "bottom"))
+    d = series_sub(back, a)
+    assert not d.terms and d.trunc is not None
 
 
 # -- sampling, parsing, printing ----------------------------------------------------

@@ -1,14 +1,24 @@
-"""Every import is used: a stdlib stand-in for a linter's unused-import rule
-over src/arclab, tests and scripts.  A name listed in ``__all__`` counts as
-used, since the module imports it to re-export it."""
+"""Every import is used, and every definition is: stdlib stand-ins for a
+linter's unused-import and dead-code rules.
+
+Imports are checked over src/arclab, tests and scripts; a name listed in
+``__all__`` counts as used, since the module imports it to re-export it.
+A definition in src/arclab (a top-level function or class, or a method
+other than a dunder) must be referenced by name, attribute or import in
+the program itself (src/arclab, scripts, perfbench), not only by tests.
+Names exported in ``arclab.__all__`` or traced by name in
+``perfbench/tracing.py`` pass as well."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
 
+import arclab
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CHECKED = ("src/arclab", "tests", "scripts")
+PROGRAM = ("src/arclab", "scripts", "perfbench")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,5 +51,65 @@ def test_no_unused_imports():
         for top in CHECKED
         for path in sorted((ROOT / top).rglob("*.py"))
         for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def definitions(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every top-level function and class, and of every
+    method that is not a dunder."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return out
+
+
+def references(source: str) -> set[str]:
+    """Every name the module reads, reaches as an attribute or imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {a.name.split(".")[-1] for a in node.names}
+    return out
+
+
+def traced_names(source: str) -> set[str]:
+    """The function and method names in the tracer's NAMED table."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["NAMED"]:
+            named = ast.literal_eval(node.value)
+            return {fn.split(".")[-1] for fns in named.values() for fn in fns}
+    raise AssertionError("perfbench/tracing.py has no NAMED table")
+
+
+def test_checker_flags_a_dead_definition():
+    source = "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+    source += "    def dead(self): pass\ndef f(): return A().used()\ndef g(): pass\n"
+    assert definitions(source) == [(1, "A"), (3, "used"), (4, "dead"), (5, "f"), (6, "g")]
+    assert {"A", "used"} <= references(source) and not {"dead", "f", "g"} & references(source)
+
+
+def test_no_dead_definitions():
+    used = set(arclab.__all__) | traced_names((ROOT / "perfbench/tracing.py").read_text())
+    for top in PROGRAM:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= references(path.read_text())
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src/arclab").rglob("*.py"))
+        for line, name in definitions(path.read_text())
+        if name not in used
     ]
     assert found == []

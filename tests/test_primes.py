@@ -16,14 +16,14 @@ SOME_PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
 prime_sets = st.one_of(
     st.builds(PrimeSet.finite, st.sets(st.sampled_from(SOME_PRIMES))),
-    st.builds(PrimeSet.cofinite_excluding, st.sets(st.sampled_from(SOME_PRIMES))),
+    st.builds(lambda s: PrimeSet.finite(s).complement(), st.sets(st.sampled_from(SOME_PRIMES))),
 )
 
 
 def test_basic_membership():
     s = PrimeSet.finite([3, 2, 3])
     assert 2 in s and 3 in s and 5 not in s
-    c = PrimeSet.cofinite_excluding([2])
+    c = PrimeSet.finite([2]).complement()
     assert 2 not in c and 97 in c
     assert PrimeSet.all_primes().is_all()
     assert PrimeSet.empty().is_empty()
@@ -44,11 +44,6 @@ def test_boolean_algebra_pointwise(a, b, p):
 @given(prime_sets)
 def test_complement_involution(a):
     assert a.complement().complement() == a
-
-
-@given(prime_sets)
-def test_json_round_trip(a):
-    assert PrimeSet.from_json(a.to_json()) == a
 
 
 def _trial_division(n: int) -> bool:
@@ -105,14 +100,14 @@ def test_is_prime_on_pseudoprimes_and_large_n():
 
 
 def test_smallest():
-    assert PrimeSet.cofinite_excluding([2, 3]).smallest() == [5]
+    assert PrimeSet.finite([2, 3]).complement().smallest() == [5]
     assert PrimeSet.finite([11, 5]).smallest(2) == [5, 11]
     assert PrimeSet.empty().smallest() == []
 
 
 def test_partition_map_value_and_pieces():
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), INF), (PrimeSet.cofinite_excluding([2]), 0)]
+        [(PrimeSet.single(2), INF), (PrimeSet.finite([2]).complement(), 0)]
     )
     assert m.value_at(2) is INF
     assert m.value_at(3) == 0
@@ -121,7 +116,7 @@ def test_partition_map_value_and_pieces():
 
 def test_partition_map_where():
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), 0), (PrimeSet.cofinite_excluding([2]), 1)]
+        [(PrimeSet.single(2), 0), (PrimeSet.finite([2]).complement(), 1)]
     )
     assert m.where(lambda v: v == 0) == PrimeSet.single(2)
     assert m.where(lambda v: v >= 0).is_all()
@@ -129,7 +124,7 @@ def test_partition_map_where():
 
 def test_partition_map_add_saturates_at_inf():
     a = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), INF), (PrimeSet.cofinite_excluding([2]), 1)]
+        [(PrimeSet.single(2), INF), (PrimeSet.finite([2]).complement(), 1)]
     )
     b = PartitionMap(1)
     s = a.add(b)
@@ -140,7 +135,7 @@ def test_partition_map_add_saturates_at_inf():
 @given(st.sampled_from(SOME_PRIMES), st.integers(0, 5), st.integers(0, 5))
 def test_partition_map_piecewise_get(p, a, b):
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(p), b), (PrimeSet.cofinite_excluding([p]), a)]
+        [(PrimeSet.single(p), b), (PrimeSet.finite([p]).complement(), a)]
     )
     assert m.value_at(p) == b
     q = 2 if p != 2 else 3
@@ -211,7 +206,7 @@ def piece_lists(draw):
     equal to the default gives a piece that merges into the default's."""
     default = draw(MAP_VALUES)
     assigned = draw(st.dictionaries(st.sampled_from(SOME_PRIMES), MAP_VALUES))
-    pairs = [(PrimeSet.cofinite_excluding(assigned), default)]
+    pairs = [(PrimeSet.finite(assigned).complement(), default)]
     pairs += [(PrimeSet.single(p), v) for p, v in assigned.items()]
     return draw(st.permutations(pairs))
 
@@ -248,9 +243,9 @@ def test_partition_map_matches_piece_reference(pairs_a, pairs_b):
 @pytest.mark.parametrize(
     "pairs, error, match",
     [
-        ([(PrimeSet.all_primes(), 0), (PrimeSet.cofinite_excluding([2]), 1)], ShapeError, "overlap"),
-        ([(PrimeSet.cofinite_excluding([2]), 0), (PrimeSet.single(3), 1)], ShapeError, "overlap"),
-        ([(PrimeSet.cofinite_excluding([2, 3]), 0), (PrimeSet.single(2), 1)], ShapeError, "cover"),
+        ([(PrimeSet.all_primes(), 0), (PrimeSet.finite([2]).complement(), 1)], ShapeError, "overlap"),
+        ([(PrimeSet.finite([2]).complement(), 0), (PrimeSet.single(3), 1)], ShapeError, "overlap"),
+        ([(PrimeSet.finite([2, 3]).complement(), 0), (PrimeSet.single(2), 1)], ShapeError, "cover"),
         ([(PrimeSet.all_primes(), True)], ValueError, "bool"),
         ([(PrimeSet.all_primes(), -1)], ValueError, ">= 0"),
     ],
