@@ -318,6 +318,40 @@ _MACROS = {"psi_p", "phi_p", "phi_pn"}
 _MAX_NESTING = 150
 
 
+# A walk down a formula's tree takes one interpreter frame per formula level
+# (printing, decision plans, the sampler) and up to three per term level (the
+# matchers compare the terms that fill a shape's holes with ==). Called from
+# the CLI under the default recursion limit of 1000, a walk fails at about
+# 985 frames: an `or` chain of 984 atoms, or a hole term 327 levels high. The
+# bound leaves the rest to callers. Chains are built left-associated, so a
+# chain of n links is n levels high.
+_MAX_FRAMES = 600
+_TERM_FRAMES = 3
+
+
+def _frames(f) -> int:
+    """The frames the deepest walk down f can take: one per formula node
+    and _TERM_FRAMES per term node on its longest root-to-leaf path."""
+    best = 0
+    todo = [(f, 0)]
+    while todo:
+        node, depth = todo.pop()
+        depth += _TERM_FRAMES if isinstance(node, _TERM_NODES) else 1
+        kind = type(node)
+        if depth > best:
+            best = depth
+        if kind in _BINARY or kind is Mul:
+            todo.append((node.left, depth))
+            todo.append((node.right, depth))
+        elif kind is Not or kind is Neg:
+            todo.append((node.arg, depth))
+        elif kind is Exists or kind is Forall:
+            todo.append((node.body, depth))
+        elif kind is Pow:
+            todo.append((node.base, depth))
+    return best
+
+
 def _nested(step):
     """Count one nesting level around a recursive parser step, so input
     nested too deeply is a DslSyntaxError and not a RecursionError."""
@@ -371,6 +405,11 @@ class _Parser:
 
     def fail(self, msg: str):
         raise DslSyntaxError(msg, self.peek()[2], self.text)
+
+    def bounded(self, node, pos: int):
+        if _frames(node) > _MAX_FRAMES:
+            raise DslSyntaxError("input chained or nested too deeply", pos, self.text)
+        return node
 
     # -- formulas
     @_nested
@@ -459,6 +498,8 @@ class _Parser:
                 self.next()
                 params.append(self.term())
         self.expect(")")
+        for t in [arg, *(params or ())]:
+            self.bounded(t, pos)
         if name == "psi_p":
             if params is not None:
                 raise DslSyntaxError("psi_p takes no params", pos, self.text)
@@ -573,7 +614,7 @@ def parse_formula(text: str, group: LexWord | None = None):
     f = p.formula()
     if p.i != len(p.toks):
         raise DslSyntaxError("trailing input", p.peek()[2], text)
-    return f
+    return p.bounded(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +628,40 @@ def _check_prime(p: int) -> None:
         raise ShapeError(f"{p} is not prime")
 
 
-def _fresh(base: str, used: set) -> str:
+class _Names(set):
+    """The variable names a build has taken so far.
+
+    Names are only ever added, so the smallest free suffix of a base never
+    goes down: ``resume[base]`` is a k such that base and base2 .. base{k-1}
+    are all taken, and ``_fresh`` continues its scan there instead of at 2.
+    """
+
+    def __init__(self, names=()):
+        super().__init__(names)
+        self.resume: dict[str, int] = {}
+
+
+def _fresh(base: str, used: _Names) -> str:
+    """The first of base, base2, base3, ... not yet taken, now taken."""
     if base not in used:
         used.add(base)
         return base
-    k = 2
+    k = used.resume.get(base, 2)
     while f"{base}{k}" in used:
         k += 1
     used.add(f"{base}{k}")
+    used.resume[base] = k + 1
     return f"{base}{k}"
 
 
-def _root_test(p: int, u, signed: bool, used: set):
+def _root_test(p: int, u, signed: bool, used: _Names):
     """exists y. (y^p = u or y^p = -u) when signed, else exists z. z^p = u."""
     y = _fresh("y" if signed else "z", used)
     yp = Pow(Var(y), p)
     return Exists(y, Or(Eq(yp, u), Eq(yp, Neg(u))) if signed else Eq(yp, u))
 
 
-def _stability_test(p: int, arg, used: set):
+def _stability_test(p: int, arg, used: _Names):
     """forall z. psi_p(z) -> psi_p(arg*z): multiplication by arg keeps the class."""
     z = _fresh("z", used)
     return Forall(
@@ -613,14 +669,14 @@ def _stability_test(p: int, arg, used: set):
     )
 
 
-def _coset_probe(p: int, w, used: set):
+def _coset_probe(p: int, w, used: _Names):
     """exists z. phi_p(w/z^p) and phi_p(z^p/w): w is a p-th power times a unit."""
     z = _fresh("z", used)
     zp = Pow(Var(z), p)
     return Exists(z, And(build_phi_p_at(p, Div(w, zp), used), build_phi_p_at(p, Div(zp, w), used)))
 
 
-def _coset_clause(p: int, params, arg, side: str, used: set):
+def _coset_clause(p: int, params, arg, side: str, used: _Names):
     """forall y. hypothesis -> OR_i probe(params[i]*y). The "inside" hypothesis
     keeps y in the ring (y != 0, phi_p(y), phi_p(arg/y)); the "outside" one
     mirrors it (y != 0, not phi_p(y), phi_p(y/arg))."""
@@ -634,10 +690,10 @@ def _coset_clause(p: int, params, arg, side: str, used: set):
     return Forall(y.name, Implies(hyp, functools.reduce(Or, probes)))
 
 
-def build_psi_p_at(p: int, arg, used: set | None = None):
+def build_psi_p_at(p: int, arg, used: _Names | None = None):
     """x is positive, not a p-th power up to sign, and 1 + x has a p-th root."""
     _check_prime(p)
-    used = used if used is not None else set()
+    used = used if used is not None else _Names()
     used |= free_term_vars(arg)
     no_root = Not(_root_test(p, arg, True, used))
     return And(no_root, _root_test(p, Add(Const(Fraction(1)), arg), False, used))
@@ -647,11 +703,11 @@ def build_psi_p(p: int):
     return build_psi_p_at(p, Var("x"))
 
 
-def build_phi_p_at(p: int, arg, used: set | None = None):
+def build_phi_p_at(p: int, arg, used: _Names | None = None):
     """Ring test: x = 0, or psi_p(x), or x is a p-th power up to sign whose
     multiplication preserves the psi_p class."""
     _check_prime(p)
-    used = used if used is not None else set()
+    used = used if used is not None else _Names()
     used |= free_term_vars(arg)
     psi = build_psi_p_at(p, arg, used)
     root = _root_test(p, arg, True, used)
@@ -662,11 +718,11 @@ def build_phi_p(p: int):
     return build_phi_p_at(p, Var("x"))
 
 
-def build_psi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
+def build_psi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None):
     _check_prime(p)
     if len(param_terms) != p**n:
         raise ParameterError(f"expected {p**n} parameters, got {len(param_terms)}")
-    used = used if used is not None else set()
+    used = used if used is not None else _Names()
     used |= free_term_vars(arg)
     for prm in param_terms:
         used |= free_term_vars(prm)
@@ -675,8 +731,8 @@ def build_psi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
     return Or(b1, _coset_clause(p, param_terms, arg, "outside", used))
 
 
-def build_phi_pn_at(p: int, n: int, param_terms, arg, used: set | None = None):
-    used = used if used is not None else set()
+def build_phi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None):
+    used = used if used is not None else _Names()
     used |= free_term_vars(arg)
     return Or(build_phi_p_at(p, arg, used), build_psi_pn_at(p, n, param_terms, arg, used))
 
@@ -814,7 +870,7 @@ _X = Var("x")  # the hole for a shape's argument
 @functools.lru_cache(maxsize=256)
 def _pattern(build, p: int, *holes):
     """The builder's formula at p over the hole terms, built once per prime."""
-    return build(p, *holes, set())
+    return build(p, *holes, _Names())
 
 
 def _unify(pattern, f) -> dict | None:

@@ -110,27 +110,33 @@ PI_GEN = RealGen("pi")
 def sign_of_real(gens: tuple[RealGen, ...], coords: tuple[int, ...]) -> int:
     """Exact sign of sum(coords[i] * gens[i]).
 
-    The rational part is exact; a nonzero pi coefficient triggers interval
-    refinement, which terminates because the declared linear independence
-    makes the value nonzero whenever some coordinate is nonzero.
+    The rational part is held exactly as an unreduced n/d with d > 0; a
+    nonzero pi coefficient k triggers interval refinement against the
+    cached enclosures lo < pi < hi of ``pi_interval``.  Each bound is decided
+    in integers by cross-multiplication: n/d + k*b has the sign of
+    n*b.denominator + k*b.numerator*d.  Refinement terminates because the
+    declared linear independence makes the value nonzero whenever some
+    coordinate is nonzero.
     """
-    rat = Fraction(0)
+    n, d = 0, 1
     pi_coeff = 0
     for g, c in zip(gens, coords):
         if g.kind == "rat":
-            rat += g.value * c
+            num, den = g.value.numerator, g.value.denominator
+            n = n * den + c * num * d
+            d *= den
         else:
             pi_coeff += c
     if pi_coeff == 0:
-        return (rat > 0) - (rat < 0)
+        return (n > 0) - (n < 0)
     digits = 30
     while digits <= 3840:
         lo, hi = pi_interval(digits)
-        val_lo = rat + pi_coeff * (lo if pi_coeff > 0 else hi)
-        val_hi = rat + pi_coeff * (hi if pi_coeff > 0 else lo)
-        if val_lo > 0:
+        # the value lies between n/d + k*near and n/d + k*far
+        near, far = (lo, hi) if pi_coeff > 0 else (hi, lo)
+        if n * near.denominator + pi_coeff * near.numerator * d > 0:
             return 1
-        if val_hi < 0:
+        if n * far.denominator + pi_coeff * far.numerator * d < 0:
             return -1
         digits *= 2
     raise InternalError("interval refinement failed to separate a real constant from zero")

@@ -148,10 +148,31 @@ def series_sub(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     return series_add(a, series_neg(b))
 
 
+def _is_one(G: LexWord, s: HahnSeries) -> bool:
+    """s is exactly the constant 1: no truncation, one term, at exponent 0."""
+    return (
+        s.trunc is None
+        and len(s.terms) == 1
+        and s.terms[0][1] == 1
+        and s.terms[0][0] == G.layout.zero
+    )
+
+
 def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
+    """The product, truncated where either factor's truncation reaches.
+
+    An exact 1 is the identity and hands back the other operand itself,
+    without a product, merge or sort; 1 + O(t^g) is not exact and takes
+    the full path.  The zero checks come first, so a zero operand still
+    gives the zero series.
+    """
     G = a.group
     if a.is_zero() or b.is_zero():
         return zero_series(G)
+    if _is_one(G, b):
+        return a
+    if _is_one(G, a):
+        return b
 
     def lead_bound(s: HahnSeries) -> GroupElement:
         if s.terms:

@@ -1,19 +1,27 @@
-"""Reference copies of the decision walk, the per-cell differential loop
-and the hand-written shape matchers that `formulas.decision_plan`,
-`valuations.differential_sweep` and the builder-derived matchers replaced.
+"""Reference copies of the decision walk, the per-cell differential loop,
+the hand-written shape matchers and the Fraction-based real sign that
+`formulas.decision_plan`, `valuations.differential_sweep`, the
+builder-derived matchers and the integer `groups.sign_of_real` replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
-each shape a second time, by hand. All are kept only so the tests can check
-that the plans, the grouped sweep and the unifier give the same answers,
-errors, mismatch lists and matches.
+each shape a second time, by hand; the sign builds a Fraction for the
+rational part and for each bound. All are kept only so the tests can check
+that the plans, the grouped sweep, the unifier and the integer sign give
+the same answers, errors, mismatch lists and matches.
 """
 
 from fractions import Fraction
 
-from arclab import valuations
+from arclab import groups, valuations
 from arclab.convex import max_p_divisible, np_map, top_cut
-from arclab.errors import NonEffectiveError, ShapeError, TruncationError, UnsupportedQuantifierPattern
+from arclab.errors import (
+    InternalError,
+    NonEffectiveError,
+    ShapeError,
+    TruncationError,
+    UnsupportedQuantifierPattern,
+)
 from arclab.formulas import (
     Add,
     And,
@@ -353,3 +361,26 @@ def ref_match_coset_clause(f):
             return None
         return (p, x, params, "outside")
     return None
+
+
+def reference_sign_of_real(gens, coords) -> int:
+    rat = Fraction(0)
+    pi_coeff = 0
+    for g, c in zip(gens, coords):
+        if g.kind == "rat":
+            rat += g.value * c
+        else:
+            pi_coeff += c
+    if pi_coeff == 0:
+        return (rat > 0) - (rat < 0)
+    digits = 30
+    while digits <= 3840:
+        lo, hi = groups.pi_interval(digits)
+        val_lo = rat + pi_coeff * (lo if pi_coeff > 0 else hi)
+        val_hi = rat + pi_coeff * (hi if pi_coeff > 0 else lo)
+        if val_lo > 0:
+            return 1
+        if val_hi < 0:
+            return -1
+        digits *= 2
+    raise InternalError("interval refinement failed to separate a real constant from zero")

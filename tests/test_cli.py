@@ -204,6 +204,18 @@ def test_deeply_nested_formula_is_usage_error(capsys):
         assert "DslSyntaxError" in capsys.readouterr().err
 
 
+def test_overlong_chain_is_usage_error(capsys):
+    expr = " or ".join(["x = 0"] * 3000)
+    for mode in ("decide", "sample"):
+        code, _ = run(
+            "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1",
+            "--mode", mode,
+        )
+        assert code == 2, mode
+        err = capsys.readouterr().err
+        assert "DslSyntaxError" in err and "Traceback" not in err, mode
+
+
 def test_formula_eval_decide_false():
     code, text = run(
         "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",

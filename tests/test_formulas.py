@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +15,11 @@ from arclab.errors import (
     UnsupportedQuantifierPattern,
 )
 from arclab.formulas import (
+    Const,
     Var,
     build_phi_p,
     build_phi_pn,
+    build_phi_pn_at,
     build_psi_p,
     build_psi_pn_at,
     choose_params,
@@ -70,6 +75,90 @@ def test_deeply_nested_input_is_a_syntax_error():
             parse_formula(text)
     # nesting well inside the limit still parses
     assert parse_formula("(" * 60 + "x=x" + ")" * 60) == parse_formula("x=x")
+
+
+def test_long_chains_are_a_syntax_error():
+    # the parser reads chains in a loop, but printing, planning and sampling
+    # recurse once per link of the left-associated tree
+    for text in (
+        " or ".join(["x = 0"] * 3000),
+        " and ".join(["x = 0"] * 3000),
+        "*".join(["x"] * 3000) + " = 0",
+        "phi_p[2](" + " + ".join(["x"] * 3000) + ")",
+        "not " * 100 + "(" + " or ".join(["x = 0"] * 550) + ")",
+    ):
+        with pytest.raises(DslSyntaxError, match="chained or nested too deeply"):
+            parse_formula(text)
+
+
+def _or_chain(atom: str, n: int) -> str:
+    return " or ".join([atom] * n)
+
+
+def test_formulas_at_the_depth_bound_are_walked():
+    # n atoms joined by `or` cost n - 1 formula frames for the chain, one for
+    # the atom and three for the term below it
+    n = formulas._MAX_FRAMES - 3
+    with pytest.raises(DslSyntaxError):
+        parse_formula(_or_chain("x = 0", n + 1))
+    f = parse_formula(_or_chain("x = 0", n))
+    text = print_formula(f)
+    assert print_formula(parse_formula(text)) == text
+    env = at("1")
+    assert decision_plan(f, K1)(env) is False
+    assert eval_sampled(f, env, K1, budget=4).status == "false"
+    g = parse_formula("forall y. " + _or_chain("y != 1", n - 1))
+    assert eval_sampled(g, env, K1, budget=4).status == "falsified_by"
+
+
+def test_hole_terms_at_the_depth_bound_are_matched():
+    # the printed phi_p has several occurrences of its argument, which the
+    # matchers compare with ==, three frames per level of the sum
+    def printed(n):
+        return print_formula(parse_formula("phi_p[2](" + " + ".join(["x"] * n) + ")"))
+
+    cost = formulas._frames(parse_formula(printed(1)))
+    n = (formulas._MAX_FRAMES - cost) // 3 + 1
+    with pytest.raises(DslSyntaxError):
+        parse_formula(printed(n + 1))
+    f = parse_formula(printed(n))
+    env = at("t^(1,0)")
+    assert decision_plan(f, K1)(env) is True
+    assert eval_sampled(f, env, K1, budget=4).status == "true"
+
+
+def test_printed_phi_pn_with_128_probes_parses_back():
+    text = print_formula(build_phi_pn(2, 7, choose_params(K1, 2, 7)))
+    assert print_formula(parse_formula(text)) == text
+
+
+def _fresh_scanning_from_2(base, used):
+    """Name choice as it was before the builders kept a resume point."""
+    if base not in used:
+        used.add(base)
+        return base
+    k = 2
+    while f"{base}{k}" in used:
+        k += 1
+    used.add(f"{base}{k}")
+    return f"{base}{k}"
+
+
+def test_resumed_name_choice_picks_the_same_names(monkeypatch):
+    built = []
+    for fresh in (formulas._fresh, _fresh_scanning_from_2):
+        monkeypatch.setattr(formulas, "_fresh", fresh)
+        built.append([
+            print_formula(build_phi_pn(p, n, choose_params(G, p, n)))
+            for G, p, n in ((K1, 2, 4), (K1, 3, 2), (ZPI, 5, 1))
+        ])
+    assert built[0] == built[1]
+
+
+def test_phi_pn_builds_in_linear_time():
+    start = time.perf_counter()
+    build_phi_pn_at(2, 9, [Const(Fraction(1))] * 2**9, Var("x"))
+    assert time.perf_counter() - start < 3
 
 
 def test_builders_reject_bad_primes():

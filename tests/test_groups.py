@@ -1,11 +1,15 @@
 from fractions import Fraction
 
 import pytest
+import reference_eval as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arclab import groups
 from arclab.errors import DslSyntaxError, NonEffectiveError, ShapeError
 from arclab.groups import (
+    PI_GEN,
+    RealGen,
     element,
     elem_add,
     elem_cmp,
@@ -13,8 +17,10 @@ from arclab.groups import (
     elem_neg,
     elem_p_divisible,
     parse_group,
+    pi_interval,
     print_group,
     scalar_mul,
+    sign_of_real,
     unflatten,
     zero_element,
 )
@@ -183,3 +189,65 @@ def test_real_cmp_matches_rationals_on_unit_axis(x, y):
 @given(k1_elements())
 def test_neg_involution(a):
     assert elem_neg(K1, elem_neg(K1, a)) == a
+
+
+# -- the sign of a real combination -------------------------------------------
+
+REAL_GENS = [
+    parse_group(f"lex({dsl})").components[0].gens
+    for dsl in ("real(1, pi)", "real(-2/3, pi)", "real(pi, 5/7)", "real(pi)", "real(1/2)")
+]
+# no group declares two rationals (they are dependent over Q), but the sum
+# of any generators is still signed exactly
+TWO_RATIONALS = (RealGen("rat", Fraction(-2, 3)), PI_GEN, RealGen("rat", Fraction(5, 7)))
+
+coordinates = st.one_of(st.integers(-30, 30), st.integers(-(10**15), 10**15))
+
+
+@st.composite
+def real_combinations(draw):
+    gens = draw(st.sampled_from(REAL_GENS + [TWO_RATIONALS]))
+    return gens, tuple(draw(coordinates) for _ in gens)
+
+
+@settings(max_examples=300)
+@given(real_combinations())
+def test_sign_of_real_matches_the_fraction_reference(case):
+    gens, coords = case
+    assert sign_of_real(gens, coords) == ref.reference_sign_of_real(gens, coords)
+
+
+def _pi_convergents(max_den: int) -> list[tuple[int, int]]:
+    """The continued-fraction convergents p/q of pi with q <= max_den, read
+    off the enclosure pi_interval(100) while both of its ends agree."""
+    lo, hi = pi_interval(100)
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while lo.numerator // lo.denominator == hi.numerator // hi.denominator:
+        a = lo.numerator // lo.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > max_den or lo == a:
+            break
+        out.append((p1, q1))
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+    return out
+
+
+def test_sign_of_real_on_pi_convergents(monkeypatch):
+    # p - q*pi shrinks like 1/q, so near q = 10^40 the enclosure must be
+    # narrower than 10^-80 before the sign shows
+    convergents = _pi_convergents(10**40)
+    assert convergents[:3] == [(3, 1), (22, 7), (333, 106)]
+    assert convergents[-1][1] > 10**38
+    asked = []
+    exact = groups.pi_interval
+    monkeypatch.setattr(groups, "pi_interval", lambda digits: asked.append(digits) or exact(digits))
+    for gens in REAL_GENS[:3]:
+        (r,) = [g.value for g in gens if g.kind == "rat"]
+        for p, q in convergents:
+            # r*(p*den) - (num*q)*pi = num*(p - q*pi)
+            coords = tuple(p * r.denominator if g.kind == "rat" else -q * r.numerator for g in gens)
+            for c in (coords, tuple(-x for x in coords)):
+                want = ref.reference_sign_of_real(gens, c)
+                assert sign_of_real(gens, c) == want != 0, (gens, c)
+    assert {30, 60, 120} <= set(asked) and max(asked) <= 240

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab.errors import RootError, ShapeError, ZeroInputError
-from arclab.groups import elem_cmp, element, parse_group
+from arclab import hahn
+from arclab.cli import main
+from arclab.errors import RootError, ShapeError, TruncationError, ZeroInputError
+from arclab.groups import elem_add, elem_cmp, element, parse_group, zero_element
 from arclab.hahn import (
     HahnSeries,
     _make,
@@ -239,6 +243,97 @@ def test_make_matches_reference(inputs):
     assert [type(x) for e, _ in got.terms for x in e] == [
         type(x) for e, _ in want.terms for x in e
     ]
+
+
+def _mul_reference(a, b):
+    """series_mul without its identity shortcut: always the full product."""
+    G = a.group
+    if a.is_zero() or b.is_zero():
+        return zero_series(G)
+
+    def lead_bound(s):
+        if s.terms:
+            return s.terms[0][0]
+        raise TruncationError("cannot multiply: operand is zero modulo its truncation")
+
+    trunc = None
+    if a.trunc is not None:
+        trunc = elem_add(G, a.trunc, lead_bound(b))
+    if b.trunc is not None:
+        t = elem_add(G, b.trunc, lead_bound(a))
+        trunc = t if trunc is None or elem_cmp(G, t, trunc) < 0 else trunc
+    pairs = [(elem_add(G, ea, eb), ca * cb) for ea, ca in a.terms for eb, cb in b.terms]
+    return _make_reference(G, pairs, trunc)
+
+
+def _outcome(mul, a, b):
+    try:
+        return mul(a, b)
+    except TruncationError as exc:
+        return type(exc)
+
+
+@st.composite
+def _unit_products(draw):
+    G = parse_group(draw(st.sampled_from(["lex(Z, Q)", "lex(real(1, pi))", "lex(Zloc(2), Q)"])))
+    a = sample_series(G, draw(st.integers(0, 10_000)), support=4)
+    # truncate at one of a's exponents; at the first, a is zero modulo it
+    k = draw(st.one_of(st.none(), st.integers(0, len(a.terms) - 1)))
+    if k is not None:
+        a = _make(G, a.terms, a.terms[k][0])
+    zero = zero_element(G)
+    one = draw(st.sampled_from([
+        const_series(G, 1),
+        parse_series("1", G),  # an equal exponent tuple, not the layout's own
+        _make(G, [(zero, Fraction(1))], None),
+    ]))
+    g = default_cutoff(G, draw(st.integers(1, 3)))
+    # 1 + O(t^g), 2 and t^g each differ from the exact 1 in one respect
+    not_one = draw(st.sampled_from([
+        _make(G, [(zero, Fraction(1))], g),
+        const_series(G, 2),
+        _make(G, [(g, Fraction(1))], None),
+    ]))
+    return a, one, not_one
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_products())
+def test_exact_one_is_the_identity_of_series_mul(case):
+    a, one, not_one = case
+    for x, y in ((a, one), (one, a)):
+        got = series_mul(x, y)
+        assert got is a
+        assert series_eq(got, _mul_reference(x, y))
+    # anything else takes the full product, truncation and all
+    for x, y in ((a, not_one), (not_one, a)):
+        got, want = _outcome(series_mul, x, y), _outcome(_mul_reference, x, y)
+        if isinstance(want, HahnSeries):
+            assert got is not a and series_eq(got, want)
+        else:
+            assert got is want
+
+
+def test_no_product_with_an_exact_one_is_built(monkeypatch):
+    """Every series_mul that reaches _make during a report has two operands
+    other than the exact 1."""
+    products, with_one = 0, 0
+    make = hahn._make
+
+    def spy(G, pairs, trunc):
+        nonlocal products, with_one
+        caller = sys._getframe(1)
+        if caller.f_code is series_mul.__code__:
+            products += 1
+            one = ((zero_element(G), 1),)
+            operands = caller.f_locals["a"], caller.f_locals["b"]
+            if any(s.trunc is None and s.terms == one for s in operands):
+                with_one += 1
+        return make(G, pairs, trunc)
+
+    monkeypatch.setattr(hahn, "_make", spy)
+    assert main(["examples", "zpluspi", "--json", "--seed", "42"], out=io.StringIO()) == 0
+    assert products > 0 and with_one == 0
 
 
 def test_print_parse_round_trip_on_samples():

@@ -223,7 +223,8 @@ def _captured_probe():
     """The coset probe for the parameter t^(1,0) at y, with the stability
     binder of its first phi_2 renamed to the probe's own z: that binder
     then captures the z of the argument t^(1,0)*y/z^2."""
-    probe = formulas._coset_probe(2, Mul(Monomial((Fraction(1), Fraction(0))), Var("y")), {"y"})
+    w = Mul(Monomial((Fraction(1), Fraction(0))), Var("y"))
+    probe = formulas._coset_probe(2, w, formulas._Names({"y"}))
     text = print_formula(probe)
     assert text.count("forall z3.") == 1
     return text.replace("z3", "z")
@@ -254,7 +255,7 @@ def _turn_products(node):
 @pytest.mark.parametrize("G, p, n", [(K1, 2, 1), (parse_group("lex(real(1, pi))"), 3, 1)])
 def test_coset_tests_with_turned_products_decide_the_same(G, p, n):
     params = [term_of_series(s) for s in choose_params(G, p, n)]
-    probe = formulas._coset_probe(p, Mul(params[-1], Var("y")), {"y"})
+    probe = formulas._coset_probe(p, Mul(params[-1], Var("y")), formulas._Names({"y"}))
     clauses = build_psi_pn_at(p, n, params, Var("x"))
     for built, var in ((probe, "y"), (clauses, "x")):
         turned = _turn_products(built)
