@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .convex import ConvexCut, g_pn, max_p_divisible, np_map, suffix_exponent_map, top_cut
 from .errors import (
@@ -64,6 +64,7 @@ from .groups import (
     LexWord,
     LocZ,
     Zed,
+    _Tokens,
     elem_cmp,
     elem_div_by_p,
     elem_neg,
@@ -202,21 +203,39 @@ class Forall:
     body: object
 
 
-_TERM_NODES = (Const, Var, Monomial, Add, Sub, Neg, Mul, Div, Pow)
+_TERM_NODES = frozenset((Const, Var, Monomial, Add, Sub, Neg, Mul, Div, Pow))
+_FORMULA_NODES = frozenset((Eq, Neq, And, Or, Not, Implies, Exists, Forall))
+
+
+def _leaf(node) -> tuple:
+    return ()
+
+
+# the subtrees of a node of each kind, in reading order: the one statement
+# of which fields hold subtrees, read by every structural walk
+_PAIR = attrgetter("left", "right")
+_CHILDREN = {
+    **dict.fromkeys((Const, Var, Monomial), _leaf),
+    **dict.fromkeys((Neg, Not), lambda node: (node.arg,)),
+    Pow: lambda node: (node.base,),
+    **dict.fromkeys((Exists, Forall), lambda node: (node.body,)),
+    **dict.fromkeys((Add, Sub, Mul, Div, Eq, Neq, And, Or, Implies), _PAIR),
+}
 
 
 def free_term_vars(t) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, (Const, Monomial)):
-        return frozenset()
-    if isinstance(t, (Neg,)):
-        return free_term_vars(t.arg)
-    if isinstance(t, Pow):
-        return free_term_vars(t.base)
-    if isinstance(t, (Add, Sub, Mul, Div)):
-        return free_term_vars(t.left) | free_term_vars(t.right)
-    raise ShapeError(f"not a term: {t!r}")
+    names = set()
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind not in _TERM_NODES:
+            raise ShapeError(f"not a term: {node!r}")
+        if kind is Var:
+            names.add(node.name)
+        else:
+            todo += _CHILDREN[kind](node)
+    return frozenset(names)
 
 
 def term_of_series(s: HahnSeries):
@@ -241,78 +260,67 @@ def term_of_series(s: HahnSeries):
 
 
 # ---------------------------------------------------------------------------
-# printing
+# printing and parsing
 
-_TERM_ATOM = 5
+# Each infix kind: its printed operator, its level, and the levels its left
+# and right operands need to print without parentheses. Formulas and terms
+# are leveled apart (atoms and unary operators sit at 3 to 5), and the terms
+# of an equation print at level 0. The parser reads the operators here.
+_INFIX = {
+    Implies: (" -> ", 1, 2, 1),
+    Or: (" or ", 2, 2, 3),
+    And: (" and ", 3, 3, 4),
+    Eq: (" = ", 4, 0, 0),
+    Neq: (" != ", 4, 0, 0),
+    Add: (" + ", 1, 1, 2),
+    Sub: (" - ", 1, 1, 2),
+    Mul: ("*", 2, 2, 3),
+    Div: ("/", 2, 2, 3),
+}
+_INFIX_KIND = {op.strip(): kind for kind, (op, *_) in _INFIX.items()}
+_ATOM = 5
 
 
-def _pt(t, prec: int) -> str:
-    if isinstance(t, Const):
-        s = format_rational(t.value)
-        lvl = 3 if t.value < 0 else _TERM_ATOM
-    elif isinstance(t, Var):
-        s, lvl = t.name, _TERM_ATOM
-    elif isinstance(t, Monomial):
-        s, lvl = "t^(" + ",".join(format_rational(e) for e in t.exps) + ")", _TERM_ATOM
-    elif isinstance(t, Add):
-        s, lvl = f"{_pt(t.left, 1)} + {_pt(t.right, 2)}", 1
-    elif isinstance(t, Sub):
-        s, lvl = f"{_pt(t.left, 1)} - {_pt(t.right, 2)}", 1
-    elif isinstance(t, Mul):
-        s, lvl = f"{_pt(t.left, 2)}*{_pt(t.right, 3)}", 2
-    elif isinstance(t, Div):
-        s, lvl = f"{_pt(t.left, 2)}/{_pt(t.right, 3)}", 2
-    elif isinstance(t, Neg):
-        s, lvl = f"-{_pt(t.arg, 3)}", 3
-    elif isinstance(t, Pow):
-        s, lvl = f"{_pt(t.base, _TERM_ATOM)}^{t.n}", 4
+def _print(node, prec: int, sort: frozenset) -> str:
+    """node, of the sort (_TERM_NODES or _FORMULA_NODES) its position
+    needs, in parentheses when its level is below prec."""
+    kind = type(node)
+    if kind not in sort:
+        raise ShapeError(f"not a {'term' if sort is _TERM_NODES else 'formula'}: {node!r}")
+    if kind in _INFIX:
+        op, lvl, left, right = _INFIX[kind]
+        sub = _TERM_NODES if kind is Eq or kind is Neq else sort
+        s = _print(node.left, left, sub) + op + _print(node.right, right, sub)
+    elif kind is Const:
+        s, lvl = format_rational(node.value), 3 if node.value < 0 else _ATOM
+    elif kind is Var:
+        s, lvl = node.name, _ATOM
+    elif kind is Monomial:
+        s, lvl = "t^(" + ",".join(format_rational(e) for e in node.exps) + ")", _ATOM
+    elif kind is Neg:
+        s, lvl = "-" + _print(node.arg, 3, sort), 3
+    elif kind is Pow:
+        s, lvl = f"{_print(node.base, _ATOM, sort)}^{node.n}", 4
+    elif kind is Not:
+        s, lvl = "not " + _print(node.arg, _ATOM, sort), 4
     else:
-        raise ShapeError(f"not a term: {t!r}")
+        word = "exists" if kind is Exists else "forall"
+        s, lvl = f"{word} {node.var}. {_print(node.body, 1, sort)}", 1
     return f"({s})" if lvl < prec else s
 
 
 def print_term(t) -> str:
-    return _pt(t, 0)
-
-
-def _pf(f, prec: int) -> str:
-    # levels: -> 1 (right assoc), or 2, and 3, not 4, comparisons 4, atoms 5
-    if isinstance(f, Implies):
-        s, lvl = f"{_pf(f.left, 2)} -> {_pf(f.right, 1)}", 1
-    elif isinstance(f, Or):
-        s, lvl = f"{_pf(f.left, 2)} or {_pf(f.right, 3)}", 2
-    elif isinstance(f, And):
-        s, lvl = f"{_pf(f.left, 3)} and {_pf(f.right, 4)}", 3
-    elif isinstance(f, Not):
-        s, lvl = f"not {_pf(f.arg, 5)}", 4
-    elif isinstance(f, (Exists, Forall)):
-        q = "exists" if isinstance(f, Exists) else "forall"
-        s, lvl = f"{q} {f.var}. {_pf(f.body, 1)}", 1
-    elif isinstance(f, Eq):
-        s, lvl = f"{print_term(f.left)} = {print_term(f.right)}", 4
-    elif isinstance(f, Neq):
-        s, lvl = f"{print_term(f.left)} != {print_term(f.right)}", 4
-    else:
-        raise ShapeError(f"not a formula: {f!r}")
-    return f"({s})" if lvl < prec else s
+    return _print(t, 0, _TERM_NODES)
 
 
 def print_formula(f) -> str:
-    return _pf(f, 0)
+    return _print(f, 0, _FORMULA_NODES)
 
-
-# ---------------------------------------------------------------------------
-# parsing
-
-_TOK_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<neq>!=)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<int>\d+)|(?P<sym>[()\[\],.;=+\-*/^]))"
-)
 
 _KEYWORDS = {"exists", "forall", "and", "or", "not", "params", "t"}
 _MACROS = {"psi_p", "phi_p", "phi_pn"}
 
-# Nested steps a parse may hold open at once; each costs at most four
+# Nested steps a parse may hold open at once; each costs at most five
 # interpreter frames, so the parser stays well inside the default
 # recursion limit.
 _MAX_NESTING = 150
@@ -336,19 +344,10 @@ def _frames(f) -> int:
     todo = [(f, 0)]
     while todo:
         node, depth = todo.pop()
-        depth += _TERM_FRAMES if isinstance(node, _TERM_NODES) else 1
         kind = type(node)
-        if depth > best:
-            best = depth
-        if kind in _BINARY or kind is Mul:
-            todo.append((node.left, depth))
-            todo.append((node.right, depth))
-        elif kind is Not or kind is Neg:
-            todo.append((node.arg, depth))
-        elif kind is Exists or kind is Forall:
-            todo.append((node.body, depth))
-        elif kind is Pow:
-            todo.append((node.base, depth))
+        depth += _TERM_FRAMES if kind in _TERM_NODES else 1
+        best = max(best, depth)
+        todo += [(child, depth) for child in _CHILDREN[kind](node)]
     return best
 
 
@@ -368,95 +367,63 @@ def _nested(step):
     return guarded
 
 
-class _Parser:
+class _Parser(_Tokens):
     def __init__(self, text: str, group: LexWord | None):
-        self.text = text
+        super().__init__(text)
         self.group = group
         self.depth = 0
-        self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOK_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                raise DslSyntaxError("unexpected character", pos, text)
-            pos = m.end()
-            kind = m.lastgroup
-            if kind:
-                self.toks.append((kind, m.group(kind), m.start(kind)))
-        self.i = 0
-
-    # -- token plumbing
-    def peek(self, k: int = 0):
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise DslSyntaxError(f"expected {value!r}", pos, self.text)
-
-    def at(self, value: str, k: int = 0) -> bool:
-        return self.peek(k)[1] == value
-
-    def fail(self, msg: str):
-        raise DslSyntaxError(msg, self.peek()[2], self.text)
 
     def bounded(self, node, pos: int):
         if _frames(node) > _MAX_FRAMES:
-            raise DslSyntaxError("input chained or nested too deeply", pos, self.text)
+            self.fail("input chained or nested too deeply", pos)
         return node
+
+    def infix(self, *kinds):
+        """The kind among kinds whose operator comes next, consumed, or None."""
+        kind = _INFIX_KIND.get(self.peek()[1])
+        if kind in kinds:
+            self.i += 1
+            return kind
+        return None
+
+    def chain(self, operand, *kinds):
+        """Operands joined by the operators of kinds, left-associated."""
+        out = operand()
+        while kind := self.infix(*kinds):
+            out = kind(out, operand())
+        return out
 
     # -- formulas
     @_nested
     def formula(self):
-        left = self.f_or()
-        if self.at("->"):
-            self.next()
+        left = self.chain(self.f_and, Or)
+        if self.infix(Implies):
             return Implies(left, self.formula())
         return left
 
-    def f_or(self):
-        out = self.f_and()
-        while self.at("or"):
-            self.next()
-            out = Or(out, self.f_and())
-        return out
-
     def f_and(self):
-        out = self.f_not()
-        while self.at("and"):
-            self.next()
-            out = And(out, self.f_not())
-        return out
+        return self.chain(self.f_not, And)
 
     @_nested
     def f_not(self):
-        if self.at("not"):
-            self.next()
+        if self.accept("not"):
             return Not(self.f_not())
         return self.f_quant()
 
     def f_quant(self):
-        if self.at("exists") or self.at("forall"):
-            _, word, _pos = self.next()
-            name_tok = self.next()
-            if name_tok[0] != "name" or name_tok[1] in _KEYWORDS or name_tok[1] in _MACROS:
-                raise DslSyntaxError("expected a variable name", name_tok[2], self.text)
-            self.expect(".")
-            body = self.formula()
-            return (Exists if word == "exists" else Forall)(name_tok[1], body)
-        return self.f_atom()
+        if not (self.at("exists") or self.at("forall")):
+            return self.f_atom()
+        word = self.next()[1]
+        kind, name, pos = self.next()
+        if kind != "name" or name in _KEYWORDS or name in _MACROS:
+            self.fail("expected a variable name", pos)
+        self.expect(".")
+        return (Exists if word == "exists" else Forall)(name, self.formula())
 
     def f_atom(self):
-        kind, val, pos = self.peek()
-        if kind == "name" and val in _MACROS and self.at("[", 1):
+        if self.peek()[1] in _MACROS and self.at("[", 1):
             return self.macro()
-        if val == "(":
+        if self.at("("):
             # could be a parenthesized formula or a parenthesized term
             save = self.i
             self.next()
@@ -467,13 +434,10 @@ class _Parser:
             except DslSyntaxError:
                 self.i = save
         left = self.term()
-        if self.at("="):
-            self.next()
-            return Eq(left, self.term())
-        if self.at("!="):
-            self.next()
-            return Neq(left, self.term())
-        self.fail("expected '=' or '!=' after term")
+        kind = self.infix(Eq, Neq)
+        if kind is None:
+            self.fail("expected '=' or '!=' after term")
+        return kind(left, self.term())
 
     def macro(self):
         _, name, pos = self.next()
@@ -487,85 +451,57 @@ class _Parser:
         self.expect("(")
         arg = self.term()
         params = None
-        if self.at(","):
-            self.next()
-            kw = self.next()
-            if kw[1] != "params":
-                raise DslSyntaxError("expected 'params'", kw[2], self.text)
+        if self.accept(","):
+            self.expect("params")
             self.expect("=")
-            params = [self.term()]
-            while self.at(","):
-                self.next()
-                params.append(self.term())
+            params = self.items(self.term)
         self.expect(")")
         for t in [arg, *(params or ())]:
             self.bounded(t, pos)
-        if name == "psi_p":
+        if name != "phi_pn":
             if params is not None:
-                raise DslSyntaxError("psi_p takes no params", pos, self.text)
-            return build_psi_p_at(p, arg)
-        if name == "phi_p":
-            if params is not None:
-                raise DslSyntaxError("phi_p takes no params", pos, self.text)
-            return build_phi_p_at(p, arg)
+                self.fail(f"{name} takes no params", pos)
+            return (build_psi_p_at if name == "psi_p" else build_phi_p_at)(p, arg)
         if params is None:
             if self.group is None:
-                raise DslSyntaxError(
-                    f"{name}[{p},{n}] needs explicit params when no group is given", pos, self.text
-                )
+                self.fail(f"{name}[{p},{n}] needs explicit params when no group is given", pos)
             params = [term_of_series(s) for s in choose_params(self.group, p, n)]
         if len(params) != p**n:
-            raise DslSyntaxError(f"expected {p**n} params, got {len(params)}", pos, self.text)
+            self.fail(f"expected {p**n} params, got {len(params)}", pos)
         return build_phi_pn_at(p, n, params, arg)
-
-    def int_tok(self) -> int:
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise DslSyntaxError("expected an integer", pos, self.text)
-        return int(val)
 
     # -- terms
     @_nested
     def term(self):
-        out = self.t_prod()
-        while self.at("+") or self.at("-"):
-            op = self.next()[1]
-            rhs = self.t_prod()
-            out = Add(out, rhs) if op == "+" else Sub(out, rhs)
-        return out
+        return self.chain(self.t_prod, Add, Sub)
 
     def t_prod(self):
         out = self.t_unary()
-        while self.at("*") or self.at("/"):
-            op = self.next()[1]
+        while kind := self.infix(Mul, Div):
             rhs = self.t_unary()
-            if op == "/" and isinstance(out, Const) and isinstance(rhs, Const):
+            if kind is Div and isinstance(out, Const) and isinstance(rhs, Const):
                 if rhs.value == 0:
-                    raise DslSyntaxError("division by the zero constant", self.peek()[2], self.text)
+                    self.fail("division by the zero constant")
                 out = Const(out.value / rhs.value)  # rational literal, not a Div node
             else:
-                out = Mul(out, rhs) if op == "*" else Div(out, rhs)
+                out = kind(out, rhs)
         return out
 
     @_nested
     def t_unary(self):
-        if self.at("-"):
-            self.next()
-            inner = self.t_unary()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
-        return self.t_pow()
+        if not self.accept("-"):
+            return self.t_pow()
+        inner = self.t_unary()
+        return Const(-inner.value) if isinstance(inner, Const) else Neg(inner)
 
     def t_pow(self):
         base = self.t_primary()
-        if self.at("^"):
-            self.next()
-            n = self.int_tok()
-            if n < 1:
-                self.fail("exponent must be >= 1")
-            return Pow(base, n)
-        return base
+        if not self.accept("^"):
+            return base
+        n = self.int_tok()
+        if n < 1:
+            self.fail("exponent must be >= 1")
+        return Pow(base, n)
 
     def t_primary(self):
         kind, val, pos = self.next()
@@ -575,45 +511,23 @@ class _Parser:
             inner = self.term()
             self.expect(")")
             return inner
-        if kind == "name":
-            if val == "t" and self.at("^") and self.at("(", 1):
-                self.next()
-                self.next()
-                exps = [self.signed_rational()]
-                while self.at(","):
-                    self.next()
-                    exps.append(self.signed_rational())
-                self.expect(")")
-                return Monomial(tuple(exps))
-            if val in _KEYWORDS or val in _MACROS:
-                raise DslSyntaxError(f"{val!r} cannot be a variable", pos, self.text)
-            return Var(val)
-        raise DslSyntaxError("expected a term", pos, self.text)
-
-    def signed_rational(self) -> Fraction:
-        sign = 1
-        if self.at("-"):
-            self.next()
-            sign = -1
-        kind, val, pos = self.next()
-        if kind != "int":
-            raise DslSyntaxError("expected a number", pos, self.text)
-        num = int(val)
-        if self.at("/"):
-            self.next()
-            dkind, dval, dpos = self.next()
-            if dkind != "int" or int(dval) == 0:
-                raise DslSyntaxError("expected a nonzero denominator", dpos, self.text)
-            return Fraction(sign * num, int(dval))
-        return Fraction(sign * num)
+        if kind != "name":
+            self.fail("expected a term", pos)
+        if val == "t" and self.at("^") and self.at("(", 1):
+            self.i += 2  # past the ^ and the (
+            exps = self.items(self.signed_rational)
+            self.expect(")")
+            return Monomial(tuple(exps))
+        if val in _KEYWORDS or val in _MACROS:
+            self.fail(f"{val!r} cannot be a variable", pos)
+        return Var(val)
 
 
 def parse_formula(text: str, group: LexWord | None = None):
     """Parse the formula DSL; `group` is only needed for phi_pn without params."""
     p = _Parser(text, group)
     f = p.formula()
-    if p.i != len(p.toks):
-        raise DslSyntaxError("trailing input", p.peek()[2], text)
+    p.expect_end()
     return p.bounded(f, 0)
 
 
@@ -862,8 +776,8 @@ def eval_term(G: LexWord, t, env: dict) -> SeriesFraction:
 # variables are the holes that return the shape's arguments.
 
 
-_AST = _TERM_NODES + (Eq, Neq, And, Or, Not, Implies, Exists, Forall)
-_BINARY = frozenset((Add, Sub, Div, Eq, Neq, And, Or, Implies))
+# the binary kinds whose operands unify in place; a product matches in either order
+_BINARY = frozenset(kind for kind, get in _CHILDREN.items() if get is _PAIR) - {Mul}
 _X = Var("x")  # the hole for a shape's argument
 
 
@@ -940,9 +854,9 @@ def _shape_prime(f) -> int | None:
     todo = [f]
     while todo:
         node = todo.pop()
-        if isinstance(node, Pow):
+        if type(node) is Pow:
             return node.n if is_prime(node.n) else None
-        todo.extend(reversed([v for v in vars(node).values() if isinstance(v, _AST)]))
+        todo += reversed(_CHILDREN.get(type(node), _leaf)(node))
     return None
 
 
@@ -1338,54 +1252,36 @@ def _sv_or(a: _SV, b: _SV) -> _SV:
     return _SV(False, a.exact and b.exact, _merge(a.cex, b.cex), None)
 
 
-def _root_equation_targets(f, out: list) -> None:
-    """Collect (p, U) from every `y^p = U` atom with p prime, for
+def _root_equation_targets(f) -> list:
+    """(p, U) from every `y^p = U` atom with p prime, left to right, for
     root-derived witnesses."""
-    if isinstance(f, (Eq, Neq)):
-        if (
-            isinstance(f, Eq)
-            and isinstance(f.left, Pow)
-            and isinstance(f.left.base, Var)
-            and is_prime(f.left.n)
+    out, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Eq or kind is Neq:
+            lhs = node.left
+            if kind is Eq and type(lhs) is Pow and type(lhs.base) is Var and is_prime(lhs.n):
+                out.append((lhs.n, node.right.arg if type(node.right) is Neg else node.right))
+        else:
+            todo += reversed(_CHILDREN.get(kind, _leaf)(node))
+    return out
+
+
+def _constant_terms(f) -> list:
+    """Monomial and Const*Monomial subterms, left to right: parameters and
+    literals."""
+    out, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Monomial or (
+            kind is Mul and type(node.left) is Const and type(node.right) is Monomial
         ):
-            u = f.right.arg if isinstance(f.right, Neg) else f.right
-            out.append((f.left.n, u))
-        return
-    if isinstance(f, (And, Or, Implies)):
-        _root_equation_targets(f.left, out)
-        _root_equation_targets(f.right, out)
-    elif isinstance(f, Not):
-        _root_equation_targets(f.arg, out)
-    elif isinstance(f, (Exists, Forall)):
-        _root_equation_targets(f.body, out)
-
-
-def _constant_terms(f, out: list) -> None:
-    """Collect Monomial/(Const*Monomial) subterms: parameters and literals."""
-
-    def walk_term(t):
-        if isinstance(t, Monomial):
-            out.append(t)
-        elif isinstance(t, Mul) and isinstance(t.left, Const) and isinstance(t.right, Monomial):
-            out.append(t)
-        elif isinstance(t, (Add, Sub, Mul, Div)):
-            walk_term(t.left)
-            walk_term(t.right)
-        elif isinstance(t, Neg):
-            walk_term(t.arg)
-        elif isinstance(t, Pow):
-            walk_term(t.base)
-
-    if isinstance(f, (Eq, Neq)):
-        walk_term(f.left)
-        walk_term(f.right)
-    elif isinstance(f, (And, Or, Implies)):
-        _constant_terms(f.left, out)
-        _constant_terms(f.right, out)
-    elif isinstance(f, Not):
-        _constant_terms(f.arg, out)
-    elif isinstance(f, (Exists, Forall)):
-        _constant_terms(f.body, out)
+            out.append(node)
+        else:
+            todo += reversed(_CHILDREN.get(kind, _leaf)(node))
+    return out
 
 
 def _halve(G: LexWord, v):
@@ -1424,9 +1320,7 @@ def _candidates(
                     bases.append(sf.as_series())
                 except (TruncationError, ZeroInputError):
                     bases.append(sf.num)
-    consts: list = []
-    _constant_terms(body, consts)
-    for t in consts:
+    for t in _constant_terms(body):
         try:
             sf = eval_term(G, t, {})
             if not sf.num.is_zero():
@@ -1460,11 +1354,9 @@ def _candidates(
                 except ShapeError:
                     pass  # the slot does not admit this exponent
 
-    targets: list = []
-    _root_equation_targets(body, targets)
     cutoff = default_cutoff(G, cmag)
     done = set()
-    for p, u in targets:
+    for p, u in _root_equation_targets(body):
         key = (p, print_term(u))
         if key in done or not free_term_vars(u) <= set(env):
             continue
@@ -1579,17 +1471,26 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
     raise ShapeError(f"not a formula: {f!r}")
 
 
-def _psi_exact(G: LexWord, W: SeriesFraction, p: int) -> bool:
-    """The class test decided purely through the two root oracles.
+def _root_sampled(G: LexWord, sf: SeriesFraction, p: int, signed: bool) -> bool | None:
+    """A root test as the generic walk decides it: None when the oracle's
+    verdict is hidden below a truncation."""
+    try:
+        return _sf_root_decision(G, sf, p, signed)
+    except TruncationError:
+        return None
 
-    Composes exactly what the generic walk computes on the built shape —
-    not-a-p-th-power-up-to-sign AND 1 + W has a root — with both oracle
-    verdicts exact on exact inputs, so the composite is exact too.
-    """
-    if _sf_root_decision(G, W, p, True):
+
+def _psi_sampled(G: LexWord, W: SeriesFraction, p: int) -> bool | None:
+    """The class test as the generic walk decides the built shape: not a
+    p-th power up to sign, and 1 + W has a root. Each verdict is exact;
+    None when it is hidden below a truncation."""
+    root = _root_sampled(G, W, p, True)
+    if root:
         return False
-    one_plus = SeriesFraction(series_add(W.den, W.num), W.den, W.defined)
-    return _sf_root_decision(G, one_plus, p, False)
+    unit = _root_sampled(G, SeriesFraction(series_add(W.den, W.num), W.den, W.defined), p, False)
+    if unit is False:
+        return False
+    return None if root is None else unit
 
 
 def _sampled_stability(
@@ -1597,26 +1498,23 @@ def _sampled_stability(
 ) -> _SV:
     """The multiplication-stability clause, falsified by direct oracle runs.
 
-    Per candidate z this computes the same two class tests the generic
-    recursion would (hypothesis on z, conclusion on x*z), through the same
-    root oracles, so verdicts and the first counterexample found agree with
-    the generic walk over the same grid; only the traversal overhead is
-    gone. Truncated intermediates cannot witness an exact counterexample
-    and are skipped, as in the generic walk.
+    Per candidate z this makes the calls the generic walk would make on the
+    built body (the hypothesis on z, then, unless it is exactly false, the
+    conclusion on x*z), in the same order, and catches only what it
+    catches: a root decision hidden below a truncation. So verdicts, the
+    first counterexample and the errors raised agree with the generic walk
+    over the same grid; only the traversal overhead is gone.
     """
-    try:
-        X = eval_term(G, x_term, env)
-    except ZeroInputError:
-        X = _undef(G)
+    X = None
     for cand in _candidates(G, f.body, env, budget, seed, cmag):
-        try:
-            if not _psi_exact(G, SeriesFraction.of(cand), p):
-                continue
-            W = SeriesFraction(series_mul(X.num, cand), X.den, X.defined)
-            if not _psi_exact(G, W, p):
-                return _SV(False, True, {f.var: cand}, None)
-        except TruncationError:
+        hyp = _psi_sampled(G, SeriesFraction.of(cand), p)
+        if hyp is False:
             continue
+        if X is None:
+            X = eval_term(G, x_term, env)
+        concl = _psi_sampled(G, SeriesFraction(series_mul(X.num, cand), X.den, X.defined), p)
+        if hyp and concl is False:
+            return _SV(False, True, {f.var: cand}, None)
     return _SV(True, False)  # survived the grid; not a proof
 
 

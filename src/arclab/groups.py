@@ -104,9 +104,6 @@ class RealGen:
         return format_rational(self.value)
 
 
-PI_GEN = RealGen("pi")
-
-
 def sign_of_real(gens: tuple[RealGen, ...], coords: tuple[int, ...]) -> int:
     """Exact sign of sum(coords[i] * gens[i]).
 
@@ -506,85 +503,100 @@ def format_rational(x: int | Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the group DSL
+# the group DSL, and the token stream the formula DSL shares
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[(),=/-]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise DslSyntaxError(f"unexpected character {text[at]!r}", at, text)
-        for kind in ("ident", "int", "sym"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
-        pos = m.end()
-    return tokens
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+    r"|(?P<sym>->|!=|[()\[\],.;=+\-*/^])|\Z)"
+)
 
 
-class _GroupParser:
+class _Tokens:
+    """A cursor over the (kind, value, position) tokens of a DSL text.
+
+    Kinds are "name", "int" and "sym"; whitespace separates tokens and may
+    surround the text. Past the last token, peek gives ("eof", "", len(text)).
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.toks: list[tuple[str, str, int]] = []
         self.i = 0
+        pos = 0
+        while (m := _TOKEN_RE.match(text, pos)) is not None and m.lastgroup is not None:
+            self.toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            pos = m.end()
+        if m is None:
+            at = len(text) - len(text[pos:].lstrip())
+            raise DslSyntaxError(f"unexpected character {text[at]!r}", at, text)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self, k: int = 0) -> tuple[str, str, int]:
+        j = self.i + k
+        return self.toks[j] if j < len(self.toks) else ("eof", "", len(self.text))
 
-    def next(self):
+    def next(self) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok is None:
-            raise DslSyntaxError("unexpected end of input", len(self.text), self.text)
+        if tok[0] == "eof":
+            self.fail("unexpected end of input")
         self.i += 1
         return tok
 
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise DslSyntaxError(f"expected {value!r}, got {val!r}", pos, self.text)
+    def at(self, value: str, k: int = 0) -> bool:
+        return self.peek(k)[1] == value
 
-    def expect_int(self) -> int:
+    def accept(self, value: str) -> bool:
+        """Consume the next token when it is value."""
+        if self.at(value):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.fail(f"expected {value!r}, got {self.peek()[1] or 'end of input'!r}")
+
+    def fail(self, msg: str, pos: int | None = None):
+        raise DslSyntaxError(msg, self.peek()[2] if pos is None else pos, self.text)
+
+    def expect_end(self) -> None:
+        if self.i < len(self.toks):
+            self.fail(f"trailing input {self.peek()[1]!r}")
+
+    def items(self, item) -> list:
+        """One or more items separated by commas."""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        return out
+
+    def int_tok(self) -> int:
         kind, val, pos = self.next()
         if kind != "int":
-            raise DslSyntaxError(f"expected a number, got {val!r}", pos, self.text)
+            self.fail(f"expected a number, got {val!r}", pos)
         return int(val)
 
+    def signed_rational(self) -> Fraction:
+        sign = -1 if self.accept("-") else 1
+        num = self.int_tok()
+        if not self.accept("/"):
+            return Fraction(sign * num)
+        den = self.int_tok()
+        if den == 0:
+            self.fail("zero denominator")
+        return Fraction(sign * num, den)
+
+
+class _GroupParser(_Tokens):
     def parse(self) -> LexWord:
-        kind, val, pos = self.next()
-        if val != "lex":
-            raise DslSyntaxError("group must start with lex(", pos, self.text)
+        self.expect("lex")
         self.expect("(")
-        comps = [self.parse_component()]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise DslSyntaxError("unterminated lex(...)", len(self.text), self.text)
-            if tok[1] == ",":
-                self.next()
-                comps.append(self.parse_component())
-            elif tok[1] == ")":
-                self.next()
-                break
-            else:
-                raise DslSyntaxError(f"expected , or ), got {tok[1]!r}", tok[2], self.text)
-        if self.peek() is not None:
-            tok = self.peek()
-            raise DslSyntaxError(f"trailing input {tok[1]!r}", tok[2], self.text)
+        comps = self.items(self.parse_component)
+        self.expect(")")
+        self.expect_end()
         return LexWord(tuple(comps))
 
     def parse_component(self) -> Component:
-        kind, val, pos = self.next()
-        if kind != "ident":
-            raise DslSyntaxError(f"component expected, got {val!r}", pos, self.text)
+        _, val, pos = self.next()
         try:
             if val == "Z":
                 return Zed()
@@ -592,31 +604,24 @@ class _GroupParser:
                 return Rat()
             if val == "Zloc":
                 self.expect("(")
-                q = self.expect_int()
+                q = self.int_tok()
                 self.expect(")")
                 return LocZ(q)
             if val == "real":
                 self.expect("(")
-                gens = [self.parse_gen()]
-                while self.peek() and self.peek()[1] == ",":
-                    self.next()
-                    gens.append(self.parse_gen())
+                gens = self.items(self.parse_gen)
                 self.expect(")")
                 return FreeReal(tuple(gens))
             if val == "omega_tower":
-                self.expect("(")
-                kw, kv, kp = self.next()
-                if kv != "start":
-                    raise DslSyntaxError("omega_tower takes start=<nat>", kp, self.text)
-                self.expect("=")
-                start = self.expect_int()
+                for word in ("(", "start", "="):
+                    self.expect(word)
+                start = self.int_tok()
                 self.expect(")")
                 return OmegaTower(start)
             if val == "poly_module":
-                self.expect("(")
-                self.expect("Zloc")
-                self.expect("(")
-                q = self.expect_int()
+                for word in ("(", "Zloc", "("):
+                    self.expect(word)
+                q = self.int_tok()
                 self.expect(")")
                 self.expect(",")
                 gen = self.parse_gen()
@@ -624,31 +629,12 @@ class _GroupParser:
                 return PolyModule(q, gen)
         except ValueError as exc:
             raise DslSyntaxError(str(exc), pos, self.text) from exc
-        raise DslSyntaxError(f"unknown component kind {val!r}", pos, self.text)
+        self.fail(f"unknown component kind {val!r}", pos)
 
     def parse_gen(self) -> RealGen:
-        tok = self.peek()
-        if tok is not None and tok[0] == "ident" and tok[1] == "pi":
-            self.next()
+        if self.accept("pi"):
             return RealGen("pi")
-        value = self.parse_rational()
-        return RealGen("rat", value)
-
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[1] == "-":
-            self.next()
-            sign = -1
-        num = self.expect_int()
-        tok = self.peek()
-        if tok is not None and tok[1] == "/":
-            self.next()
-            den = self.expect_int()
-            if den == 0:
-                raise DslSyntaxError("zero denominator", tok[2], self.text)
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return RealGen("rat", self.signed_rational())
 
 
 def parse_group(text: str) -> LexWord:

@@ -1,21 +1,25 @@
 """Reference copies of the decision walk, the per-cell differential loop,
-the hand-written shape matchers and the Fraction-based real sign that
-`formulas.decision_plan`, `valuations.differential_sweep`, the
-builder-derived matchers and the integer `groups.sign_of_real` replaced.
+the hand-written shape matchers, the Fraction-based real sign and the
+group parser with its own tokenizer that `formulas.decision_plan`,
+`valuations.differential_sweep`, the builder-derived matchers, the integer
+`groups.sign_of_real` and the shared token stream replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
 each shape a second time, by hand; the sign builds a Fraction for the
-rational part and for each bound. All are kept only so the tests can check
-that the plans, the grouped sweep, the unifier and the integer sign give
-the same answers, errors, mismatch lists and matches.
+rational part and for each bound; the parser tokenizes group words alone.
+All are kept only so the tests can check that the plans, the grouped
+sweep, the unifier, the integer sign and the shared-token parser give the
+same answers, errors, mismatch lists, matches and groups.
 """
 
+import re
 from fractions import Fraction
 
 from arclab import groups, valuations
 from arclab.convex import max_p_divisible, np_map, top_cut
 from arclab.errors import (
+    DslSyntaxError,
     InternalError,
     NonEffectiveError,
     ShapeError,
@@ -57,7 +61,18 @@ from arclab.formulas import (
     match_stability_clause,
     print_formula,
 )
-from arclab.groups import elem_p_divisible
+from arclab.groups import (
+    Component,
+    FreeReal,
+    LexWord,
+    LocZ,
+    OmegaTower,
+    PolyModule,
+    Rat,
+    RealGen,
+    Zed,
+    elem_p_divisible,
+)
 from arclab.hahn import print_series, sample_series
 from arclab.primes import is_prime
 
@@ -384,3 +399,152 @@ def reference_sign_of_real(gens, coords) -> int:
             return -1
         digits *= 2
     raise InternalError("interval refinement failed to separate a real constant from zero")
+
+
+# -- the group parser with its own tokenizer -------------------------------------------
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[(),=/-]))")
+
+
+def _ref_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(text) - len(stripped)
+            raise DslSyntaxError(f"unexpected character {text[at]!r}", at, text)
+        for kind in ("ident", "int", "sym"):
+            val = m.group(kind)
+            if val is not None:
+                tokens.append((kind, val, m.start(kind)))
+                break
+        pos = m.end()
+    return tokens
+
+
+class _RefGroupParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise DslSyntaxError("unexpected end of input", len(self.text), self.text)
+        self.i += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, pos = self.next()
+        if val != value:
+            raise DslSyntaxError(f"expected {value!r}, got {val!r}", pos, self.text)
+
+    def expect_int(self) -> int:
+        kind, val, pos = self.next()
+        if kind != "int":
+            raise DslSyntaxError(f"expected a number, got {val!r}", pos, self.text)
+        return int(val)
+
+    def parse(self) -> LexWord:
+        kind, val, pos = self.next()
+        if val != "lex":
+            raise DslSyntaxError("group must start with lex(", pos, self.text)
+        self.expect("(")
+        comps = [self.parse_component()]
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise DslSyntaxError("unterminated lex(...)", len(self.text), self.text)
+            if tok[1] == ",":
+                self.next()
+                comps.append(self.parse_component())
+            elif tok[1] == ")":
+                self.next()
+                break
+            else:
+                raise DslSyntaxError(f"expected , or ), got {tok[1]!r}", tok[2], self.text)
+        if self.peek() is not None:
+            tok = self.peek()
+            raise DslSyntaxError(f"trailing input {tok[1]!r}", tok[2], self.text)
+        return LexWord(tuple(comps))
+
+    def parse_component(self) -> Component:
+        kind, val, pos = self.next()
+        if kind != "ident":
+            raise DslSyntaxError(f"component expected, got {val!r}", pos, self.text)
+        try:
+            if val == "Z":
+                return Zed()
+            if val == "Q":
+                return Rat()
+            if val == "Zloc":
+                self.expect("(")
+                q = self.expect_int()
+                self.expect(")")
+                return LocZ(q)
+            if val == "real":
+                self.expect("(")
+                gens = [self.parse_gen()]
+                while self.peek() and self.peek()[1] == ",":
+                    self.next()
+                    gens.append(self.parse_gen())
+                self.expect(")")
+                return FreeReal(tuple(gens))
+            if val == "omega_tower":
+                self.expect("(")
+                kw, kv, kp = self.next()
+                if kv != "start":
+                    raise DslSyntaxError("omega_tower takes start=<nat>", kp, self.text)
+                self.expect("=")
+                start = self.expect_int()
+                self.expect(")")
+                return OmegaTower(start)
+            if val == "poly_module":
+                self.expect("(")
+                self.expect("Zloc")
+                self.expect("(")
+                q = self.expect_int()
+                self.expect(")")
+                self.expect(",")
+                gen = self.parse_gen()
+                self.expect(")")
+                return PolyModule(q, gen)
+        except ValueError as exc:
+            raise DslSyntaxError(str(exc), pos, self.text) from exc
+        raise DslSyntaxError(f"unknown component kind {val!r}", pos, self.text)
+
+    def parse_gen(self) -> RealGen:
+        tok = self.peek()
+        if tok is not None and tok[0] == "ident" and tok[1] == "pi":
+            self.next()
+            return RealGen("pi")
+        value = self.parse_rational()
+        return RealGen("rat", value)
+
+    def parse_rational(self) -> Fraction:
+        sign = 1
+        tok = self.peek()
+        if tok is not None and tok[1] == "-":
+            self.next()
+            sign = -1
+        num = self.expect_int()
+        tok = self.peek()
+        if tok is not None and tok[1] == "/":
+            self.next()
+            den = self.expect_int()
+            if den == 0:
+                raise DslSyntaxError("zero denominator", tok[2], self.text)
+            return Fraction(sign * num, den)
+        return Fraction(sign * num)
+
+
+def reference_parse_group(text: str) -> LexWord:
+    return _RefGroupParser(text).parse()

@@ -166,6 +166,13 @@ def test_formula_eval_decide_true():
     assert code == 0 and text.strip() == "true"
 
 
+def test_formula_eval_accepts_trailing_whitespace():
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1 ", "--at", "x=1",
+    )
+    assert code == 0 and text.strip() == "true"
+
+
 def test_formula_eval_with_a_19_digit_prime_degree():
     code, text = run(
         "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[1000000000000000003](x)",

@@ -9,13 +9,21 @@ from arclab import formulas
 
 from arclab.convex import g_pn, max_p_divisible
 from arclab.errors import (
+    ArclabError,
     DslSyntaxError,
     ParameterError,
     ShapeError,
     UnsupportedQuantifierPattern,
 )
 from arclab.formulas import (
+    Add,
+    And,
     Const,
+    Eq,
+    Exists,
+    Mul,
+    Not,
+    Or,
     Var,
     build_phi_p,
     build_phi_pn,
@@ -26,14 +34,25 @@ from arclab.formulas import (
     decision_plan,
     eval_decidable,
     eval_sampled,
+    free_term_vars,
     match_phi_p,
     match_psi_p,
     parse_formula,
     print_formula,
+    print_term,
     term_of_series,
 )
 from arclab.groups import elem_cmp, elem_p_divisible, parse_group, zero_element
-from arclab.hahn import parse_series, print_series, sample_series, v_of, zero_series
+from arclab.hahn import (
+    parse_series,
+    print_series,
+    sample_series,
+    series_of,
+    v_of,
+    zero_series,
+)
+from arclab.valuations import boundary_monomials
+from conftest import EFFECTIVE_POOL
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -181,6 +200,17 @@ def test_print_parse_round_trip():
         parse_formula("x = 0 or not (x*y = 1 and y = y)"),
     ):
         assert parse_formula(print_formula(f)) == f
+
+
+def test_a_node_of_the_wrong_sort_is_a_shape_error():
+    x, atom = Var("x"), Eq(Var("x"), Const(Fraction(0)))
+    for bad in (atom, Add(x, Mul(Const(Fraction(2)), atom)), 3):
+        for walk in (print_term, free_term_vars):
+            with pytest.raises(ShapeError):
+                walk(bad)
+    for bad in (x, Or(atom, And(atom, x)), Not(Exists("y", x)), Eq(x, atom), 3):
+        with pytest.raises(ShapeError):
+            print_formula(bad)
 
 
 def test_matchers_round_trip():
@@ -407,3 +437,43 @@ def test_unbound_variable_is_loud():
 
     with pytest.raises(UnboundVariableError):
         eval_decidable(build_psi_p(2), {}, K1)
+
+
+# -- the stability fork against the generic walk --------------------------------------
+
+
+def _stability_points(G):
+    """The boundary probes, a few samples, and t^g + O(t^h) and O(t^g)
+    around the unit exponent g of the first slot."""
+    g = (1,) + (0,) * (G.n_slots() - 1)
+    neg, two = tuple(-e for e in g), tuple(2 * e for e in g)
+    truncated = [
+        series_of(G, [(g, 1)], two),
+        series_of(G, [(neg, 3)], g),
+        series_of(G, [], g),
+        series_of(G, [], neg),
+    ]
+    return boundary_monomials(G) + [sample_series(G, s) for s in range(3)] + truncated
+
+
+def _sampled_or_error(F, x, G):
+    try:
+        return eval_sampled(F, {"x": x}, G, budget=10, seed=5)
+    except ArclabError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL)
+def test_stability_fork_agrees_with_the_generic_walk(dsl, monkeypatch):
+    # the fork decides the clause by direct oracle runs; with its matcher
+    # off, the generic walk decides the same clause over the same grid
+    G = parse_group(dsl)
+    points = _stability_points(G)
+    for p in (2, 3, 5):
+        F = parse_formula(f"forall z. (psi_p[{p}](z) -> psi_p[{p}](x*z))")
+        with monkeypatch.context() as m:
+            m.setattr(formulas, "match_stability_clause", lambda f: None)
+            generic = [_sampled_or_error(F, x, G) for x in points]
+        forked = [_sampled_or_error(F, x, G) for x in points]
+        for x, a, b in zip(points, forked, generic):
+            assert a == b, (p, print_series(x))

@@ -1,8 +1,10 @@
 """Input boundaries under generated input: the parsers and both evaluators
-fail only with ArclabError, never with a raw Python exception; a decision
+fail only with ArclabError, never with a raw Python exception; the parsers
+read text with surrounding whitespace as the stripped text; a decision
 plan answers as the decision walk it replaced; and printing then parsing
 gives back the series or formula that was printed."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +57,18 @@ def test_parse_series_raises_only_arclab_errors(text, G):
 @given(TEXT)
 def test_parse_formula_raises_only_arclab_errors(text):
     _parses_or_rejects(lambda s: parse_formula(s, group=K1), text)
+
+
+@pytest.mark.parametrize("pad", [" ", "\t", "\n", " \t\n "])
+def test_parsers_accept_surrounding_whitespace(pad):
+    for parse, text in (
+        (parse_group, "lex(Z, Q)"),
+        (lambda s: parse_series(s, K1), "1 + 2*t^(1,1/2) + O(t^(2,0))"),
+        (lambda s: parse_formula(s, group=K1), "phi_pn[2,1](x) and x = 1"),
+    ):
+        want = parse(text)
+        for padded in (pad + text, text + pad, pad + text + pad):
+            assert parse(padded) == want, repr(padded)
 
 
 TERMS = ["x", "1 + x", "x*x", "-x", "x/t^(1,0)", "t^(1,0)", "2"]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from arclab import groups
 from arclab.errors import DslSyntaxError, NonEffectiveError, ShapeError
 from arclab.groups import (
-    PI_GEN,
     RealGen,
     element,
     elem_add,
@@ -63,6 +62,72 @@ def test_parse_print_round_trip(text):
 def test_parse_rejects(bad):
     with pytest.raises(DslSyntaxError):
         parse_group(bad)
+
+
+# group words from the DSL's grammar, with the separators spaced at random
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+_INT = st.sampled_from(["0", "1", "2", "3", "4", "5", "7", "12", "007"])
+
+
+@st.composite
+def _rational(draw) -> str:
+    sign = draw(st.sampled_from(["", "-", "- "]))
+    den = draw(st.sampled_from(["", "/" + draw(_INT)]))
+    return sign + draw(_INT) + den
+
+
+@st.composite
+def _component(draw) -> str:
+    sp = draw(_SPACE)
+    gen = st.one_of(st.just("pi"), _rational())
+    forms = [
+        lambda: draw(st.sampled_from(["Z", "Q"])),
+        lambda: f"Zloc({sp}{draw(_INT)}{sp})",
+        lambda: "real(" + f"{sp},{sp}".join(draw(st.lists(gen, min_size=1, max_size=3))) + ")",
+        lambda: f"omega_tower(start{sp}={sp}{draw(_INT)})",
+        lambda: f"poly_module(Zloc({draw(_INT)}),{sp}{draw(gen)})",
+    ]
+    return draw(st.sampled_from(forms))()
+
+
+@st.composite
+def _group_word(draw) -> str:
+    sp = draw(_SPACE)
+    word = f"{sp}lex{sp}(" + f"{sp},{sp}".join(draw(st.lists(_component(), min_size=1, max_size=4)))
+    return word + f"){sp}"
+
+
+# the characters of the group DSL, and whitespace
+_ALPHABET = sorted(set("lexZQlocrealpiomega_towerstartpoly_module()=,/-0123456789 \t\n"))
+
+
+@st.composite
+def _mutated_word(draw) -> str:
+    word = draw(_group_word())
+    at = draw(st.integers(0, len(word)))
+    char = draw(st.sampled_from(_ALPHABET))
+    edit = draw(st.sampled_from(["insert", "delete", "replace", "none"]))
+    if edit == "insert":
+        return word[:at] + char + word[at:]
+    if edit == "delete":
+        return word[:at] + word[at + 1 :]
+    if edit == "replace":
+        return word[:at] + char + word[at + 1 :]
+    return word
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except DslSyntaxError:
+        return DslSyntaxError
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_word())
+def test_parse_group_matches_the_reference_parser(text):
+    # the same group, or DslSyntaxError from both; the wording may differ
+    assert _parsed(parse_group, text) == _parsed(ref.reference_parse_group, text)
 
 
 # -- element arithmetic (pinned instances) ------------------------------------
@@ -199,7 +264,7 @@ REAL_GENS = [
 ]
 # no group declares two rationals (they are dependent over Q), but the sum
 # of any generators is still signed exactly
-TWO_RATIONALS = (RealGen("rat", Fraction(-2, 3)), PI_GEN, RealGen("rat", Fraction(5, 7)))
+TWO_RATIONALS = (RealGen("rat", Fraction(-2, 3)), RealGen("pi"), RealGen("rat", Fraction(5, 7)))
 
 coordinates = st.one_of(st.integers(-30, 30), st.integers(-(10**15), 10**15))
 

@@ -3,8 +3,8 @@ linter's unused-import and dead-code rules.
 
 Imports are checked over src/arclab, tests and scripts; a name listed in
 ``__all__`` counts as used, since the module imports it to re-export it.
-A definition in src/arclab (a top-level function or class, or a method
-other than a dunder) must be referenced by name, attribute or import in
+A definition in src/arclab (a top-level function, class or assigned name,
+or a method, other than a dunder) must be referenced by name, attribute or import in
 the program itself (src/arclab, scripts, perfbench), not only by tests.
 Names exported in ``arclab.__all__`` or traced by name in
 ``perfbench/tracing.py`` pass as well."""
@@ -55,19 +55,28 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> list[tuple[int, str]]:
-    """(line, name) of every top-level function and class, and of every
-    method that is not a dunder."""
+    """(line, name) of every top-level function, class and assigned name,
+    and of every method, that is not a dunder."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [
+                (t.lineno, t.id) for t in targets if isinstance(t, ast.Name) and not _dunder(t.id)
+            ]
         if isinstance(node, ast.ClassDef):
             out += [
                 (item.lineno, item.name)
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (item.name.startswith("__") and item.name.endswith("__"))
+                and not _dunder(item.name)
             ]
     return out
 
@@ -76,7 +85,7 @@ def references(source: str) -> set[str]:
     """Every name the module reads, reaches as an attribute or imports."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -97,8 +106,12 @@ def traced_names(source: str) -> set[str]:
 def test_checker_flags_a_dead_definition():
     source = "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
     source += "    def dead(self): pass\ndef f(): return A().used()\ndef g(): pass\n"
-    assert definitions(source) == [(1, "A"), (3, "used"), (4, "dead"), (5, "f"), (6, "g")]
-    assert {"A", "used"} <= references(source) and not {"dead", "f", "g"} & references(source)
+    source += "__all__ = []\nLIVE = 1\nDEAD: int = LIVE\n"
+    assert definitions(source) == [
+        (1, "A"), (3, "used"), (4, "dead"), (5, "f"), (6, "g"), (8, "LIVE"), (9, "DEAD")
+    ]
+    used = references(source)
+    assert {"A", "used", "LIVE"} <= used and not {"dead", "f", "g", "DEAD"} & used
 
 
 def test_no_dead_definitions():

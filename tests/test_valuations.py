@@ -28,6 +28,7 @@ from arclab.formulas import (
     choose_params,
     eval_decidable,
     match_coset_clause,
+    parse_formula,
     term_of_series,
 )
 from arclab.groups import elem_add, elem_p_divisible, elem_sub, parse_group
@@ -274,6 +275,31 @@ def test_witness_grid_and_probes_pinned(dsl, n_cands, cands_digest, n_probes, pr
     probes = boundary_monomials(G)
     assert (len(cands), _digest(cands)) == (n_cands, cands_digest)
     assert (len(probes), _digest(probes)) == (n_probes, probes_digest)
+
+
+_SCOPED_BODIES = (
+    "exists y. y^2 = x*t^(1,0) or y^3 = 2*t^(0,{h})*x",
+    "forall z. (z = t^(1,0) -> exists w. w^5 = -(x + 3*t^(0,{h})))",
+    "phi_pn[2,1](x)",
+)
+
+
+@pytest.mark.parametrize(
+    "dsl, h, digests",
+    [
+        ("lex(Z, Q)", "1/2", ("fc6dbdbc8749d966", "12a424e5b9b682dc", "fb66963d8c466d09")),
+        ("lex(real(1, pi))", "1", ("be95ca2857aad6fc", "88617f1d07e49ba9", "3d4b09c40964a75c")),
+        ("lex(Zloc(2), Q)", "1/2", ("bfcfab8d471e6e2d", "e495e01a1d146fd2", "3c9be02cff72f9f4")),
+    ],
+)
+def test_witness_grid_pinned_with_constants_and_root_targets(dsl, h, digests):
+    # bodies with formula constants and root equations in scope, so the
+    # order of the constant terms and of the root targets is pinned too
+    G = parse_group(dsl)
+    env = {"x": SeriesFraction.of(sample_series(G, 7))}
+    for text, digest in zip(_SCOPED_BODIES, digests):
+        cands = _candidates(G, parse_formula(text.format(h=h), G), env, 200, 3)
+        assert (len(cands), _digest(cands)) == (200, digest), text
 
 
 def test_differential_small_runs_clean():
