@@ -30,9 +30,9 @@ from .errors import (
     UnboundVariableError,
     UnsupportedQuantifierPattern,
 )
-from .formulas import eval_decidable, eval_sampled, parse_formula, print_series
-from .groups import LexWord, is_prime, parse_group, print_group
-from .hahn import parse_series
+from .formulas import eval_decidable, eval_sampled, parse_formula
+from .groups import is_prime, parse_group, print_group
+from .hahn import parse_bindings, print_series
 from .valuations import (
     classification_report,
     definable_rows,
@@ -191,27 +191,10 @@ def _cmd_valuations_list(args, out) -> int:
     return 0
 
 
-def _parse_bindings(text: str, G: LexWord) -> dict:
-    """name=series pairs, separated by ';' (series syntax itself uses commas)."""
-    env = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise DslSyntaxError("binding must look like name=series", 0, chunk)
-        name, _, rhs = chunk.partition("=")
-        name = name.strip()
-        if not name.isidentifier():
-            raise DslSyntaxError(f"bad variable name {name!r}", 0, chunk)
-        env[name] = parse_series(rhs.strip(), G)
-    return env
-
-
 def _cmd_formula_eval(args, out) -> int:
     G = parse_group(args.group)
     F = parse_formula(args.expr, group=G)
-    env = _parse_bindings(args.at or "", G)
+    env = parse_bindings(args.at, G)
     if args.mode == "decide":
         verdict = eval_decidable(F, env, G)
         payload = {"mode": "decide", "result": verdict}

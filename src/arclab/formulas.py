@@ -64,6 +64,7 @@ from .groups import (
     LexWord,
     LocZ,
     Zed,
+    _require_effective,
     _Tokens,
     elem_cmp,
     elem_div_by_p,
@@ -76,13 +77,13 @@ from .groups import (
 )
 from .hahn import (
     HahnSeries,
+    _format_exp,
     _make,
     const_series,
     default_cutoff,
     series_add,
     leading_coeff,
     monomial,
-    print_series,
     pth_root,
     root_exists,
     sample_series,
@@ -296,7 +297,7 @@ def _print(node, prec: int, sort: frozenset) -> str:
     elif kind is Var:
         s, lvl = node.name, _ATOM
     elif kind is Monomial:
-        s, lvl = "t^(" + ",".join(format_rational(e) for e in node.exps) + ")", _ATOM
+        s, lvl = _format_exp(node.exps), _ATOM
     elif kind is Neg:
         s, lvl = "-" + _print(node.arg, 3, sort), 3
     elif kind is Pow:
@@ -462,6 +463,14 @@ class _Parser(_Tokens):
             if params is not None:
                 self.fail(f"{name} takes no params", pos)
             return (build_psi_p_at if name == "psi_p" else build_phi_p_at)(p, arg)
+        _check_prime(p)
+        # the coset clause ors p^n probes, so p^n alone bounds its depth from
+        # below; multiplying up, with p >= 2, never computes p^n for a huge n
+        size = 1
+        for _ in range(n):
+            size *= p
+            if size > _MAX_FRAMES:
+                self.fail(f"{name}[{p},{n}] needs {p}^{n} coset probes, too deep", pos)
         if params is None:
             if self.group is None:
                 self.fail(f"{name}[{p},{n}] needs explicit params when no group is given", pos)
@@ -504,20 +513,17 @@ class _Parser(_Tokens):
         return Pow(base, n)
 
     def t_primary(self):
+        if self.peek()[0] == "int":
+            return Const(Fraction(self.int_tok()))
+        if self.at("t") and self.at("^", 1) and self.at("(", 2):
+            return Monomial(self.exponent())
         kind, val, pos = self.next()
-        if kind == "int":
-            return Const(Fraction(int(val)))
         if val == "(":
             inner = self.term()
             self.expect(")")
             return inner
         if kind != "name":
             self.fail("expected a term", pos)
-        if val == "t" and self.at("^") and self.at("(", 1):
-            self.i += 2  # past the ^ and the (
-            exps = self.items(self.signed_rational)
-            self.expect(")")
-            return Monomial(tuple(exps))
         if val in _KEYWORDS or val in _MACROS:
             self.fail(f"{val!r} cannot be a variable", pos)
         return Var(val)
@@ -939,11 +945,6 @@ def _exact_log(m: int, p: int) -> int | None:
 # decision procedure
 
 
-def _require_effective(G: LexWord) -> None:
-    if not G.is_effective():
-        raise NonEffectiveError("evaluation needs an effective exponent group")
-
-
 def _in_cut_subgroup(G: LexWord, v, cut: ConvexCut) -> bool:
     """Does v lie in the convex subgroup named by the cut?"""
     if cut.inner is not None:
@@ -1197,12 +1198,6 @@ class EvalOutcome:
     status: str
     certain: bool
     witness: dict | None = None
-
-    def describe(self) -> str:
-        if self.witness:
-            parts = ", ".join(f"{k} = {print_series(v)}" for k, v in sorted(self.witness.items()))
-            return f"{self.status}({parts})"
-        return self.status if self.certain else f"{self.status} (on sample)"
 
 
 @dataclass(frozen=True)

@@ -503,7 +503,7 @@ def format_rational(x: int | Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the group DSL, and the token stream the formula DSL shares
+# the group DSL, and the token stream the series and formula DSLs share
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
@@ -570,20 +570,36 @@ class _Tokens:
         return out
 
     def int_tok(self) -> int:
+        """The one reader of integer literals, so every one too long for
+        int() is a DslSyntaxError."""
         kind, val, pos = self.next()
         if kind != "int":
             self.fail(f"expected a number, got {val!r}", pos)
-        return int(val)
+        try:
+            return int(val)
+        except ValueError:
+            self.fail(f"a {len(val)}-digit number is too long", pos)
 
-    def signed_rational(self) -> Fraction:
-        sign = -1 if self.accept("-") else 1
+    def rational(self) -> Fraction:
+        """n or n/d, unsigned."""
         num = self.int_tok()
         if not self.accept("/"):
-            return Fraction(sign * num)
+            return Fraction(num)
         den = self.int_tok()
         if den == 0:
             self.fail("zero denominator")
-        return Fraction(sign * num, den)
+        return Fraction(num, den)
+
+    def signed_rational(self) -> Fraction:
+        return -self.rational() if self.accept("-") else self.rational()
+
+    def exponent(self) -> tuple[Fraction, ...]:
+        """The exponent e of a monomial t^(e1,...,ek)."""
+        for word in ("t", "^", "("):
+            self.expect(word)
+        exps = self.items(self.signed_rational)
+        self.expect(")")
+        return tuple(exps)
 
 
 class _GroupParser(_Tokens):

@@ -16,14 +16,11 @@ defect vanishes and otherwise stops at the requested cutoff.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import (
-    DslSyntaxError,
-    NonEffectiveError,
     RootError,
     ShapeError,
     TruncationError,
@@ -36,6 +33,8 @@ from .groups import (
     LocZ,
     Rat,
     Zed,
+    _require_effective,
+    _Tokens,
     elem_add,
     elem_cmp,
     elem_div_by_p,
@@ -384,14 +383,13 @@ def sample_series(
     without building one per call).  Not safe to call from two threads
     at once.
     """
-    if not G.is_effective():
-        raise NonEffectiveError("cannot sample elements of a schematic word")
+    kinds = _require_effective(G).kinds
     rng = _SAMPLE_RNG
     rng.seed(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
     exps: list[tuple] = []
     for _ in range(support):
         flat = []
-        for comp in G.layout.kinds:
+        for comp in kinds:
             if isinstance(comp, (Zed, FreeReal)):
                 flat.append(rng.randint(-exp_mag, exp_mag))
             elif isinstance(comp, Rat):
@@ -413,8 +411,9 @@ def sample_series(
 # series literals
 
 
-def _format_exp(e: GroupElement) -> str:
-    return "(" + ",".join(format_rational(x) for x in e) + ")"
+def _format_exp(e: tuple) -> str:
+    """The monomial t^(e), as series literals and formulas write it."""
+    return "t^(" + ",".join(format_rational(x) for x in e) + ")"
 
 
 def print_series(a: HahnSeries) -> str:
@@ -425,9 +424,9 @@ def print_series(a: HahnSeries) -> str:
         if e == zero:
             body = format_rational(abs(c))
         elif abs(c) == 1:
-            body = f"t^{_format_exp(e)}"
+            body = _format_exp(e)
         else:
-            body = f"{format_rational(abs(c))}*t^{_format_exp(e)}"
+            body = f"{format_rational(abs(c))}*{_format_exp(e)}"
         chunks.append(("-" if c < 0 else "+", body))
     if not chunks:
         out = "0" if a.trunc is None else ""
@@ -437,74 +436,79 @@ def print_series(a: HahnSeries) -> str:
         for sign, body in chunks[1:]:
             out += f" {sign} {body}"
     if a.trunc is not None:
-        marker = f"O(t^{_format_exp(a.trunc)})"
+        marker = f"O({_format_exp(a.trunc)})"
         out = marker if not out else f"{out} + {marker}"
     return out
 
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<otrunc>O\(\s*t\^\((?P<oexp>[^)]*)\)\s*\))"
-    r"|(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?t\^\((?P<exp>[^)]*)\)"
-    r"|(?P<const>\d+(?:/\d+)?)"
-    r")\s*"
-)
+class _SeriesReader(_Tokens):
+    """Series literals on the shared token stream:
+
+        series := [+|-] term ((+|-) term)*
+        term   := c [*] t^(e) | c | t^(e) | O(t^(e))     c := n | n/d
+
+    with one coordinate per slot of G in each e, and at most one O(t^(e)),
+    which is never subtracted. A series ends at the end of the text or at
+    a consumed sep."""
+
+    def __init__(self, text: str, G: LexWord, sep: str | None = None):
+        super().__init__(text)
+        self.G = G
+        self.sep = sep
+
+    def exp(self) -> tuple[Fraction, ...]:
+        pos = self.peek()[2]
+        e = self.exponent()
+        if len(e) != self.G.n_slots():
+            self.fail(f"exponent needs {self.G.n_slots()} coordinates, got {len(e)}", pos)
+        return e
+
+    def sign(self) -> int:
+        """1 or -1 for a + or - consumed, else 0."""
+        return 1 if self.accept("+") else -1 if self.accept("-") else 0
+
+    def series(self) -> HahnSeries:
+        pairs, trunc = [], None
+        sign = self.sign() or 1
+        while True:
+            if self.at("O"):
+                pos = self.next()[2]
+                if trunc is not None:
+                    self.fail("duplicate O(...) marker", pos)
+                if sign < 0:
+                    self.fail("O(...) marker cannot be subtracted", pos)
+                self.expect("(")
+                trunc = self.exp()
+                self.expect(")")
+            elif self.peek()[0] == "int":
+                c = self.rational()
+                e = self.exp() if self.accept("*") or self.at("t") else (0,) * self.G.n_slots()
+                pairs.append((e, sign * c))
+            else:
+                pairs.append((self.exp(), sign))
+            sign = self.sign()
+            if not sign:
+                if not (self.sep and self.accept(self.sep)):
+                    self.expect_end()
+                return series_of(self.G, pairs, trunc)
 
 
 def parse_series(text: str, G: LexWord) -> HahnSeries:
     """Parse the series literal syntax, e.g. "1 + 2*t^(1,1/2) - t^(2,0)"."""
-    pos = 0
-    pairs = []
-    trunc_flat = None
-    first = True
-    stripped = text.strip()
-    if stripped == "0":
-        return zero_series(G)
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise DslSyntaxError("unreadable series term", pos, text)
-        sign_tok = m.group("sign")
-        if sign_tok is None and not first:
-            raise DslSyntaxError("terms must be joined by + or -", pos, text)
-        sign = -1 if sign_tok == "-" else 1
-        if m.group("otrunc"):
-            if trunc_flat is not None:
-                raise DslSyntaxError("duplicate O(...) marker", pos, text)
-            if sign == -1:
-                raise DslSyntaxError("O(...) marker cannot be subtracted", pos, text)
-            trunc_flat = _parse_exp(m.group("oexp"), G, pos, text)
-        elif m.group("const") is not None:
-            const = _parse_coeff(m.group("const"), pos, text)
-            pairs.append(((Fraction(0),) * G.n_slots(), sign * const))
-        else:
-            coeff = _parse_coeff(m.group("coeff"), pos, text) if m.group("coeff") else Fraction(1)
-            flat = _parse_exp(m.group("exp"), G, pos, text)
-            pairs.append((flat, sign * coeff))
-        pos = m.end()
-        first = False
-    if not pairs and trunc_flat is None:
-        raise DslSyntaxError("empty series literal", 0, text)
-    return series_of(G, pairs, trunc_flat)
+    return _SeriesReader(text, G).series()
 
 
-def _parse_coeff(chunk: str, pos: int, text: str) -> Fraction:
-    try:
-        return Fraction(chunk)
-    except ZeroDivisionError as exc:
-        raise DslSyntaxError(f"zero denominator in {chunk!r}", pos, text) from exc
-
-
-def _parse_exp(body: str, G: LexWord, pos: int, text: str):
-    parts = [chunk.strip() for chunk in body.split(",")]
-    if len(parts) != G.n_slots():
-        raise DslSyntaxError(
-            f"exponent needs {G.n_slots()} coordinates, got {len(parts)}", pos, text
-        )
-    out = []
-    for chunk in parts:
-        try:
-            out.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DslSyntaxError(f"bad exponent coordinate {chunk!r}", pos, text) from exc
-    return tuple(out)
+def parse_bindings(text: str, G: LexWord) -> dict[str, HahnSeries]:
+    """name = series items separated by ';', e.g. "x = t^(1,0); y = 2";
+    empty items are skipped."""
+    reader = _SeriesReader(text, G, ";")
+    env = {}
+    while reader.peek()[0] != "eof":
+        if reader.accept(";"):
+            continue
+        kind, name, pos = reader.next()
+        if kind != "name":
+            reader.fail(f"expected a variable name, got {name!r}", pos)
+        reader.expect("=")
+        env[name] = reader.series()
+    return env

@@ -57,7 +57,7 @@ from .formulas import (
     eval_sampled,
     match_phi_p,
 )
-from .groups import LexWord, elem_cmp, print_group, zero_element
+from .groups import LexWord, _require_effective, elem_cmp, print_group, zero_element
 from .hahn import (
     HahnSeries,
     const_series,
@@ -80,13 +80,11 @@ class ValuationDescriptor:
     """A coarsening of the exponent valuation, named by its convex cut.
 
     cut = Bottom is the exponent valuation itself; cut = Top is the trivial
-    valuation (ring = everything). label carries the (p, n) tag when the
-    descriptor came out of the classification map, None otherwise.
+    valuation (ring = everything).
     """
 
     group: LexWord
     cut: ConvexCut
-    label: tuple[int, int] | None = None
 
     def __post_init__(self):
         validate_cut(self.group, self.cut)
@@ -128,12 +126,12 @@ def v0_descriptor(G: LexWord) -> ValuationDescriptor:
 
 def v_p_descriptor(G: LexWord, p: int) -> ValuationDescriptor:
     """Coarsening at the maximal p-divisible convex subgroup."""
-    return ValuationDescriptor(G, max_p_divisible(G, p), (p, 0))
+    return ValuationDescriptor(G, max_p_divisible(G, p))
 
 
 def v_pn_descriptor(G: LexWord, p: int, n: int) -> ValuationDescriptor:
     """Level-n member of the definable family at p; level 0 is v_p."""
-    return ValuationDescriptor(G, g_pn(G, p, n), (p, n))
+    return ValuationDescriptor(G, g_pn(G, p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +250,7 @@ def differential_sweep(
     shape (see `formulas._sampled`). Their decisions are checked against a
     finite valuation oracle in the tests instead.
     """
-    if not G.is_effective():
-        raise NonEffectiveError("differential sampling needs an effective group")
+    _require_effective(G)
     primes: dict[int, tuple] = {}
     levels = []
     for p, n in cells:
@@ -329,8 +326,7 @@ def differential_cross(
     """Harness sanity: judge the ring formula for one prime against the
     ring of another. On groups where the two rings differ this must find
     mismatches — if it cannot, the differential harness is blind."""
-    if not G.is_effective():
-        raise NonEffectiveError("differential sampling needs an effective group")
+    _require_effective(G)
     decide = decision_plan(build_phi_p(p_formula), G)
     V = v_p_descriptor(G, p_ring)
     xs = boundary_monomials(G)

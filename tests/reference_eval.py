@@ -1,16 +1,19 @@
 """Reference copies of the decision walk, the per-cell differential loop,
-the hand-written shape matchers, the Fraction-based real sign and the
-group parser with its own tokenizer that `formulas.decision_plan`,
-`valuations.differential_sweep`, the builder-derived matchers, the integer
-`groups.sign_of_real` and the shared token stream replaced.
+the hand-written shape matchers, the Fraction-based real sign, the group
+parser with its own tokenizer and the regex series and binding readers
+that `formulas.decision_plan`, `valuations.differential_sweep`, the
+builder-derived matchers, the integer `groups.sign_of_real` and the shared
+token stream replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
 each shape a second time, by hand; the sign builds a Fraction for the
-rational part and for each bound; the parser tokenizes group words alone.
+rational part and for each bound; the parser tokenizes group words alone;
+the series reader matches one regex per term and converts coordinates with
+Fraction(), and the binding reader splits on ';' and '=' by hand.
 All are kept only so the tests can check that the plans, the grouped
-sweep, the unifier, the integer sign and the shared-token parser give the
-same answers, errors, mismatch lists, matches and groups.
+sweep, the unifier, the integer sign and the shared-token readers give the
+same answers, errors, mismatch lists, matches, groups and series.
 """
 
 import re
@@ -47,7 +50,6 @@ from arclab.formulas import (
     _match_coset_probe,
     _match_root_exists,
     _norm_env,
-    _require_effective,
     _ring_member_cut,
     _sf_root_decision,
     _validate_coset_params,
@@ -71,9 +73,10 @@ from arclab.groups import (
     Rat,
     RealGen,
     Zed,
+    _require_effective,
     elem_p_divisible,
 )
-from arclab.hahn import print_series, sample_series
+from arclab.hahn import HahnSeries, print_series, sample_series, series_of, zero_series
 from arclab.primes import is_prime
 
 
@@ -548,3 +551,88 @@ class _RefGroupParser:
 
 def reference_parse_group(text: str) -> LexWord:
     return _RefGroupParser(text).parse()
+
+
+# -- the series literal and --at binding readers with their own regex grammar ------------
+
+_REF_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?:"
+    r"(?P<otrunc>O\(\s*t\^\((?P<oexp>[^)]*)\)\s*\))"
+    r"|(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?t\^\((?P<exp>[^)]*)\)"
+    r"|(?P<const>\d+(?:/\d+)?)"
+    r")\s*"
+)
+
+
+def reference_parse_series(text: str, G: LexWord) -> HahnSeries:
+    pos = 0
+    pairs = []
+    trunc_flat = None
+    first = True
+    stripped = text.strip()
+    if stripped == "0":
+        return zero_series(G)
+    while pos < len(text):
+        m = _REF_TERM_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            raise DslSyntaxError("unreadable series term", pos, text)
+        sign_tok = m.group("sign")
+        if sign_tok is None and not first:
+            raise DslSyntaxError("terms must be joined by + or -", pos, text)
+        sign = -1 if sign_tok == "-" else 1
+        if m.group("otrunc"):
+            if trunc_flat is not None:
+                raise DslSyntaxError("duplicate O(...) marker", pos, text)
+            if sign == -1:
+                raise DslSyntaxError("O(...) marker cannot be subtracted", pos, text)
+            trunc_flat = _ref_parse_exp(m.group("oexp"), G, pos, text)
+        elif m.group("const") is not None:
+            const = _ref_parse_coeff(m.group("const"), pos, text)
+            pairs.append(((Fraction(0),) * G.n_slots(), sign * const))
+        else:
+            coeff = _ref_parse_coeff(m.group("coeff"), pos, text) if m.group("coeff") else Fraction(1)
+            flat = _ref_parse_exp(m.group("exp"), G, pos, text)
+            pairs.append((flat, sign * coeff))
+        pos = m.end()
+        first = False
+    if not pairs and trunc_flat is None:
+        raise DslSyntaxError("empty series literal", 0, text)
+    return series_of(G, pairs, trunc_flat)
+
+
+def _ref_parse_coeff(chunk: str, pos: int, text: str) -> Fraction:
+    try:
+        return Fraction(chunk)
+    except ZeroDivisionError as exc:
+        raise DslSyntaxError(f"zero denominator in {chunk!r}", pos, text) from exc
+
+
+def _ref_parse_exp(body: str, G: LexWord, pos: int, text: str):
+    parts = [chunk.strip() for chunk in body.split(",")]
+    if len(parts) != G.n_slots():
+        raise DslSyntaxError(
+            f"exponent needs {G.n_slots()} coordinates, got {len(parts)}", pos, text
+        )
+    out = []
+    for chunk in parts:
+        try:
+            out.append(Fraction(chunk))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DslSyntaxError(f"bad exponent coordinate {chunk!r}", pos, text) from exc
+    return tuple(out)
+
+
+def reference_parse_bindings(text: str, G: LexWord) -> dict:
+    env = {}
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "=" not in chunk:
+            raise DslSyntaxError("binding must look like name=series", 0, chunk)
+        name, _, rhs = chunk.partition("=")
+        name = name.strip()
+        if not name.isidentifier():
+            raise DslSyntaxError(f"bad variable name {name!r}", 0, chunk)
+        env[name] = reference_parse_series(rhs.strip(), G)
+    return env

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from arclab import groups
 from arclab.cli import EXAMPLES, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -37,7 +41,7 @@ def test_bad_group_dsl_is_usage_error(capsys):
 
 
 def test_bad_series_is_usage_error(capsys):
-    for binding in ("x=t^(nope)", "x=1/0", "x=3/0*t^(1,0)"):
+    for binding in ("x=t^(nope)", "x=1/0", "x=3/0*t^(1,0)", "1=2", "x"):
         code, _ = run(
             "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
             "--at", binding,
@@ -247,6 +251,45 @@ def test_formula_eval_multiple_bindings():
         "--at", "x=t^(1,0); y=t^(-1,0)", "--mode", "decide",
     )
     assert code == 0 and text.strip() == "true"
+
+
+@pytest.mark.parametrize("at", ["x=1;;y=2;", "x = 1 ; y = t^(1,0)"])
+def test_bindings_with_empty_items_and_spaces(at):
+    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
+    assert code == 0 and text.strip() == "true"
+
+
+LONG = "1" * 5000  # past Python's 4,300-digit int conversion limit
+
+
+@pytest.mark.parametrize(
+    "group, expr, at",
+    [
+        ("lex(Z, Q)", f"x = {LONG}", "x=1"),
+        ("lex(Z, Q)", "x = 1", f"x={LONG}"),
+        (f"lex(Zloc({LONG}))", "x = 1", "x=1"),
+    ],
+    ids=["expr", "at", "group"],
+)
+def test_overlong_integer_literal_is_usage_error(group, expr, at, capsys):
+    code, _ = run("formula", "eval", "--group", group, "--expr", expr, "--at", at)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DslSyntaxError" in err and "Traceback" not in err
+
+
+def test_phi_pn_too_deep_is_refused_before_it_is_built():
+    # at 2^16 probes the build alone ran for minutes
+    argv = ["formula", "eval", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,16](x)", "--at", "x=1"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "arclab.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 2
+    assert "DslSyntaxError" in done.stderr and "Traceback" not in done.stderr
 
 
 # -- verify subcommands --------------------------------------------------------------

@@ -180,6 +180,16 @@ def test_phi_pn_builds_in_linear_time():
     assert time.perf_counter() - start < 3
 
 
+def test_phi_pn_macro_is_refused_from_p_to_the_n_alone():
+    # the coset clause ors p^n probes, so a built phi_pn is deeper than p^n
+    assert formulas._frames(parse_formula("phi_pn[2,9](x)", group=K1)) > 2**9
+    for text in ("phi_pn[2,10](x)", "phi_pn[3,6](x)", "phi_pn[3,1000000000](x, params=1)"):
+        with pytest.raises(DslSyntaxError, match="coset probes"):
+            parse_formula(text, group=K1)
+    with pytest.raises(ShapeError):
+        parse_formula("phi_pn[4,1000000000](x, params=1)")
+
+
 def test_builders_reject_bad_primes():
     for bad in (0, 1, 4, 6, -3):
         with pytest.raises(ShapeError):

@@ -1,14 +1,19 @@
 """Input boundaries under generated input: the parsers and both evaluators
-fail only with ArclabError, never with a raw Python exception; the parsers
-read text with surrounding whitespace as the stripped text; a decision
-plan answers as the decision walk it replaced; and printing then parsing
-gives back the series or formula that was printed."""
+fail only with ArclabError, never with a raw Python exception, also on
+integer literals too long for int(); the parsers read text with
+surrounding whitespace as the stripped text; the series and binding
+readers answer as the regex readers they replaced, except where the
+difference is pinned; a decision plan answers as the decision walk it
+replaced; and printing then parsing gives back the series or formula that
+was printed."""
+
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab.errors import ArclabError
+from arclab.errors import ArclabError, DslSyntaxError, NonEffectiveError
 from arclab.formulas import (
     build_phi_p,
     build_phi_pn,
@@ -20,9 +25,10 @@ from arclab.formulas import (
     print_formula,
 )
 from arclab.groups import parse_group
-from arclab.hahn import parse_series, print_series, sample_series, zero_series
+from arclab.hahn import parse_bindings, parse_series, print_series, sample_series, zero_series
 
-from reference_eval import reference_decide
+from reference_eval import reference_decide, reference_parse_bindings, reference_parse_series
+from test_groups import _group_word, _mutated
 
 K1 = parse_group("lex(Z, Q)")
 GROUPS = [K1, parse_group("lex(real(1, pi))"), parse_group("lex(Zloc(2), Q)")]
@@ -54,6 +60,12 @@ def test_parse_series_raises_only_arclab_errors(text, G):
 
 
 @settings(max_examples=300, deadline=None)
+@given(TEXT, st.sampled_from(GROUPS))
+def test_parse_bindings_raises_only_arclab_errors(text, G):
+    _parses_or_rejects(lambda s: parse_bindings(s, G), text)
+
+
+@settings(max_examples=300, deadline=None)
 @given(TEXT)
 def test_parse_formula_raises_only_arclab_errors(text):
     _parses_or_rejects(lambda s: parse_formula(s, group=K1), text)
@@ -64,6 +76,7 @@ def test_parsers_accept_surrounding_whitespace(pad):
     for parse, text in (
         (parse_group, "lex(Z, Q)"),
         (lambda s: parse_series(s, K1), "1 + 2*t^(1,1/2) + O(t^(2,0))"),
+        (lambda s: parse_bindings(s, K1), "x = 1 + t^(1,0); y = 2"),
         (lambda s: parse_formula(s, group=K1), "phi_pn[2,1](x) and x = 1"),
     ):
         want = parse(text)
@@ -169,3 +182,154 @@ def test_print_parse_round_trip_on_formulas(text, G):
 def test_print_parse_round_trip_on_built_formulas(G, p, n):
     for f in (build_phi_p(p), build_phi_pn(p, n, choose_params(G, p, n))):
         assert parse_formula(print_formula(f), G) == f
+
+
+# -- series literals and bindings against the regex readers they replaced -----------
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n"])
+_NUMBER = st.builds(
+    "{}{}".format,
+    st.sampled_from(["0", "1", "2", "3", "5", "12", "007"]),
+    st.sampled_from(["", "/2", "/3", "/5"]),
+)
+
+
+@st.composite
+def series_texts(draw) -> str:
+    """A series in print_series's own forms, with whitespace between terms;
+    the exponents may have a slot count other than the groups' two."""
+    slots = draw(st.sampled_from([1, 2, 2, 2, 3]))
+
+    def exp() -> str:
+        coords = [draw(st.sampled_from(["", "-"])) + draw(_NUMBER) for _ in range(slots)]
+        return "t^(" + ",".join(coords) + ")"
+
+    forms = [lambda: draw(_NUMBER), exp, lambda: f"{draw(_NUMBER)}*{exp()}"]
+    bodies = [draw(st.sampled_from(forms))() for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        bodies.append(f"O({exp()})")
+    if not bodies:
+        return draw(_WS) + "0" + draw(_WS)
+    text = draw(_WS) + draw(st.sampled_from(["", "-"])) + bodies[0]
+    for body in bodies[1:]:
+        sign = "+" if body.startswith("O") else draw(st.sampled_from(["+", "-"]))
+        text += draw(_WS) + sign + draw(_WS) + body
+    return text + draw(_WS)
+
+
+@st.composite
+def binding_texts(draw) -> str:
+    def item() -> str:
+        if draw(st.integers(0, 4)) == 0:
+            return ""
+        name = draw(st.sampled_from(["x", "y", "_a", "t"]))
+        return name + draw(_WS) + "=" + draw(_WS) + draw(series_texts())
+
+    items = [draw(_WS) + item() + draw(_WS) for _ in range(draw(st.integers(0, 3)))]
+    return ";".join(items)
+
+
+# the mutations leave out whitespace and the characters of the number forms
+# Fraction() read and the token stream refuses (., e, _ and +): those
+# differences are pinned below
+_SERIES_CHARS = "0123456789/-*^(),tO"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated(series_texts(), _SERIES_CHARS), st.sampled_from(GROUPS))
+def test_parse_series_matches_the_reference_reader(text, G):
+    # the same series, or the same error class; the wording may differ
+    want = _outcome(lambda: reference_parse_series(text, G))
+    assert _outcome(lambda: parse_series(text, G)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(binding_texts(), _SERIES_CHARS + ";=x"), st.sampled_from(GROUPS))
+def test_parse_bindings_matches_the_reference_reader(text, G):
+    want = _outcome(lambda: reference_parse_bindings(text, G))
+    assert _outcome(lambda: parse_bindings(text, G)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_texts(), st.sampled_from(GROUPS), st.data())
+def test_parse_series_takes_whitespace_between_any_two_tokens(text, G, data):
+    # new with the token stream: the regex reader refused t ^ (, O ( and 3/ 1
+    inside = [i for i in range(1, len(text)) if text[i - 1].isalnum() and text[i].isalnum()]
+    cuts = [i for i in range(len(text) + 1) if i not in inside]
+    at = data.draw(st.sampled_from(cuts))
+    spaced = text[:at] + data.draw(st.sampled_from([" ", "\t", "\n"])) + text[at:]
+    assert _outcome(lambda: parse_series(spaced, G)) == _outcome(lambda: parse_series(text, G))
+
+
+@pytest.mark.parametrize(
+    "text", ["t^(0,1.5)", "t^(0,.7)", "t^(0,1.)", "t^(7e2,0)", "t^(1_0,0)", "t^(+1,0)"]
+)
+def test_number_forms_fraction_took_are_refused(text):
+    assert reference_parse_series(text, K1).terms
+    with pytest.raises(DslSyntaxError):
+        parse_series(text, K1)
+
+
+@pytest.mark.parametrize("text", ["é = 1", "π = t^(1,0)"])
+def test_non_ascii_binding_names_are_refused(text):
+    assert reference_parse_bindings(text, K1)
+    with pytest.raises(DslSyntaxError):
+        parse_bindings(text, K1)
+
+
+@pytest.mark.parametrize(
+    "text, compact",
+    [
+        ("t ^ (1,0)", "t^(1,0)"),
+        ("1 + O (t^(2,0))", "1 + O(t^(2,0))"),
+        ("3/ 1", "3"),
+        ("3 /2*t^(1,0)", "3/2*t^(1,0)"),
+        ("t^(- 1,0)", "t^(-1,0)"),
+        ("t^(0,1 / 2)", "t^(0,1/2)"),
+    ],
+)
+def test_whitespace_inside_a_term_is_now_read(text, compact):
+    with pytest.raises(DslSyntaxError):
+        reference_parse_series(text, K1)
+    assert parse_series(text, K1) == reference_parse_series(compact, K1)
+
+
+def test_zero_over_a_schematic_group_is_refused():
+    # the regex reader special-cased "0" before validating the group
+    G = parse_group("lex(omega_tower(start=0))")
+    assert reference_parse_series("0", G).is_zero()
+    with pytest.raises(NonEffectiveError):
+        parse_series("0", G)
+
+
+# -- integer literals past int()'s limit, in the grammar texts of every reader --------
+
+
+@st.composite
+def _with_a_long_literal(draw, texts) -> str:
+    """A grammar text with one of its digit runs replaced by 4,301 to 5,000
+    digits, more than Python's int() converts from a string."""
+    text = draw(texts)
+    runs = [m.span() for m in re.finditer(r"\d+", text)]
+    assume(runs)
+    start, end = draw(st.sampled_from(runs))
+    digits = draw(st.sampled_from("123456789")) * draw(st.integers(4301, 5000))
+    return text[:start] + digits + text[end:]
+
+
+_READERS = {
+    "group": (_group_word(), parse_group),
+    "series": (series_texts(), lambda s: parse_series(s, K1)),
+    "formula": (formulas(), lambda s: parse_formula(s, group=K1)),
+    "bindings": (binding_texts(), lambda s: parse_bindings(s, K1)),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_long_integer_literals_are_refused(reader, data):
+    texts, parse = _READERS[reader]
+    text = data.draw(_with_a_long_literal(texts))
+    with pytest.raises(ArclabError):
+        parse(text)

@@ -102,18 +102,19 @@ _ALPHABET = sorted(set("lexZQlocrealpiomega_towerstartpoly_module()=,/-012345678
 
 
 @st.composite
-def _mutated_word(draw) -> str:
-    word = draw(_group_word())
-    at = draw(st.integers(0, len(word)))
-    char = draw(st.sampled_from(_ALPHABET))
+def _mutated(draw, texts, alphabet) -> str:
+    """A text with one insertion, deletion or replacement from alphabet, or none."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(alphabet))
     edit = draw(st.sampled_from(["insert", "delete", "replace", "none"]))
     if edit == "insert":
-        return word[:at] + char + word[at:]
+        return text[:at] + char + text[at:]
     if edit == "delete":
-        return word[:at] + word[at + 1 :]
+        return text[:at] + text[at + 1 :]
     if edit == "replace":
-        return word[:at] + char + word[at + 1 :]
-    return word
+        return text[:at] + char + text[at + 1 :]
+    return text
 
 
 def _parsed(parse, text):
@@ -124,7 +125,7 @@ def _parsed(parse, text):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_mutated_word())
+@given(_mutated(_group_word(), _ALPHABET))
 def test_parse_group_matches_the_reference_parser(text):
     # the same group, or DslSyntaxError from both; the wording may differ
     assert _parsed(parse_group, text) == _parsed(ref.reference_parse_group, text)
