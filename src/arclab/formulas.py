@@ -64,6 +64,7 @@ from .groups import (
     LexWord,
     LocZ,
     Zed,
+    _clip,
     _require_effective,
     _Tokens,
     elem_cmp,
@@ -470,7 +471,8 @@ class _Parser(_Tokens):
         for _ in range(n):
             size *= p
             if size > _MAX_FRAMES:
-                self.fail(f"{name}[{p},{n}] needs {p}^{n} coset probes, too deep", pos)
+                n_text = _clip(str(n))
+                self.fail(f"{name}[{p},{n_text}] needs {p}^{n_text} coset probes, too deep", pos)
         if params is None:
             if self.group is None:
                 self.fail(f"{name}[{p},{n}] needs explicit params when no group is given", pos)
@@ -712,7 +714,9 @@ class SeriesFraction:
         return self.defined and self.num.is_zero()
 
     def valuation(self, G: LexWord):
-        return elem_sub(G, v_of(self.num), v_of(self.den))
+        v, d = v_of(self.num), v_of(self.den)
+        # a denominator at exponent 0, as every one the sampler wraps, leaves v
+        return v if d == G.layout.zero else elem_sub(G, v, d)
 
     def lead_sign(self) -> int:
         s = leading_coeff(self.num) * leading_coeff(self.den)
@@ -1501,8 +1505,9 @@ def _sampled_stability(
     over the same grid; only the traversal overhead is gone.
     """
     X = None
+    one = const_series(G, 1)
     for cand in _candidates(G, f.body, env, budget, seed, cmag):
-        hyp = _psi_sampled(G, SeriesFraction.of(cand), p)
+        hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
         if hyp is False:
             continue
         if X is None:

@@ -41,6 +41,7 @@ Inputs are validated where they enter, and the arithmetic trusts them:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -442,7 +443,7 @@ def zero_element(G: LexWord) -> GroupElement:
 
 
 def elem_add(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def elem_neg(G: LexWord, a: GroupElement) -> GroupElement:
@@ -450,7 +451,7 @@ def elem_neg(G: LexWord, a: GroupElement) -> GroupElement:
 
 
 def elem_sub(G: LexWord, a: GroupElement, b: GroupElement) -> GroupElement:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def scalar_mul(G: LexWord, k: int, a: GroupElement) -> GroupElement:
@@ -506,9 +507,15 @@ def format_rational(x: int | Fraction) -> str:
 # the group DSL, and the token stream the series and formula DSLs share
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
     r"|(?P<sym>->|!=|[()\[\],.;=+\-*/^])|\Z)"
 )
+
+
+def _clip(token: str) -> str:
+    """A token as error messages quote it: at most 40 characters, then an
+    ellipsis, so an overlong input is not echoed in full."""
+    return token if len(token) <= 40 else token[:40] + "…"
 
 
 class _Tokens:
@@ -553,14 +560,14 @@ class _Tokens:
 
     def expect(self, value: str) -> None:
         if not self.accept(value):
-            self.fail(f"expected {value!r}, got {self.peek()[1] or 'end of input'!r}")
+            self.fail(f"expected {value!r}, got {_clip(self.peek()[1]) or 'end of input'!r}")
 
     def fail(self, msg: str, pos: int | None = None):
         raise DslSyntaxError(msg, self.peek()[2] if pos is None else pos, self.text)
 
     def expect_end(self) -> None:
         if self.i < len(self.toks):
-            self.fail(f"trailing input {self.peek()[1]!r}")
+            self.fail(f"trailing input {_clip(self.peek()[1])!r}")
 
     def items(self, item) -> list:
         """One or more items separated by commas."""
@@ -574,7 +581,7 @@ class _Tokens:
         int() is a DslSyntaxError."""
         kind, val, pos = self.next()
         if kind != "int":
-            self.fail(f"expected a number, got {val!r}", pos)
+            self.fail(f"expected a number, got {_clip(val)!r}", pos)
         try:
             return int(val)
         except ValueError:
@@ -645,7 +652,7 @@ class _GroupParser(_Tokens):
                 return PolyModule(q, gen)
         except ValueError as exc:
             raise DslSyntaxError(str(exc), pos, self.text) from exc
-        self.fail(f"unknown component kind {val!r}", pos)
+        self.fail(f"unknown component kind {_clip(val)!r}", pos)
 
     def parse_gen(self) -> RealGen:
         if self.accept("pi"):

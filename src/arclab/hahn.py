@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 from .errors import (
     RootError,
@@ -33,6 +33,7 @@ from .groups import (
     LocZ,
     Rat,
     Zed,
+    _clip,
     _require_effective,
     _Tokens,
     elem_add,
@@ -73,20 +74,32 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
     and the sort runs only when two or more terms remain.  Merging comes
     before sorting because series_mul hands over many repeated exponents,
     which would otherwise each pay elem_cmp calls in the sort.
+
+    Hashing an exponent costs one Python-level Fraction.__hash__ per Q or
+    Zloc slot, so a new exponent is hashed once: setdefault stores it, and
+    only a dict that did not grow means the exponent was already there.
     """
     merged: dict[GroupElement, Fraction] = {}
-    get = merged.get
+    setdefault = merged.setdefault
     for e, c in pairs:
-        prev = get(e)
-        merged[e] = c if prev is None else prev + c
+        n = len(merged)
+        prev = setdefault(e, c)
+        if len(merged) == n:
+            merged[e] = prev + c
     kept = [
         (e, c)
         for e, c in merged.items()
         if c and (trunc is None or elem_cmp(G, e, trunc) < 0)
     ]
-    if len(kept) > 1:
-        kept.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
-    return HahnSeries(G, tuple(kept), trunc)
+    return HahnSeries(G, _sorted_terms(G, kept), trunc)
+
+
+def _sorted_terms(G: LexWord, terms: list) -> tuple:
+    """Terms with distinct exponents in ascending order; the sort runs only
+    when two or more terms are given."""
+    if len(terms) > 1:
+        terms.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
+    return tuple(terms)
 
 
 def series_of(G: LexWord, flat_terms, trunc_flat=None) -> HahnSeries:
@@ -367,6 +380,12 @@ def default_cutoff(G: LexWord, magnitude: int = 9) -> GroupElement:
 
 _SAMPLE_RNG = random.Random()
 
+# The drawn rationals, one object per (n, d): equal slots and coefficients
+# are then the same object, so tuple comparisons and the witness grid's set
+# lookups take the identity shortcut. The draws take few distinct values,
+# and the bound caps what the process keeps.
+_fraction = lru_cache(maxsize=512)(Fraction)
+
 
 def sample_series(
     G: LexWord,
@@ -382,29 +401,35 @@ def sample_series(
     the stream equals that of a fresh random.Random with the same seed,
     without building one per call).  Not safe to call from two threads
     at once.
+
+    The series is built without _make: the exponents are distinct, every
+    coefficient is nonzero and nothing is truncated, so only the sort is
+    left to do.  The slots are drawn valid for their kinds, so no
+    unflatten is needed either.
     """
     kinds = _require_effective(G).kinds
     rng = _SAMPLE_RNG
     rng.seed(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
+    randint, choice = rng.randint, rng.choice
     exps: list[tuple] = []
     for _ in range(support):
         flat = []
         for comp in kinds:
             if isinstance(comp, (Zed, FreeReal)):
-                flat.append(rng.randint(-exp_mag, exp_mag))
+                flat.append(randint(-exp_mag, exp_mag))
             elif isinstance(comp, Rat):
-                flat.append(Fraction(rng.randint(-exp_mag, exp_mag), rng.choice((1, 2, 3, 4))))
+                flat.append(_fraction(randint(-exp_mag, exp_mag), choice((1, 2, 3, 4))))
             elif isinstance(comp, LocZ):
                 dens = [d for d in (1, 2, 3, 4, 5) if d % comp.q != 0]
-                flat.append(Fraction(rng.randint(-exp_mag, exp_mag), rng.choice(dens)))
-        if tuple(flat) not in exps:
-            exps.append(tuple(flat))
-    pairs = []
-    for flat in exps:
-        num = rng.randint(1, coeff_mag) * rng.choice((1, -1))
-        pairs.append((flat, Fraction(num, rng.choice((1, 2, 3)))))
-    # the slots are drawn valid for their kinds, so no unflatten is needed
-    return _make(G, pairs, None)
+                flat.append(_fraction(randint(-exp_mag, exp_mag), choice(dens)))
+        e = tuple(flat)
+        if e not in exps:
+            exps.append(e)
+    terms = [
+        (e, _fraction(randint(1, coeff_mag) * choice((1, -1)), choice((1, 2, 3))))
+        for e in exps
+    ]
+    return HahnSeries(G, _sorted_terms(G, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +533,7 @@ def parse_bindings(text: str, G: LexWord) -> dict[str, HahnSeries]:
             continue
         kind, name, pos = reader.next()
         if kind != "name":
-            reader.fail(f"expected a variable name, got {name!r}", pos)
+            reader.fail(f"expected a variable name, got {_clip(name)!r}", pos)
         reader.expect("=")
         env[name] = reader.series()
     return env

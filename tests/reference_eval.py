@@ -1,21 +1,26 @@
 """Reference copies of the decision walk, the per-cell differential loop,
 the hand-written shape matchers, the Fraction-based real sign, the group
-parser with its own tokenizer and the regex series and binding readers
-that `formulas.decision_plan`, `valuations.differential_sweep`, the
-builder-derived matchers, the integer `groups.sign_of_real` and the shared
-token stream replaced.
+parser with its own tokenizer, the regex series and binding readers and
+the series sampler that merged its draws through `_make` that
+`formulas.decision_plan`, `valuations.differential_sweep`, the
+builder-derived matchers, the integer `groups.sign_of_real`, the shared
+token stream and the direct-built `hahn.sample_series` replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
 each shape a second time, by hand; the sign builds a Fraction for the
 rational part and for each bound; the parser tokenizes group words alone;
 the series reader matches one regex per term and converts coordinates with
-Fraction(), and the binding reader splits on ';' and '=' by hand.
+Fraction(), and the binding reader splits on ';' and '=' by hand; the
+sampler builds a fresh Fraction per draw, on its own generator, and
+merges and sorts through `_make`.
 All are kept only so the tests can check that the plans, the grouped
-sweep, the unifier, the integer sign and the shared-token readers give the
-same answers, errors, mismatch lists, matches, groups and series.
+sweep, the unifier, the integer sign, the shared-token readers and the
+sampler give the same answers, errors, mismatch lists, matches, groups
+and series.
 """
 
+import random
 import re
 from fractions import Fraction
 
@@ -76,7 +81,7 @@ from arclab.groups import (
     _require_effective,
     elem_p_divisible,
 )
-from arclab.hahn import HahnSeries, print_series, sample_series, series_of, zero_series
+from arclab.hahn import HahnSeries, _make, print_series, sample_series, series_of, zero_series
 from arclab.primes import is_prime
 
 
@@ -636,3 +641,29 @@ def reference_parse_bindings(text: str, G: LexWord) -> dict:
             raise DslSyntaxError(f"bad variable name {name!r}", 0, chunk)
         env[name] = reference_parse_series(rhs.strip(), G)
     return env
+
+
+# -- the series sampler that merged its draws through _make ---------------------------
+
+
+def reference_sample_series(G, seed, support=3, exp_mag=3, coeff_mag=9) -> HahnSeries:
+    kinds = _require_effective(G).kinds
+    rng = random.Random(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
+    exps: list[tuple] = []
+    for _ in range(support):
+        flat = []
+        for comp in kinds:
+            if isinstance(comp, (Zed, FreeReal)):
+                flat.append(rng.randint(-exp_mag, exp_mag))
+            elif isinstance(comp, Rat):
+                flat.append(Fraction(rng.randint(-exp_mag, exp_mag), rng.choice((1, 2, 3, 4))))
+            elif isinstance(comp, LocZ):
+                dens = [d for d in (1, 2, 3, 4, 5) if d % comp.q != 0]
+                flat.append(Fraction(rng.randint(-exp_mag, exp_mag), rng.choice(dens)))
+        if tuple(flat) not in exps:
+            exps.append(tuple(flat))
+    pairs = []
+    for flat in exps:
+        num = rng.randint(1, coeff_mag) * rng.choice((1, -1))
+        pairs.append((flat, Fraction(num, rng.choice((1, 2, 3)))))
+    return _make(G, pairs, None)

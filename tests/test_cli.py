@@ -278,6 +278,23 @@ def test_overlong_integer_literal_is_usage_error(group, expr, at, capsys):
     assert "DslSyntaxError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "group, expr, at",
+    [
+        ("lex(Zloc(٣))", "x = 1", "x=1"),
+        ("lex(Z, Q)", "x = ٣", "x=1"),
+        ("lex(Z, Q)", "x = 1", "x=t^(٣,0)"),
+    ],
+    ids=["group", "expr", "at"],
+)
+def test_non_ascii_digits_are_usage_errors(group, expr, at, capsys):
+    # numerals are ASCII: an Arabic-Indic three is not read as 3
+    code, _ = run("formula", "eval", "--group", group, "--expr", expr, "--at", at)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DslSyntaxError" in err and "Traceback" not in err
+
+
 def test_phi_pn_too_deep_is_refused_before_it_is_built():
     # at 2^16 probes the build alone ran for minutes
     argv = ["formula", "eval", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,16](x)", "--at", "x=1"]

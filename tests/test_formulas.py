@@ -24,6 +24,7 @@ from arclab.formulas import (
     Mul,
     Not,
     Or,
+    SeriesFraction,
     Var,
     build_phi_p,
     build_phi_pn,
@@ -42,8 +43,9 @@ from arclab.formulas import (
     print_term,
     term_of_series,
 )
-from arclab.groups import elem_cmp, elem_p_divisible, parse_group, zero_element
+from arclab.groups import elem_cmp, elem_p_divisible, elem_sub, parse_group, zero_element
 from arclab.hahn import (
+    const_series,
     parse_series,
     print_series,
     sample_series,
@@ -431,6 +433,26 @@ def test_ring_formula_matches_divisibility_cut(seed):
     assert eval_decidable(build_phi_p(p), {"x": x}, K1) is _ring_member_cut(
         K1, v_of(x), cut
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(EFFECTIVE_POOL), st.integers(0, 10_000), st.data())
+def test_valuation_is_the_difference_of_the_leading_exponents(dsl, seed, data):
+    # a denominator at exponent 0 takes the shortcut, any other the
+    # subtraction; both give the difference, with its slot types
+    G = parse_group(dsl)
+    num = sample_series(G, seed)
+    den = data.draw(st.sampled_from([
+        const_series(G, 1),
+        parse_series("1", G),  # an equal exponent tuple, not the layout's own
+        const_series(G, -3),
+        sample_series(G, seed + 1, support=1),  # a monomial, at 0 or not
+        sample_series(G, seed + 1),
+    ]))
+    got = SeriesFraction(num, den).valuation(G)
+    want = elem_sub(G, v_of(num), v_of(den))
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_desugaring_soundness():

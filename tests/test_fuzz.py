@@ -333,3 +333,49 @@ def test_long_integer_literals_are_refused(reader, data):
     text = data.draw(_with_a_long_literal(texts))
     with pytest.raises(ArclabError):
         parse(text)
+
+
+# -- numerals are ASCII, and error messages quote a bounded part of a token ----------
+
+
+@st.composite
+def _with_a_non_ascii_digit(draw, texts) -> str:
+    """A grammar text with one of its digits replaced by a decimal digit of
+    another script, which the grammar's ASCII numerals leave out."""
+    text = draw(texts)
+    digits = [i for i, ch in enumerate(text) if ch in "0123456789"]
+    assume(digits)
+    i = draw(st.sampled_from(digits))
+    return text[:i] + draw(st.sampled_from("٣۳३৩๓３")) + text[i + 1 :]
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_non_ascii_digits_are_refused(reader, data):
+    texts, parse = _READERS[reader]
+    text = data.draw(_with_a_non_ascii_digit(texts))
+    with pytest.raises(DslSyntaxError):
+        parse(text)
+
+
+LONG_NAME = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "parse, text, pos",
+    [
+        (parse_group, f"lex({LONG_NAME})", 4),
+        (parse_group, f"lex(Zloc({LONG_NAME}))", 9),
+        (lambda s: parse_series(s, K1), LONG_NAME, 0),
+        (lambda s: parse_bindings(s, K1), "x = 1; " + "9" * 4000, 7),
+        (parse_formula, f"x = 1 {LONG_NAME}", 6),
+        (parse_formula, "phi_pn[2," + "9" * 4000 + "](x)", 0),
+    ],
+    ids=["component", "number", "expect", "binding-name", "trailing", "macro-level"],
+)
+def test_error_messages_quote_a_bounded_part_of_the_token(parse, text, pos):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    assert len(str(info.value)) < 200
+    assert info.value.pos == pos

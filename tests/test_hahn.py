@@ -34,6 +34,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
+from reference_eval import reference_sample_series
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -243,6 +244,52 @@ def test_make_matches_reference(inputs):
     assert [type(x) for e, _ in got.terms for x in e] == [
         type(x) for e, _ in want.terms for x in e
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_make_inputs())
+def test_make_merges_the_same_pair_objects_twice(inputs):
+    # series_add(a, a) hands _make each (exponent, coefficient) object twice
+    G, pairs, trunc = inputs
+    got, want = _make(G, pairs + pairs, trunc), _make_reference(G, pairs + pairs, trunc)
+    assert got == want and _describe(got) == _describe(want)
+
+
+class _CountingExp(tuple):
+    """An exponent that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return tuple.__hash__(self)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(POOL), st.integers(0, 10_000))
+def test_make_hashes_each_new_exponent_once(dsl, seed):
+    G = parse_group(dsl)
+    s = sample_series(G, seed, support=4)
+    pairs = [(_CountingExp(e), c) for e, c in s.terms]
+    made = _make(G, pairs, None)
+    assert [e.hashes for e, _ in pairs] == [1] * len(pairs)
+    assert made == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(POOL),
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 9),
+)
+def test_sample_series_matches_the_reference(dsl, seed, support, exp_mag, coeff_mag):
+    # the series built directly, with shared Fractions, is the one _make built
+    G = parse_group(dsl)
+    got = sample_series(G, seed, support, exp_mag, coeff_mag)
+    want = reference_sample_series(G, seed, support, exp_mag, coeff_mag)
+    assert got == want and _describe(got) == _describe(want)
 
 
 def _mul_reference(a, b):
