@@ -316,6 +316,8 @@ class SlotLayout:
     kinds[i] is the component owning slot i, offsets[k] the first slot of
     component k (offsets[-1] is the slot count), and real_runs[i] the
     (start, stop, gens) slot run of slot i's FreeReal component, or None.
+    sample_dens[i] holds the denominators hahn.sample_series draws slot i
+    with, or None for an int slot (Zed, FreeReal).
     """
 
     effective: bool
@@ -323,6 +325,7 @@ class SlotLayout:
     offsets: tuple[int, ...]
     real_runs: tuple[tuple[int, int, tuple[RealGen, ...]] | None, ...]
     zero: tuple
+    sample_dens: tuple[tuple[int, ...] | None, ...]
 
     @staticmethod
     def of(components: tuple[Component, ...]) -> "SlotLayout":
@@ -333,9 +336,15 @@ class SlotLayout:
             offsets.append(len(kinds))
             run = (start, len(kinds), comp.gens) if isinstance(comp, FreeReal) else None
             runs.extend([run] * comp.n_slots())
-        zero = tuple(0 if isinstance(k, (Zed, FreeReal)) else Fraction(0) for k in kinds)
+        dens = tuple(
+            None if isinstance(k, (Zed, FreeReal))
+            else (1, 2, 3, 4) if isinstance(k, Rat)
+            else tuple(d for d in (1, 2, 3, 4, 5) if d % k.q)
+            for k in kinds
+        )
+        zero = tuple(0 if d is None else Fraction(0) for d in dens)
         effective = all(c.is_effective() for c in components)
-        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero)
+        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens)
 
 
 @dataclass(frozen=True)
@@ -506,8 +515,11 @@ def format_rational(x: int | Fraction) -> str:
 # ---------------------------------------------------------------------------
 # the group DSL, and the token stream the series and formula DSLs share
 
+# Whitespace is spaces, tabs and line breaks only; \s would also skip
+# every other Unicode space.
+_SPACE = " \t\r\n"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    f"[{_SPACE}]*" r"(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
     r"|(?P<sym>->|!=|[()\[\],.;=+\-*/^])|\Z)"
 )
 
@@ -534,7 +546,7 @@ class _Tokens:
             self.toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         if m is None:
-            at = len(text) - len(text[pos:].lstrip())
+            at = len(text) - len(text[pos:].lstrip(_SPACE))
             raise DslSyntaxError(f"unexpected character {text[at]!r}", at, text)
 
     def peek(self, k: int = 0) -> tuple[str, str, int]:

@@ -27,12 +27,8 @@ from .errors import (
     ZeroInputError,
 )
 from .groups import (
-    FreeReal,
     GroupElement,
     LexWord,
-    LocZ,
-    Rat,
-    Zed,
     _clip,
     _require_effective,
     _Tokens,
@@ -95,9 +91,13 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
 
 
 def _sorted_terms(G: LexWord, terms: list) -> tuple:
-    """Terms with distinct exponents in ascending order; the sort runs only
-    when two or more terms are given."""
-    if len(terms) > 1:
+    """Terms with distinct exponents in ascending order.  Two terms take
+    the one elem_cmp call the sort would make, without its key wrappers;
+    the sort runs only for three or more."""
+    if len(terms) == 2:
+        a, b = terms
+        return (a, b) if elem_cmp(G, a[0], b[0]) < 0 else (b, a)
+    if len(terms) > 2:
         terms.sort(key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0])))
     return tuple(terms)
 
@@ -402,33 +402,62 @@ def sample_series(
     without building one per call).  Not safe to call from two threads
     at once.
 
+    The stream is CPython's randint/choice stream, drawn straight from
+    getrandbits: each draw below n writes out Random._randbelow's own
+    rejection step (k = n.bit_length(); redraw k bits while r >= n), since
+    through randint or choice each draw costs three Python frames for one
+    getrandbits call.  In order, a term's exponent draws per slot a value
+    below 2*exp_mag+1 and, for a Q or Zloc slot, an index into the slot's
+    G.layout.sample_dens; then each distinct exponent's coefficient draws
+    a magnitude below coeff_mag, a sign below 2 and a denominator below 3.
+
     The series is built without _make: the exponents are distinct, every
     coefficient is nonzero and nothing is truncated, so only the sort is
     left to do.  The slots are drawn valid for their kinds, so no
     unflatten is needed either.
     """
-    kinds = _require_effective(G).kinds
+    slot_dens = _require_effective(G).sample_dens
+    if exp_mag < 0 or coeff_mag < 1:
+        # randint would raise on the empty range; the loops below would spin
+        raise ValueError(f"empty draw range: exp_mag={exp_mag}, coeff_mag={coeff_mag}")
     rng = _SAMPLE_RNG
     rng.seed(f"hahn:{seed}:{support}:{exp_mag}:{coeff_mag}")
-    randint, choice = rng.randint, rng.choice
+    bits = rng.getrandbits
+    n_exp = 2 * exp_mag + 1
+    k_exp = n_exp.bit_length()
+    k_mag = coeff_mag.bit_length()
     exps: list[tuple] = []
     for _ in range(support):
         flat = []
-        for comp in kinds:
-            if isinstance(comp, (Zed, FreeReal)):
-                flat.append(randint(-exp_mag, exp_mag))
-            elif isinstance(comp, Rat):
-                flat.append(_fraction(randint(-exp_mag, exp_mag), choice((1, 2, 3, 4))))
-            elif isinstance(comp, LocZ):
-                dens = [d for d in (1, 2, 3, 4, 5) if d % comp.q != 0]
-                flat.append(_fraction(randint(-exp_mag, exp_mag), choice(dens)))
+        for dens in slot_dens:
+            r = bits(k_exp)
+            while r >= n_exp:
+                r = bits(k_exp)
+            if dens is None:
+                flat.append(r - exp_mag)
+            else:
+                n = len(dens)
+                k = n.bit_length()
+                d = bits(k)
+                while d >= n:
+                    d = bits(k)
+                flat.append(_fraction(r - exp_mag, dens[d]))
         e = tuple(flat)
         if e not in exps:
             exps.append(e)
-    terms = [
-        (e, _fraction(randint(1, coeff_mag) * choice((1, -1)), choice((1, 2, 3))))
-        for e in exps
-    ]
+    terms = []
+    for e in exps:
+        m = bits(k_mag)
+        while m >= coeff_mag:
+            m = bits(k_mag)
+        # n = 2 for the sign and n = 3 for the denominator: k = 2 for both
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        d = bits(2)
+        while d >= 3:
+            d = bits(2)
+        terms.append((e, _fraction(-m - 1 if sign else m + 1, d + 1)))
     return HahnSeries(G, _sorted_terms(G, terms))
 
 

@@ -13,6 +13,8 @@ import pytest
 from arclab import groups
 from arclab.cli import EXAMPLES, main
 
+from test_fuzz import ODD_SPACES
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -290,6 +292,23 @@ def test_overlong_integer_literal_is_usage_error(group, expr, at, capsys):
 def test_non_ascii_digits_are_usage_errors(group, expr, at, capsys):
     # numerals are ASCII: an Arabic-Indic three is not read as 3
     code, _ = run("formula", "eval", "--group", group, "--expr", expr, "--at", at)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "DslSyntaxError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["front", "between"])
+@pytest.mark.parametrize("flag", ["group", "expr", "at"])
+@pytest.mark.parametrize("space", ODD_SPACES.values(), ids=ODD_SPACES)
+def test_other_unicode_spaces_are_usage_errors(space, flag, where, capsys):
+    # spaces, tabs and line breaks separate tokens; other spaces do not
+    args = {"group": "lex(Z, Q)", "expr": "x = 1", "at": "x=t^(1,0)"}
+    text = args[flag]
+    gap = 3 if flag == "group" else 1  # after "lex" or the name "x"
+    args[flag] = space + text if where == "front" else text[:gap] + space + text[gap:]
+    code, _ = run(
+        "formula", "eval", "--group", args["group"], "--expr", args["expr"], "--at", args["at"]
+    )
     assert code == 2
     err = capsys.readouterr().err
     assert "DslSyntaxError" in err and "Traceback" not in err

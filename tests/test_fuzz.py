@@ -84,6 +84,26 @@ def test_parsers_accept_surrounding_whitespace(pad):
             assert parse(padded) == want, repr(padded)
 
 
+# README names spaces, tabs and line breaks; other Unicode spaces are not skipped
+ODD_SPACES = {"ideographic": "\u3000", "no-break": "\xa0", "vertical-tab": "\x0b"}
+
+
+@pytest.mark.parametrize("space", ODD_SPACES.values(), ids=ODD_SPACES)
+def test_parsers_refuse_other_spaces(space):
+    # each text with the space in front, and between two tokens after a plain space
+    for parse, text, gap in (
+        (parse_group, "lex(Z, Q)", 7),
+        (lambda s: parse_series(s, K1), "1 + t^(1,0)", 2),
+        (lambda s: parse_bindings(s, K1), "x = 1; y = 2", 7),
+        (lambda s: parse_formula(s, group=K1), "x = 1 and x = 1", 6),
+    ):
+        assert text[gap - 1] == " "
+        for spaced, pos in ((space + text, 0), (text[:gap] + space + text[gap:], gap)):
+            with pytest.raises(DslSyntaxError) as info:
+                parse(spaced)
+            assert info.value.pos == pos, repr(spaced)
+
+
 TERMS = ["x", "1 + x", "x*x", "-x", "x/t^(1,0)", "t^(1,0)", "2"]
 
 

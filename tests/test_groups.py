@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 import reference_eval as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arclab import groups
 from arclab.errors import DslSyntaxError, NonEffectiveError, ShapeError
 from arclab.groups import (
+    FreeReal,
+    LocZ,
+    Rat,
     RealGen,
+    Zed,
     element,
     elem_add,
     elem_cmp,
@@ -129,6 +133,50 @@ def _parsed(parse, text):
 def test_parse_group_matches_the_reference_parser(text):
     # the same group, or DslSyntaxError from both; the wording may differ
     assert _parsed(parse_group, text) == _parsed(ref.reference_parse_group, text)
+
+
+# -- the slot layout ---------------------------------------------------------------
+
+
+def _drawn_dens(comp):
+    """The denominators hahn.sample_series drew a slot of comp from, by the
+    isinstance chain it ran per slot and term; None for an int slot."""
+    if isinstance(comp, (Zed, FreeReal)):
+        return None
+    if isinstance(comp, Rat):
+        return (1, 2, 3, 4)
+    if isinstance(comp, LocZ):
+        return tuple([d for d in (1, 2, 3, 4, 5) if d % comp.q != 0])
+    raise AssertionError(f"{comp} owns no slot")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_word())
+def test_sample_dens_are_the_per_slot_draw_choices(text):
+    # schematic components own no slot, so their words build a layout too
+    G = _parsed(parse_group, text)
+    assume(G is not DslSyntaxError)
+    layout = G.layout
+    assert layout.sample_dens == tuple(_drawn_dens(k) for k in layout.kinds)
+    assert [type(z) for z in layout.zero] == [
+        int if d is None else Fraction for d in layout.sample_dens
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, dens",
+    [
+        ("lex(Z, Q)", (None, (1, 2, 3, 4))),
+        ("lex(real(1, pi), Zloc(2))", (None, None, (1, 3, 5))),
+        ("lex(Zloc(3))", ((1, 2, 4, 5),)),
+        ("lex(Zloc(5))", ((1, 2, 3, 4),)),
+        ("lex(Zloc(7), omega_tower(start=0))", ((1, 2, 3, 4, 5),)),
+        ("lex(poly_module(Zloc(2), pi), Z)", (None,)),
+        ("lex(omega_tower(start=1), poly_module(Zloc(3), pi))", ()),
+    ],
+)
+def test_sample_dens_pinned(text, dens):
+    assert parse_group(text).layout.sample_dens == dens
 
 
 # -- element arithmetic (pinned instances) ------------------------------------

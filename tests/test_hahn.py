@@ -1,5 +1,6 @@
 import hashlib
 import io
+import random
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -290,6 +291,95 @@ def test_sample_series_matches_the_reference(dsl, seed, support, exp_mag, coeff_
     got = sample_series(G, seed, support, exp_mag, coeff_mag)
     want = reference_sample_series(G, seed, support, exp_mag, coeff_mag)
     assert got == want and _describe(got) == _describe(want)
+
+
+def test_random_draws_below_n_by_getrandbits_rejection():
+    # sample_series writes this method's loop out at each of its draws
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
+        "sample_series inlines Random._randbelow_with_getrandbits's rejection loop; "
+        "this interpreter's Random draws below n another way, so the inlined loop "
+        "in sample_series no longer reproduces randint/choice"
+    )
+
+
+def _rejection_draws(seed, n, count):
+    """sample_series's inlined step, count times on a fresh seeded generator."""
+    bits = random.Random(seed).getrandbits
+    k = n.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 2**64), st.text(max_size=30)), st.integers(1, 12))
+def test_rejection_step_is_randrange_and_choice(seed, count):
+    for n in range(1, 65):
+        want = _rejection_draws(seed, n, count)
+        rng = random.Random(seed)
+        assert [rng.randrange(n) for _ in range(count)] == want, n
+        rng = random.Random(seed)
+        assert [rng.randint(-1, n - 2) + 1 for _ in range(count)] == want, n
+        rng, seq = random.Random(seed), tuple(range(n))
+        assert [rng.choice(seq) for _ in range(count)] == want, n
+
+
+def test_sample_series_refuses_an_empty_draw_range():
+    # randint raised on these; the inlined loops would never end
+    for params in ({"exp_mag": -1}, {"coeff_mag": 0}):
+        with pytest.raises(ValueError):
+            sample_series(K1, 7, **params)
+
+
+@st.composite
+def _distinct_terms(draw):
+    """A pool group and 0..5 terms with distinct exponents, in any order."""
+    G = parse_group(draw(st.sampled_from(POOL)))
+    seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=3))
+    pool = list(dict.fromkeys(e for s in seeds for e, _ in sample_series(G, s, 4, 1).terms))
+    exps = draw(st.permutations(pool))[: draw(st.integers(0, 5))]
+    return G, [(e, Fraction(i + 1)) for i, e in enumerate(exps)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_terms())
+def test_sorted_terms_matches_the_comparator_sort(inputs):
+    G, terms = inputs
+    want = tuple(sorted(terms, key=cmp_to_key(lambda a, b: elem_cmp(G, a[0], b[0]))))
+    assert hahn._sorted_terms(G, list(terms)) == want
+
+
+@pytest.mark.parametrize("dsl", POOL)
+def test_two_terms_take_one_comparison_and_no_key_wrapper(dsl, monkeypatch):
+    G = parse_group(dsl)
+    pairs = [s.terms for s in (sample_series(G, seed, support=2) for seed in range(40))]
+    pairs = [list(t) for t in pairs if len(t) == 2]
+    assert pairs
+    calls = []
+
+    def counting_cmp(G, a, b):
+        calls.append((a, b))
+        return elem_cmp(G, a, b)
+
+    def no_key_wrapper(cmp):
+        raise AssertionError("two terms built a cmp_to_key wrapper")
+
+    monkeypatch.setattr(hahn, "elem_cmp", counting_cmp)
+    monkeypatch.setattr(hahn, "cmp_to_key", no_key_wrapper)
+    for a, b in pairs:
+        for terms in ([a, b], [b, a]):
+            del calls[:]
+            assert hahn._sorted_terms(G, terms) == (a, b)
+            assert len(calls) == 1
+    # a two-term draw sorts with the one call as well
+    for seed in range(40):
+        del calls[:]
+        s = sample_series(G, seed, support=2)
+        assert len(calls) == len(s.terms) - 1
 
 
 def _mul_reference(a, b):
