@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedQuantifierPattern,
 )
 from .formulas import eval_decidable, eval_sampled, parse_formula
-from .groups import is_prime, parse_group, print_group
+from .groups import _SPACE, _Tokens, is_prime, parse_group, print_group
 from .hahn import parse_bindings, print_series
 from .valuations import (
     classification_report,
@@ -255,9 +255,24 @@ def _cmd_verify(args, out) -> int:
 # argv plumbing
 
 
+def _integer(text: str) -> int:
+    """An integer flag value, read by the DSL's integer reader: ASCII digits,
+    a sign right in front, and spaces, tabs or line breaks around."""
+    try:
+        toks = _Tokens(text)
+        _, sign, pos = toks.peek()
+        if (toks.accept("-") or toks.accept("+")) and toks.peek()[2] != pos + 1:
+            toks.fail("expected a digit right after the sign")
+        n = toks.int_tok()
+        toks.expect_end()
+    except DslSyntaxError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    return -n if sign == "-" else n
+
+
 def _primes_arg(text: str) -> tuple[int, ...]:
     try:
-        ps = tuple(int(x) for x in text.split(",") if x.strip())
+        ps = tuple(_integer(x) for x in text.split(",") if x.strip(_SPACE))
         if not ps or not all(is_prime(p) for p in ps):
             raise ValueError
     except (ValueError, ParameterError) as exc:
@@ -266,13 +281,10 @@ def _primes_arg(text: str) -> tuple[int, ...]:
 
 
 def _count_arg(least: int):
-    """An integer flag value of at least `least`, checked like --primes."""
+    """An integer flag value of at least `least`."""
 
     def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        n = _integer(text)
         if n < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
         return n
@@ -284,7 +296,7 @@ def _add_flags(sub, sampling: bool, primes: bool) -> None:
     """Register --json and, on the commands that read them, the sampling and
     display-prime flags."""
     if sampling:
-        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument("--seed", type=_integer, default=42)
         sub.add_argument("--samples", type=_count_arg(0), default=200)
     if primes:
         sub.add_argument("--primes", type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,...")
@@ -326,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf = top.add_parser("verify", help="verification suites")
     vf.add_argument("what", choices=("phi-p", "phi-pn", "thm26", "classification"))
     vf.add_argument("--group", required=True)
-    vf.add_argument("-p", type=int, default=2, help="prime under test")
-    vf.add_argument("-n", type=int, default=0, help="coarsening level")
+    vf.add_argument("-p", type=_integer, default=2, help="prime under test")
+    vf.add_argument("-n", type=_integer, default=0, help="coarsening level")
     _add_flags(vf, sampling=True, primes=True)
 
     ex = top.add_parser("examples", help="canned library reports")

@@ -270,6 +270,10 @@ class LabelEntry:
     n_min: int
     n_max: int | None
 
+    def levels(self) -> list[int] | None:
+        """The levels n as a list; None marks an unbounded family."""
+        return None if self.n_max is None else list(range(self.n_min, self.n_max + 1))
+
     def to_json(self) -> dict:
         return {
             "primes": self.primes.to_json(),
@@ -308,9 +312,7 @@ def labels_at(G: LexWord, c: ConvexCut, p: int) -> list[int] | None:
     """Concrete label list for one prime; None marks an unbounded family."""
     for entry in cut_labels(G, c):
         if p in entry.primes:
-            if entry.n_max is None:
-                return None
-            return list(range(entry.n_min, entry.n_max + 1))
+            return entry.levels()
     return []
 
 

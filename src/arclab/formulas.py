@@ -24,7 +24,9 @@ quantifiers.  On top of the raw AST the module provides
     points build the plan themselves;
   * ``eval_sampled`` -- a witness-search evaluator that never uses the
     quantifier reductions and exists to hunt counterexamples against
-    ``eval_decidable``.
+    ``eval_decidable``.  Each sampled verdict carries one assignment, the
+    counterexample of a false verdict or the witness of a true one; ``not``
+    keeps it, and ``or`` is the De Morgan dual of ``and``.
 
 The two evaluators are deliberately independent: the decision procedure
 turns the quantified clauses into valuation-ring membership, while the
@@ -1206,10 +1208,12 @@ class EvalOutcome:
 
 @dataclass(frozen=True)
 class _SV:
+    """A sampled verdict. assign is the assignment that drove it: a
+    counterexample when truth is False, a witness when truth is True."""
+
     truth: bool | None
     exact: bool
-    cex: dict | None = None
-    wit: dict | None = None
+    assign: dict | None = None
 
 
 def _merge(a: dict | None, b: dict | None) -> dict | None:
@@ -1217,38 +1221,26 @@ def _merge(a: dict | None, b: dict | None) -> dict | None:
         return b
     if not b:
         return a
-    out = dict(a)
-    out.update(b)
-    return out
+    return {**a, **b}
 
 
 def _sv_not(a: _SV) -> _SV:
-    t = None if a.truth is None else (not a.truth)
-    return _SV(t, a.exact, a.wit, a.cex)
+    return _SV(None if a.truth is None else not a.truth, a.exact, a.assign)
 
 
 def _sv_and(a: _SV, b: _SV) -> _SV:
     for v in (a, b):
         if v.truth is False and v.exact:
-            return _SV(False, True, v.cex, None)
+            return v
     if a.truth is False or b.truth is False:
-        pick = a if a.truth is False else b
-        return _SV(False, False, pick.cex, None)
+        return _SV(False, False, (a if a.truth is False else b).assign)
     if a.truth is None or b.truth is None:
         return _SV(None, False)
-    return _SV(True, a.exact and b.exact, None, _merge(a.wit, b.wit))
+    return _SV(True, a.exact and b.exact, _merge(a.assign, b.assign))
 
 
 def _sv_or(a: _SV, b: _SV) -> _SV:
-    for v in (a, b):
-        if v.truth is True and v.exact:
-            return _SV(True, True, None, v.wit)
-    if a.truth is True or b.truth is True:
-        pick = a if a.truth is True else b
-        return _SV(True, False, None, pick.wit)
-    if a.truth is None or b.truth is None:
-        return _SV(None, False)
-    return _SV(False, a.exact and b.exact, _merge(a.cex, b.cex), None)
+    return _sv_not(_sv_and(_sv_not(a), _sv_not(b)))
 
 
 def _root_equation_targets(f) -> list:
@@ -1296,11 +1288,9 @@ def _candidates(
     out: list[HahnSeries] = []
     seen: set = set()
 
-    def push(s) -> None:
-        if s is None or len(out) >= budget:
+    def push(s: HahnSeries) -> None:
+        if len(out) >= budget:
             return
-        if not isinstance(s, HahnSeries):
-            s = const_series(G, Fraction(s))
         # one hash of the key per candidate: hashing its Fractions is the cost
         n_seen = len(seen)
         seen.add((s.trunc, s.terms))
@@ -1308,7 +1298,7 @@ def _candidates(
             out.append(s)
 
     for c in (1, -1, 2, -2, 3, Fraction(1, 2)):
-        push(c)
+        push(const_series(G, c))
 
     bases: list[HahnSeries] = []
     for _, sf in sorted(env.items()):
@@ -1365,7 +1355,7 @@ def _candidates(
             if not sf.defined or sf.num.is_zero():
                 continue
             ser = sf.as_series(cutoff=cutoff)
-        except (TruncationError, ZeroInputError, UnboundVariableError):
+        except (TruncationError, ZeroInputError):
             continue
         for cand in (ser, series_neg(ser)):
             try:
@@ -1378,81 +1368,39 @@ def _candidates(
 
     i = 0
     while len(out) < budget and i < 3 * budget:
-        try:
-            push(sample_series(G, seed * 7919 + i, support=2, exp_mag=2, coeff_mag=5))
-        except NonEffectiveError:
-            break
+        push(sample_series(G, seed * 7919 + i, support=2, exp_mag=2, coeff_mag=5))
         i += 1
     return out
 
 
+# the binary connectives: how two verdicts join, and the truth of the left
+# verdict (negated for ->) that settles the result when it is exact
+_JOINS = {And: (_sv_and, False), Or: (_sv_or, True), Implies: (_sv_or, True)}
+
+
 def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag: int = 9) -> _SV:
     if isinstance(f, (Eq, Neq)):
-        truth, certain = _atom_status(G, f, env)
-        if truth is None:
-            return _SV(None, False)
-        return _SV(truth, certain)  # "equal" under truncation arrives as inexact
+        return _SV(*_atom_status(G, f, env))  # "equal" under truncation arrives as inexact
     if isinstance(f, Not):
         return _sv_not(_sampled(G, f.arg, env, budget, seed, qdepth, cmag))
-    if isinstance(f, And):
+    if isinstance(f, (And, Or, Implies)):
+        join, settles = _JOINS[type(f)]
         a = _sampled(G, f.left, env, budget, seed, qdepth, cmag)
-        if a.truth is False and a.exact:
+        if isinstance(f, Implies):
+            if a.truth is False and a.exact:
+                return _SV(True, True)  # the hypothesis's counterexample is no witness
+            a = _sv_not(a)
+        if a.truth is settles and a.exact:
             return a
-        return _sv_and(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
-    if isinstance(f, Or):
-        a = _sampled(G, f.left, env, budget, seed, qdepth, cmag)
-        if a.truth is True and a.exact:
-            return a
-        return _sv_or(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
-    if isinstance(f, Implies):
-        a = _sampled(G, f.left, env, budget, seed, qdepth, cmag)
-        if a.truth is False and a.exact:
-            return _SV(True, True)
-        return _sv_or(_sv_not(a), _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
-    if isinstance(f, Exists):
-        # plain root existence is the one oracle the sampler trusts: it is a
-        # statement about the ambient real closed field, not one of the
-        # reductions under test.
-        m = _match_root_exists(f)
-        if m is not None:
-            p, u, allow_neg = m
-            sf = eval_term(G, u, env)
-            try:
-                truth = _sf_root_decision(G, sf, p, allow_neg)
-            except TruncationError:
-                return _SV(None, False)
-            wit = None
-            if truth and qdepth == 0 and sf.defined and not sf.num.is_zero():
-                # best effort, and only for the outermost quantifier (inner
-                # verdicts never surface a witness): the oracle verdict
-                # stands even when the root has no exact expansion
-                try:
-                    co = default_cutoff(G, cmag)
-                    ser = sf.as_series(cutoff=co)
-                    base = ser if root_exists(ser, p, False) else series_neg(ser)
-                    if root_exists(base, p, False):
-                        wit = {f.var: pth_root(base, p, cutoff=co, max_steps=8)}
-                except (TruncationError, ZeroInputError, RootError):
-                    wit = None
-            return _SV(truth, True, None, wit)
-        inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
-        best: _SV | None = None
-        for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
-            sub = dict(env)
-            sub[f.var] = SeriesFraction.of(cand)
-            v = _sampled(G, f.body, sub, budget, seed + 101 * k + 7, qdepth + 1, cmag)
-            if v.truth is True and v.exact:
-                return _SV(True, True, None, _merge({f.var: cand}, v.wit))
-            if v.truth is True and best is None:
-                best = _SV(True, False, None, _merge({f.var: cand}, v.wit))
-        return best if best is not None else _SV(None, False)
+        return join(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
+    if not isinstance(f, (Exists, Forall)):
+        raise ShapeError(f"not a formula: {f!r}")
+    inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
     if isinstance(f, Forall):
-        inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
         ms = match_stability_clause(f)
         if ms is not None:
             return _sampled_stability(G, f, ms[0], ms[1], env, inner_budget, seed, cmag)
-        mc = match_coset_clause(f)
-        if mc is not None:
+        if match_coset_clause(f) is not None:
             # No grid can falsify this shape. A counterexample needs the body
             # exactly false, i.e. the hypothesis exactly true and the
             # conclusion exactly false; the conclusion is a disjunction of
@@ -1461,13 +1409,42 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
             # evaluator, not a search result, and the loop is skipped.
             return _SV(True, False)
         for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
-            sub = dict(env)
-            sub[f.var] = SeriesFraction.of(cand)
+            sub = {**env, f.var: SeriesFraction.of(cand)}
             v = _sampled(G, f.body, sub, budget, seed + 211 * k + 13, qdepth + 1, cmag)
             if v.truth is False and v.exact:
-                return _SV(False, True, _merge({f.var: cand}, v.cex), None)
+                return _SV(False, True, _merge({f.var: cand}, v.assign))
         return _SV(True, False)  # survived the grid; not a proof
-    raise ShapeError(f"not a formula: {f!r}")
+    # plain root existence is the one oracle the sampler trusts: it is a
+    # statement about the ambient real closed field, not one of the
+    # reductions under test.
+    m = _match_root_exists(f)
+    if m is not None:
+        p, u, allow_neg = m
+        sf = eval_term(G, u, env)
+        truth = _root_sampled(G, sf, p, allow_neg)
+        wit = None
+        if truth and qdepth == 0 and not sf.num.is_zero():
+            # best effort, and only for the outermost quantifier (inner
+            # verdicts never surface a witness): the oracle verdict
+            # stands even when the root has no exact expansion
+            try:
+                co = default_cutoff(G, cmag)
+                ser = sf.as_series(cutoff=co)
+                base = ser if root_exists(ser, p, False) else series_neg(ser)
+                if root_exists(base, p, False):
+                    wit = {f.var: pth_root(base, p, cutoff=co, max_steps=8)}
+            except (TruncationError, ZeroInputError, RootError):
+                pass
+        return _SV(truth, truth is not None, wit)
+    best: _SV | None = None
+    for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
+        sub = {**env, f.var: SeriesFraction.of(cand)}
+        v = _sampled(G, f.body, sub, budget, seed + 101 * k + 7, qdepth + 1, cmag)
+        if v.truth is True and (v.exact or best is None):
+            best = _SV(True, v.exact, _merge({f.var: cand}, v.assign))
+            if v.exact:
+                return best
+    return best if best is not None else _SV(None, False)
 
 
 def _root_sampled(G: LexWord, sf: SeriesFraction, p: int, signed: bool) -> bool | None:
@@ -1514,7 +1491,7 @@ def _sampled_stability(
             X = eval_term(G, x_term, env)
         concl = _psi_sampled(G, SeriesFraction(series_mul(X.num, cand), X.den, X.defined), p)
         if hyp and concl is False:
-            return _SV(False, True, {f.var: cand}, None)
+            return _SV(False, True, {f.var: cand})
     return _SV(True, False)  # survived the grid; not a proof
 
 
@@ -1539,9 +1516,7 @@ def eval_sampled(
     _require_effective(G)
     sv = _sampled(G, F, _norm_env(G, env), budget, seed, 0, cutoff_mag)
     if sv.truth is True:
-        return EvalOutcome("true", sv.exact, sv.wit)
+        return EvalOutcome("true", sv.exact, sv.assign)
     if sv.truth is False and sv.exact:
-        if sv.cex:
-            return EvalOutcome("falsified_by", True, sv.cex)
-        return EvalOutcome("false", True, None)
+        return EvalOutcome("falsified_by" if sv.assign else "false", True, sv.assign)
     return EvalOutcome("unknown_on_sample", False, None)

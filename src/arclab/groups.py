@@ -352,7 +352,6 @@ class LexWord:
     """A lexicographic word of components, index 0 most significant."""
 
     components: tuple[Component, ...]
-    name: str | None = None
 
     def __post_init__(self):
         if not self.components:

@@ -31,13 +31,13 @@ from fractions import Fraction
 from .convex import (
     INNER_LIMIT,
     ConvexCut,
+    LabelEntry,
     chain_cuts,
     cut_labels,
     cut_name,
     g_pn,
     has_tower,
     is_dp_minimal,
-    labels_at,
     max_divisible,
     max_p_divisible,
     non_definability_certificate,
@@ -164,11 +164,14 @@ def verify_thm_defblRCF(G: LexWord) -> dict:
     cond3: the divisible-part cut itself is in the definable image.
     consistent: the three agree, as the equivalence demands.
     """
-    image = enumerate_definable(G)
-    image_cuts = [c for c, _ in image]
-    cond1 = any(is_residue_real_closed(G, c) for c in image_cuts)
+    return _thm26(G, definable_rows(G, ()))
+
+
+def _thm26(G: LexWord, definable: list[dict]) -> dict:
+    """The equivalence report, read off the definable image's report rows."""
+    cond1 = any(row["residue_real_closed"] for row in definable)
     cond2 = not thm_condition_prime(G).is_empty()
-    cond3 = max_divisible(G) in image_cuts
+    cond3 = cut_name(G, max_divisible(G)) in {row["cut"] for row in definable}
     return {
         "cond1": cond1,
         "cond2": cond2,
@@ -353,10 +356,10 @@ def _np_display(G: LexWord, display_primes: tuple[int, ...]) -> dict:
     return {"display": disp, "pieces": table.to_json()}
 
 
-def _labels_display(G: LexWord, c: ConvexCut, display_primes: tuple[int, ...]) -> dict:
+def _labels_display(entries: tuple[LabelEntry, ...], display_primes: tuple[int, ...]) -> dict:
     disp = {}
     for p in display_primes:
-        ns = labels_at(G, c, p)
+        ns = next((e.levels() for e in entries if p in e.primes), [])
         disp[str(p)] = "unbounded" if ns is None else ns
     return disp
 
@@ -365,8 +368,9 @@ def _coincidence_note(G: LexWord, display_primes: tuple[int, ...]) -> str | None
     """Spotted when consecutive levels share a cut strictly below the top:
     the computed family repeats before it coarsens, which a reader eyeballing
     level counts may not expect. The note states the computed facts only."""
+    table = np_map(G)
     for p in display_primes:
-        np_v = np_map(G).value_at(p)
+        np_v = table.value_at(p)
         if np_v is INF or np_v < 2:
             continue
         cuts = [g_pn(G, p, nn) for nn in range(np_v + 1)]
@@ -396,7 +400,7 @@ def definable_rows(G: LexWord, display_primes: tuple[int, ...]) -> list[dict]:
         {
             "cut": cut_name(G, c),
             "labels": [e.to_json() for e in entries],
-            "display_labels": _labels_display(G, c, display_primes),
+            "display_labels": _labels_display(entries, display_primes),
             "residue_real_closed": is_residue_real_closed(G, c),
             "trivial": c == top,
         }
@@ -502,7 +506,7 @@ def classification_report(
         "definable": definable,
         "certificates": cert_rows,
         "residue_flags": residue_rows,
-        "thm26": verify_thm_defblRCF(G),
+        "thm26": _thm26(G, definable),
         "dp_minimal": is_dp_minimal(G),
         "differential": differential,
         "notes": notes,

@@ -1,10 +1,11 @@
 """Reference copies of the decision walk, the per-cell differential loop,
 the hand-written shape matchers, the Fraction-based real sign, the group
-parser with its own tokenizer, the regex series and binding readers and
-the series sampler that merged its draws through `_make` that
-`formulas.decision_plan`, `valuations.differential_sweep`, the
-builder-derived matchers, the integer `groups.sign_of_real`, the shared
-token stream and the direct-built `hahn.sample_series` replaced.
+parser with its own tokenizer, the regex series and binding readers, the
+series sampler that merged its draws through `_make` and the sampled walk
+with two assignment fields per verdict that `formulas.decision_plan`,
+`valuations.differential_sweep`, the builder-derived matchers, the integer
+`groups.sign_of_real`, the shared token stream, the direct-built
+`hahn.sample_series` and the one-assignment sampled walk replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
@@ -13,15 +14,18 @@ rational part and for each bound; the parser tokenizes group words alone;
 the series reader matches one regex per term and converts coordinates with
 Fraction(), and the binding reader splits on ';' and '=' by hand; the
 sampler builds a fresh Fraction per draw, on its own generator, and
-merges and sorts through `_make`.
+merges and sorts through `_make`; the sampled walk keeps a counterexample
+and a witness field, states `or` apart from `and` and writes out each
+connective.
 All are kept only so the tests can check that the plans, the grouped
-sweep, the unifier, the integer sign, the shared-token readers and the
-sampler give the same answers, errors, mismatch lists, matches, groups
-and series.
+sweep, the unifier, the integer sign, the shared-token readers, the
+sampler and the sampled walk give the same answers, errors, mismatch
+lists, matches, groups, series and outcomes.
 """
 
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from arclab import groups, valuations
@@ -30,9 +34,13 @@ from arclab.errors import (
     DslSyntaxError,
     InternalError,
     NonEffectiveError,
+    ParameterError,
+    RootError,
     ShapeError,
     TruncationError,
+    UnboundVariableError,
     UnsupportedQuantifierPattern,
+    ZeroInputError,
 )
 from arclab.formulas import (
     Add,
@@ -49,13 +57,20 @@ from arclab.formulas import (
     Not,
     Or,
     Pow,
+    EvalOutcome,
+    SeriesFraction,
     Var,
     _atom_status,
+    _constant_terms,
+    _halve,
     _in_cut_subgroup,
     _match_coset_probe,
     _match_root_exists,
+    _merge,
     _norm_env,
+    _psi_sampled,
     _ring_member_cut,
+    _root_equation_targets,
     _sf_root_decision,
     _validate_coset_params,
     build_phi_p,
@@ -67,6 +82,7 @@ from arclab.formulas import (
     match_coset_clause,
     match_stability_clause,
     print_formula,
+    print_term,
 )
 from arclab.groups import (
     Component,
@@ -79,9 +95,28 @@ from arclab.groups import (
     RealGen,
     Zed,
     _require_effective,
+    elem_neg,
     elem_p_divisible,
+    scalar_mul,
+    zero_element,
 )
-from arclab.hahn import HahnSeries, _make, print_series, sample_series, series_of, zero_series
+from arclab.hahn import (
+    HahnSeries,
+    _make,
+    const_series,
+    default_cutoff,
+    leading_coeff,
+    monomial,
+    print_series,
+    pth_root,
+    root_exists,
+    sample_series,
+    series_mul,
+    series_neg,
+    series_of,
+    v_of,
+    zero_series,
+)
 from arclab.primes import is_prime
 
 
@@ -667,3 +702,269 @@ def reference_sample_series(G, seed, support=3, exp_mag=3, coeff_mag=9) -> HahnS
         num = rng.randint(1, coeff_mag) * rng.choice((1, -1))
         pairs.append((flat, Fraction(num, rng.choice((1, 2, 3)))))
     return _make(G, pairs, None)
+
+
+# -- the sampled walk with a counterexample and a witness field per verdict -------------
+
+
+@dataclass(frozen=True)
+class RefSV:
+    truth: bool | None
+    exact: bool
+    cex: dict | None = None
+    wit: dict | None = None
+
+
+def ref_sv_not(a: RefSV) -> RefSV:
+    t = None if a.truth is None else (not a.truth)
+    return RefSV(t, a.exact, a.wit, a.cex)
+
+
+def ref_sv_and(a: RefSV, b: RefSV) -> RefSV:
+    for v in (a, b):
+        if v.truth is False and v.exact:
+            return RefSV(False, True, v.cex, None)
+    if a.truth is False or b.truth is False:
+        pick = a if a.truth is False else b
+        return RefSV(False, False, pick.cex, None)
+    if a.truth is None or b.truth is None:
+        return RefSV(None, False)
+    return RefSV(True, a.exact and b.exact, None, _merge(a.wit, b.wit))
+
+
+def ref_sv_or(a: RefSV, b: RefSV) -> RefSV:
+    for v in (a, b):
+        if v.truth is True and v.exact:
+            return RefSV(True, True, None, v.wit)
+    if a.truth is True or b.truth is True:
+        pick = a if a.truth is True else b
+        return RefSV(True, False, None, pick.wit)
+    if a.truth is None or b.truth is None:
+        return RefSV(None, False)
+    return RefSV(False, a.exact and b.exact, _merge(a.cex, b.cex), None)
+
+
+def _ref_candidates(
+    G: LexWord, body, env: dict, budget: int, seed: int, cmag: int = 9
+) -> list[HahnSeries]:
+    """Deterministic witness grid: small constants, env values, formula
+    constants, inverse monomials, signed multiples and per-slot shifts of
+    env exponents, p-th roots of root-equation targets, then random fill."""
+    out: list[HahnSeries] = []
+    seen: set = set()
+
+    def push(s) -> None:
+        if s is None or len(out) >= budget:
+            return
+        if not isinstance(s, HahnSeries):
+            s = const_series(G, Fraction(s))
+        # one hash of the key per candidate: hashing its Fractions is the cost
+        n_seen = len(seen)
+        seen.add((s.trunc, s.terms))
+        if len(seen) > n_seen:
+            out.append(s)
+
+    for c in (1, -1, 2, -2, 3, Fraction(1, 2)):
+        push(c)
+
+    bases: list[HahnSeries] = []
+    for _, sf in sorted(env.items()):
+        if sf.defined and not sf.num.is_zero():
+            push(sf.num)
+            if sf.num.trunc is None and sf.den.trunc is None:
+                try:
+                    bases.append(sf.as_series())
+                except (TruncationError, ZeroInputError):
+                    bases.append(sf.num)
+    for t in _constant_terms(body):
+        try:
+            sf = eval_term(G, t, {})
+            if not sf.num.is_zero():
+                bases.append(sf.num)
+        except (ShapeError, ZeroInputError):
+            pass
+
+    zero = zero_element(G)
+    for b in bases:
+        push(b)
+        if b.trunc is not None or b.is_zero():
+            continue
+        v = v_of(b)
+        lc = leading_coeff(b)
+        push(_make(G, [(elem_neg(G, v), Fraction(1) / lc)], None))
+        if v == zero:
+            continue
+        half = _halve(G, v)
+        multiples = [v, elem_neg(G, v), scalar_mul(G, 2, v), scalar_mul(G, -2, v)]
+        if half is not None:
+            multiples += [half, elem_neg(G, half)]
+        for g in multiples:
+            push(_make(G, [(g, Fraction(1))], None))
+        neg = elem_neg(G, v)
+        for j in range(len(neg)):
+            for step in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2)):
+                shifted = list(neg)
+                shifted[j] += step
+                try:
+                    push(monomial(G, shifted, 1))
+                except ShapeError:
+                    pass  # the slot does not admit this exponent
+
+    cutoff = default_cutoff(G, cmag)
+    done = set()
+    for p, u in _root_equation_targets(body):
+        key = (p, print_term(u))
+        if key in done or not free_term_vars(u) <= set(env):
+            continue
+        done.add(key)
+        try:
+            sf = eval_term(G, u, env)
+            if not sf.defined or sf.num.is_zero():
+                continue
+            ser = sf.as_series(cutoff=cutoff)
+        except (TruncationError, ZeroInputError, UnboundVariableError):
+            continue
+        for cand in (ser, series_neg(ser)):
+            try:
+                if root_exists(cand, p, False):
+                    r = pth_root(cand, p, cutoff=cutoff, max_steps=8)
+                    push(r)
+                    push(series_neg(r))
+            except (TruncationError, ZeroInputError, RootError):
+                pass
+
+    i = 0
+    while len(out) < budget and i < 3 * budget:
+        try:
+            push(sample_series(G, seed * 7919 + i, support=2, exp_mag=2, coeff_mag=5))
+        except NonEffectiveError:
+            break
+        i += 1
+    return out
+
+
+def _ref_sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag: int = 9) -> RefSV:
+    if isinstance(f, (Eq, Neq)):
+        truth, certain = _atom_status(G, f, env)
+        if truth is None:
+            return RefSV(None, False)
+        return RefSV(truth, certain)  # "equal" under truncation arrives as inexact
+    if isinstance(f, Not):
+        return ref_sv_not(_ref_sampled(G, f.arg, env, budget, seed, qdepth, cmag))
+    if isinstance(f, And):
+        a = _ref_sampled(G, f.left, env, budget, seed, qdepth, cmag)
+        if a.truth is False and a.exact:
+            return a
+        return ref_sv_and(a, _ref_sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
+    if isinstance(f, Or):
+        a = _ref_sampled(G, f.left, env, budget, seed, qdepth, cmag)
+        if a.truth is True and a.exact:
+            return a
+        return ref_sv_or(a, _ref_sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
+    if isinstance(f, Implies):
+        a = _ref_sampled(G, f.left, env, budget, seed, qdepth, cmag)
+        if a.truth is False and a.exact:
+            return RefSV(True, True)
+        return ref_sv_or(ref_sv_not(a), _ref_sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
+    if isinstance(f, Exists):
+        # plain root existence is the one oracle the sampler trusts: it is a
+        # statement about the ambient real closed field, not one of the
+        # reductions under test.
+        m = _match_root_exists(f)
+        if m is not None:
+            p, u, allow_neg = m
+            sf = eval_term(G, u, env)
+            try:
+                truth = _sf_root_decision(G, sf, p, allow_neg)
+            except TruncationError:
+                return RefSV(None, False)
+            wit = None
+            if truth and qdepth == 0 and sf.defined and not sf.num.is_zero():
+                # best effort, and only for the outermost quantifier (inner
+                # verdicts never surface a witness): the oracle verdict
+                # stands even when the root has no exact expansion
+                try:
+                    co = default_cutoff(G, cmag)
+                    ser = sf.as_series(cutoff=co)
+                    base = ser if root_exists(ser, p, False) else series_neg(ser)
+                    if root_exists(base, p, False):
+                        wit = {f.var: pth_root(base, p, cutoff=co, max_steps=8)}
+                except (TruncationError, ZeroInputError, RootError):
+                    wit = None
+            return RefSV(truth, True, None, wit)
+        inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
+        best: RefSV | None = None
+        for k, cand in enumerate(_ref_candidates(G, f.body, env, inner_budget, seed, cmag)):
+            sub = dict(env)
+            sub[f.var] = SeriesFraction.of(cand)
+            v = _ref_sampled(G, f.body, sub, budget, seed + 101 * k + 7, qdepth + 1, cmag)
+            if v.truth is True and v.exact:
+                return RefSV(True, True, None, _merge({f.var: cand}, v.wit))
+            if v.truth is True and best is None:
+                best = RefSV(True, False, None, _merge({f.var: cand}, v.wit))
+        return best if best is not None else RefSV(None, False)
+    if isinstance(f, Forall):
+        inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
+        ms = match_stability_clause(f)
+        if ms is not None:
+            return _ref_sampled_stability(G, f, ms[0], ms[1], env, inner_budget, seed, cmag)
+        mc = match_coset_clause(f)
+        if mc is not None:
+            # No grid can falsify this shape. A counterexample needs the body
+            # exactly false, i.e. the hypothesis exactly true and the
+            # conclusion exactly false; the conclusion is a disjunction of
+            # (non-root-pattern) existentials, and a sampled existential is
+            # never exactly false. Survival is therefore a theorem about the
+            # evaluator, not a search result, and the loop is skipped.
+            return RefSV(True, False)
+        for k, cand in enumerate(_ref_candidates(G, f.body, env, inner_budget, seed, cmag)):
+            sub = dict(env)
+            sub[f.var] = SeriesFraction.of(cand)
+            v = _ref_sampled(G, f.body, sub, budget, seed + 211 * k + 13, qdepth + 1, cmag)
+            if v.truth is False and v.exact:
+                return RefSV(False, True, _merge({f.var: cand}, v.cex), None)
+        return RefSV(True, False)  # survived the grid; not a proof
+    raise ShapeError(f"not a formula: {f!r}")
+
+
+def _ref_sampled_stability(
+    G: LexWord, f: "Forall", p: int, x_term, env: dict, budget: int, seed: int, cmag: int = 9
+) -> RefSV:
+    """The multiplication-stability clause, falsified by direct oracle runs.
+
+    Per candidate z this makes the calls the generic walk would make on the
+    built body (the hypothesis on z, then, unless it is exactly false, the
+    conclusion on x*z), in the same order, and catches only what it
+    catches: a root decision hidden below a truncation. So verdicts, the
+    first counterexample and the errors raised agree with the generic walk
+    over the same grid; only the traversal overhead is gone.
+    """
+    X = None
+    one = const_series(G, 1)
+    for cand in _ref_candidates(G, f.body, env, budget, seed, cmag):
+        hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
+        if hyp is False:
+            continue
+        if X is None:
+            X = eval_term(G, x_term, env)
+        concl = _psi_sampled(G, SeriesFraction(series_mul(X.num, cand), X.den, X.defined), p)
+        if hyp and concl is False:
+            return RefSV(False, True, {f.var: cand}, None)
+    return RefSV(True, False)  # survived the grid; not a proof
+
+
+def reference_eval_sampled(
+    F, env, G: LexWord, budget: int = 200, seed: int = 0, cutoff_mag: int = 9
+) -> EvalOutcome:
+    """The sampled evaluation with separate counterexample and witness fields."""
+    if budget < 1:
+        raise ParameterError(f"the witness budget must be at least 1, got {budget}")
+    _require_effective(G)
+    sv = _ref_sampled(G, F, _norm_env(G, env), budget, seed, 0, cutoff_mag)
+    if sv.truth is True:
+        return EvalOutcome("true", sv.exact, sv.wit)
+    if sv.truth is False and sv.exact:
+        if sv.cex:
+            return EvalOutcome("falsified_by", True, sv.cex)
+        return EvalOutcome("false", True, None)
+    return EvalOutcome("unknown_on_sample", False, None)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,9 +10,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab import groups
-from arclab.cli import EXAMPLES, main
+from arclab.cli import EXAMPLES, _integer, main
 
 from test_fuzz import ODD_SPACES
 
@@ -312,6 +315,45 @@ def test_other_unicode_spaces_are_usage_errors(space, flag, where, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "DslSyntaxError" in err and "Traceback" not in err
+
+
+# each numeric flag on a command that reads it
+NUMERIC_FLAGS = {
+    "--primes": ("group", "analyze", "lex(Z, Q)"),
+    "--samples": ("verify", "phi-p", "--group", "lex(Z, Q)"),
+    "--seed": ("verify", "phi-p", "--group", "lex(Z, Q)"),
+    "--cutoff": ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--mode", "sample"),
+    "-p": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
+    "-n": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
+}
+ODD_NUMERALS = ["٣", "３", "1_1", "٣,1_1"] + [s + "3" for s in ODD_SPACES.values()]
+
+
+@pytest.mark.parametrize("value", ODD_NUMERALS)
+@pytest.mark.parametrize("flag", NUMERIC_FLAGS)
+def test_numeric_flags_read_ascii_numerals_only(flag, value, capsys):
+    # the flags share the DSL's integer reader: other scripts' digits, _
+    # separators and spaces other than spaces, tabs and line breaks are
+    # refused, as int() did not
+    with pytest.raises(SystemExit) as exc:
+        run(*NUMERIC_FLAGS[flag], flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("bad integer" in err or "bad prime list" in err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+- \t\r\n", max_size=8))
+def test_numeric_flags_read_the_ascii_forms_int_reads(text):
+    # over digits, signs, spaces, tabs and line breaks: the same value as
+    # int(), or refused where int() refuses
+    try:
+        want = int(text)
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _integer(text)
+    else:
+        assert _integer(text) == want
 
 
 def test_phi_pn_too_deep_is_refused_before_it_is_built():

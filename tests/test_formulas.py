@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction
 
@@ -55,6 +56,7 @@ from arclab.hahn import (
 )
 from arclab.valuations import boundary_monomials
 from conftest import EFFECTIVE_POOL
+from reference_eval import RefSV, ref_sv_and, ref_sv_not, ref_sv_or
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -348,6 +350,35 @@ def test_existential_without_root_is_false():
     ex = parse_formula("exists z. z^2 = x")
     out = eval_sampled(ex, at("t^(1,0)"), K1)
     assert out.status == "false" and out.certain
+
+
+def _verdicts():
+    """Every kind of verdict the sampled walk builds: an unknown one, and
+    each truth, exact or not, with no assignment or one of two."""
+    yield formulas._SV(None, False)
+    for truth, exact in itertools.product((True, False), repeat=2):
+        for assign in (None, {"y": 1}, {"y": 2, "z": 3}):
+            yield formulas._SV(truth, exact, assign)
+
+
+def _two_fields(v) -> RefSV:
+    """A one-assignment verdict in the reference's counterexample/witness form."""
+    return RefSV(
+        v.truth,
+        v.exact,
+        v.assign if v.truth is False else None,
+        v.assign if v.truth is True else None,
+    )
+
+
+def test_verdict_algebra_matches_the_two_field_reference():
+    # or is the De Morgan dual of and, and passes on the same assignment
+    # as the reference's or, stated apart
+    for a in _verdicts():
+        assert _two_fields(formulas._sv_not(a)) == ref_sv_not(_two_fields(a)), a
+        for b in _verdicts():
+            for new, ref in ((formulas._sv_and, ref_sv_and), (formulas._sv_or, ref_sv_or)):
+                assert _two_fields(new(a, b)) == ref(_two_fields(a), _two_fields(b)), (new, a, b)
 
 
 # -- parameter selection -------------------------------------------------------------

@@ -27,7 +27,12 @@ from arclab.formulas import (
 from arclab.groups import parse_group
 from arclab.hahn import parse_bindings, parse_series, print_series, sample_series, zero_series
 
-from reference_eval import reference_decide, reference_parse_bindings, reference_parse_series
+from reference_eval import (
+    reference_decide,
+    reference_eval_sampled,
+    reference_parse_bindings,
+    reference_parse_series,
+)
 from test_groups import _group_word, _mutated
 
 K1 = parse_group("lex(Z, Q)")
@@ -174,6 +179,40 @@ def test_decision_plan_matches_the_reference_walk(text, G, points):
     for seed in points:
         env = {"x": zero_series(G) if seed is None else sample_series(G, seed)}
         assert _outcome(lambda: plan(env)) == _outcome(lambda: reference_decide(F, env, G)), seed
+
+
+# shapes where an assignment crosses a connective: an implication whose
+# hypothesis is a universal, at the top and under a quantifier, and a root
+# witness under a negation and a disjunction
+SAMPLED_SHAPES = [
+    "exists y. ((forall z. z != y) -> y = x)",
+    "(forall y. y != x) -> x = 5",
+    "not (exists y. y^2 = x*x)",
+    "(exists y. y^2 = x*x) or x = 5",
+]
+
+
+def _shown(o) -> tuple:
+    """A sampled outcome as the CLI shows it: status, certain flag and printed witness."""
+    return (o.status, o.certain, o.witness and {k: print_series(v) for k, v in o.witness.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(formulas(), st.sampled_from(SAMPLED_SHAPES)),
+    st.sampled_from(GROUPS),
+    st.sampled_from([4, 12, 30]),
+    st.integers(0, 1000),
+    st.one_of(st.none(), st.integers(0, 1000)),
+)
+def test_eval_sampled_matches_the_two_field_reference(text, G, budget, seed, point):
+    # the one-assignment walk against the walk it replaced (None is x = 0):
+    # the same outcome, witness included, or the same error class
+    F = parse_formula(text, group=G)
+    env = {"x": zero_series(G) if point is None else sample_series(G, point)}
+    got = _outcome(lambda: _shown(eval_sampled(F, env, G, budget=budget, seed=seed)))
+    want = _outcome(lambda: _shown(reference_eval_sampled(F, env, G, budget=budget, seed=seed)))
+    assert got == want
 
 
 # -- print then parse is the identity -------------------------------------------------
