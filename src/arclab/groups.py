@@ -317,7 +317,8 @@ class SlotLayout:
     component k (offsets[-1] is the slot count), and real_runs[i] the
     (start, stop, gens) slot run of slot i's FreeReal component, or None.
     sample_dens[i] holds the denominators hahn.sample_series draws slot i
-    with, or None for an int slot (Zed, FreeReal).
+    with, or None for an int slot (Zed, FreeReal); frac_slots holds the
+    indices of the other slots, the Fraction slots (Rat, LocZ).
     """
 
     effective: bool
@@ -326,6 +327,7 @@ class SlotLayout:
     real_runs: tuple[tuple[int, int, tuple[RealGen, ...]] | None, ...]
     zero: tuple
     sample_dens: tuple[tuple[int, ...] | None, ...]
+    frac_slots: tuple[int, ...]
 
     @staticmethod
     def of(components: tuple[Component, ...]) -> "SlotLayout":
@@ -344,7 +346,8 @@ class SlotLayout:
         )
         zero = tuple(0 if d is None else Fraction(0) for d in dens)
         effective = all(c.is_effective() for c in components)
-        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens)
+        frac = tuple(i for i, d in enumerate(dens) if d is not None)
+        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens, frac)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ Series carry exact rational coefficients and an optional truncation bound:
 trusted modulo O(t^g)).  Arithmetic is exact on exact inputs; truncation
 propagates conservatively and is never dropped silently.
 
+Products are convolved on ints: ``series_mul`` brings the exponents' Q and
+Zloc slots and each operand's coefficients over common denominators, merges
+the pair products as int tuples and ints, and ends in ``_make`` like every
+other series operation.
+
 Root existence is decided by sign and exponent divisibility alone: the
 coefficients live inside a real closed field, where a p-th root of a
 positive leading coefficient always exists.  Lifting a root to a series
@@ -19,6 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from math import lcm
+from operator import add
 
 from .errors import (
     RootError,
@@ -177,6 +184,15 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     without a product, merge or sort; 1 + O(t^g) is not exact and takes
     the full path.  The zero checks come first, so a zero operand still
     gives the zero series.
+
+    The product convolves on ints over common denominators: every Q and
+    Zloc exponent slot of both operands is scaled by D, the lcm of those
+    slots' denominators, and each operand's coefficients by the lcm of its
+    own coefficient denominators.  The pair products merge in one dict of
+    int tuples, in the order the pairs come, and only the merged terms are
+    turned back into Fractions, one per Fraction slot and per nonzero
+    coefficient.  _make then drops the terms at or above the truncation
+    and sorts, as for every other series.
     """
     G = a.group
     if a.is_zero() or b.is_zero():
@@ -197,10 +213,44 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
         trunc = _min_trunc(G, trunc, elem_add(G, a.trunc, lead_bound(b)))
     if b.trunc is not None:
         trunc = _min_trunc(G, trunc, elem_add(G, b.trunc, lead_bound(a)))
-    pairs = [
-        (elem_add(G, ea, eb), ca * cb) for ea, ca in a.terms for eb, cb in b.terms
-    ]
+    slots = G.layout.frac_slots
+    D = lcm(*[e[i].denominator for s in (a, b) for e, _ in s.terms for i in slots])
+    a_terms, a_den = _int_terms(a.terms, slots, D)
+    b_terms, b_den = _int_terms(b.terms, slots, D)
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
+            e = tuple(map(add, ea, eb))
+            acc[e] = get(e, 0) + ca * cb
+    den = a_den * b_den
+    pairs = []
+    for e, c in acc.items():
+        if c:
+            if slots:
+                e = list(e)
+                for i in slots:
+                    e[i] = Fraction(e[i], D)
+                e = tuple(e)
+            pairs.append((e, Fraction(c, den)))
     return _make(G, pairs, trunc)
+
+
+def _int_terms(terms, slots, D: int) -> tuple[list, int]:
+    """The terms on ints: each Fraction slot (the indices in slots) times D,
+    each coefficient times C, the lcm of the coefficient denominators,
+    which is returned beside them."""
+    C = lcm(*[c.denominator for _, c in terms])
+    out = []
+    for e, c in terms:
+        if slots:
+            e = list(e)
+            for i in slots:
+                x = e[i]
+                e[i] = x.numerator * D // x.denominator
+            e = tuple(e)
+        out.append((e, c.numerator * C // c.denominator))
+    return out, C
 
 
 def series_pow(a: HahnSeries, k: int) -> HahnSeries:

@@ -392,16 +392,22 @@ def _coincidence_note(G: LexWord, display_primes: tuple[int, ...]) -> str | None
     return None
 
 
-def definable_rows(G: LexWord, display_primes: tuple[int, ...]) -> list[dict]:
+def definable_rows(
+    G: LexWord, display_primes: tuple[int, ...], residue: dict | None = None
+) -> list[dict]:
     """The definable image as report rows, deepest first: each cut's
-    closed-form labels, its levels at the display primes, and its flags."""
+    closed-form labels, its levels at the display primes, and its flags.
+    residue maps each chain cut to its residue flag when the caller has
+    them already; otherwise each definable cut's flag is computed here."""
     top = top_cut(G)
     return [
         {
             "cut": cut_name(G, c),
             "labels": [e.to_json() for e in entries],
             "display_labels": _labels_display(entries, display_primes),
-            "residue_real_closed": is_residue_real_closed(G, c),
+            "residue_real_closed": (
+                residue[c] if residue is not None else is_residue_real_closed(G, c)
+            ),
             "trivial": c == top,
         }
         for c, entries in enumerate_definable(G)
@@ -435,18 +441,18 @@ def classification_report(
     effective groups; schematic groups record why sampling is impossible
     instead.
     """
-    definable = definable_rows(G, display_primes)
+    chain = chain_cuts(G)
+    residue = {c: is_residue_real_closed(G, c) for c in chain}
+    definable = definable_rows(G, display_primes, residue)
     definable_names = {row["cut"] for row in definable}
 
     notes: list[str] = []
     cuts_rows = []
     cert_rows = []
     residue_rows = []
-    for c in chain_cuts(G):
+    for c in chain:
         nm = cut_name(G, c)
-        residue_rows.append(
-            {"cut": nm, "residue_real_closed": is_residue_real_closed(G, c)}
-        )
+        residue_rows.append({"cut": nm, "residue_real_closed": residue[c]})
         cert = non_definability_certificate(G, c, display_primes)
         if nm in definable_names:
             status = "definable"

@@ -161,6 +161,9 @@ def test_sample_dens_are_the_per_slot_draw_choices(text):
     assert [type(z) for z in layout.zero] == [
         int if d is None else Fraction for d in layout.sample_dens
     ]
+    assert layout.frac_slots == tuple(
+        i for i, k in enumerate(layout.kinds) if isinstance(k, (Rat, LocZ))
+    )
 
 
 @pytest.mark.parametrize(

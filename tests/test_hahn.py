@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from arclab import hahn
 from arclab.cli import main
 from arclab.errors import RootError, ShapeError, TruncationError, ZeroInputError
-from arclab.groups import elem_add, elem_cmp, element, parse_group, zero_element
+from arclab.groups import Rat, elem_add, elem_cmp, element, parse_group, zero_element
 from arclab.hahn import (
     HahnSeries,
     _make,
@@ -451,6 +451,70 @@ def test_exact_one_is_the_identity_of_series_mul(case):
             assert got is want
 
 
+def _literal_dens(G):
+    """Each slot's literal denominators: Q slots take 7, 9 and 12, Zloc(q)
+    slots odd ones prime to q, int slots none."""
+    return [
+        None if i not in G.layout.frac_slots
+        else (1, 7, 9, 12) if isinstance(k, Rat)
+        else tuple(d for d in (1, 3, 5, 7, 9, 11, 25) if d % k.q)
+        for i, k in enumerate(G.layout.kinds)
+    ]
+
+
+@st.composite
+def _literal(draw, G):
+    """A series literal over G with mixed denominators everywhere."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        slots = [
+            str(draw(st.integers(-9, 9))) if dens is None
+            else f"{draw(st.integers(-9, 9))}/{draw(st.sampled_from(dens))}"
+            for dens in _literal_dens(G)
+        ]
+        coeff = f"{draw(st.integers(1, 99))}/{draw(st.sampled_from([1, 2, 7, 9, 12]))}"
+        sign = draw(st.sampled_from("+-"))
+        terms.append(f"{sign} {coeff}*t^({','.join(slots)})")
+    return " ".join(terms)
+
+
+@st.composite
+def _mul_operand(draw, G):
+    """A sampled, literal or fifth-power operand, truncated at one of its
+    exponents (at the first, it is zero modulo that) or not at all."""
+    kind = draw(st.sampled_from(["sample", "literal", "power"]))
+    if kind == "sample":
+        x = sample_series(G, draw(seeds), support=draw(st.integers(1, 4)))
+    elif kind == "literal":
+        x = parse_series(draw(_literal(G)), G)
+    else:
+        x = series_pow(sample_series(G, draw(seeds), support=2), 5)
+    k = draw(st.one_of(st.none(), st.integers(0, len(x.terms) - 1)))
+    if k is not None and x.terms:
+        x = _make(G, x.terms, x.terms[k][0])
+    return x
+
+
+@st.composite
+def _mul_pairs(draw):
+    G = parse_group(draw(st.sampled_from(POOL + ["lex(Zloc(3), Q, Z)"])))
+    return draw(_mul_operand(G)), draw(_mul_operand(G))
+
+
+def _typed(outcome):
+    # repr tells an int from a Fraction in a slot or coefficient; == does not
+    if isinstance(outcome, type):
+        return outcome
+    return repr(outcome.terms), repr(outcome.trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mul_pairs())
+def test_series_mul_is_the_pairwise_product(operands):
+    a, b = operands
+    assert _typed(_outcome(series_mul, a, b)) == _typed(_outcome(_mul_reference, a, b))
+
+
 def test_no_product_with_an_exact_one_is_built(monkeypatch):
     """Every series_mul that reaches _make during a report has two operands
     other than the exact 1."""
@@ -545,3 +609,13 @@ def test_root_round_trip_on_squares(seed, p):
     assert root_exists(a, p, allow_negation=True)
     r = pth_root(a, p)
     assert series_eq(series_pow(r, p), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(POOL), seeds, st.sampled_from([2, 3, 5]))
+def test_exact_root_of_a_power_on_every_pool_group(dsl, seed, p):
+    # the root has y's leading term up to sign, so it is y or, for even p, -y
+    G = parse_group(dsl)
+    y = sample_series(G, seed)
+    want = series_neg(y) if p % 2 == 0 and leading_coeff(y) < 0 else y
+    assert _typed(pth_root(series_pow(y, p), p)) == _typed(want)
