@@ -87,6 +87,7 @@ from .hahn import (
     series_add,
     leading_coeff,
     monomial,
+    one_series,
     pth_root,
     root_exists,
     sample_series,
@@ -694,7 +695,7 @@ def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
     if len(out) > p**n:
         raise InternalError("coset count exceeds p^n; the level cut is wrong")  # unreachable
     while len(out) < p**n:
-        out.append(const_series(G, 1))
+        out.append(one_series(G))
     return out
 
 
@@ -710,7 +711,7 @@ class SeriesFraction:
 
     @staticmethod
     def of(s: HahnSeries) -> "SeriesFraction":
-        return SeriesFraction(s, const_series(s.group, 1))
+        return SeriesFraction(s, one_series(s.group))
 
     def is_zero(self) -> bool:
         return self.defined and self.num.is_zero()
@@ -731,7 +732,7 @@ class SeriesFraction:
 
 
 def _undef(G: LexWord) -> SeriesFraction:
-    return SeriesFraction(zero_series(G), const_series(G, 1), defined=False)
+    return SeriesFraction(zero_series(G), one_series(G), defined=False)
 
 
 def _norm_env(G: LexWord, env) -> dict:
@@ -1482,7 +1483,7 @@ def _sampled_stability(
     over the same grid; only the traversal overhead is gone.
     """
     X = None
-    one = const_series(G, 1)
+    one = one_series(G)
     for cand in _candidates(G, f.body, env, budget, seed, cmag):
         hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
         if hyp is False:

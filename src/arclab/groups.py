@@ -319,6 +319,8 @@ class SlotLayout:
     sample_dens[i] holds the denominators hahn.sample_series draws slot i
     with, or None for an int slot (Zed, FreeReal); frac_slots holds the
     indices of the other slots, the Fraction slots (Rat, LocZ).
+    native_order holds when no slot has a real run: Python's tuple order
+    on elements is then elem_cmp's order.
     """
 
     effective: bool
@@ -328,6 +330,7 @@ class SlotLayout:
     zero: tuple
     sample_dens: tuple[tuple[int, ...] | None, ...]
     frac_slots: tuple[int, ...]
+    native_order: bool
 
     @staticmethod
     def of(components: tuple[Component, ...]) -> "SlotLayout":
@@ -347,7 +350,10 @@ class SlotLayout:
         zero = tuple(0 if d is None else Fraction(0) for d in dens)
         effective = all(c.is_effective() for c in components)
         frac = tuple(i for i, d in enumerate(dens) if d is not None)
-        return SlotLayout(effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens, frac)
+        native = all(run is None for run in runs)
+        return SlotLayout(
+            effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens, frac, native
+        )
 
 
 @dataclass(frozen=True)

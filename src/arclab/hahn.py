@@ -7,8 +7,10 @@ propagates conservatively and is never dropped silently.
 
 Products are convolved on ints: ``series_mul`` brings the exponents' Q and
 Zloc slots and each operand's coefficients over common denominators, merges
-the pair products as int tuples and ints, and ends in ``_make`` like every
-other series operation.
+the pair products as int tuples and ints, sorts them while they are ints,
+and turns only the terms below the truncation back into Fractions.  It
+builds its series itself, as ``sample_series`` does; the other operations
+end in ``_make``.
 
 Root existence is decided by sign and exponent divisibility alone: the
 coefficients live inside a real closed field, where a p-th root of a
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (
     RootError,
@@ -71,12 +73,13 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
     already elements of G; equal exponents merge, zero terms drop, and
     terms at or above trunc drop.
 
-    Every series operation ends here, so each step is kept cheap: the
-    coefficients must already be Fractions (the first one seen for an
-    exponent is stored as is, so an int would survive into the series),
-    and the sort runs only when two or more terms remain.  Merging comes
-    before sorting because series_mul hands over many repeated exponents,
-    which would otherwise each pay elem_cmp calls in the sort.
+    Every series operation but series_mul and sample_series ends here, so
+    each step is kept cheap: the coefficients must already be Fractions
+    (the first one seen for an exponent is stored as is, so an int would
+    survive into the series), and the sort runs only when two or more
+    terms remain.  Merging comes before sorting because series_add hands
+    over both operands' terms, whose exponents may repeat, and each
+    repeat would otherwise pay elem_cmp calls in the sort.
 
     Hashing an exponent costs one Python-level Fraction.__hash__ per Q or
     Zloc slot, so a new exponent is hashed once: setdefault stores it, and
@@ -125,6 +128,13 @@ def const_series(G: LexWord, value) -> HahnSeries:
     if value == 0:
         return HahnSeries(G, ())
     return HahnSeries(G, ((zero_element(G), value),))
+
+
+@lru_cache(maxsize=64)
+def one_series(G: LexWord) -> HahnSeries:
+    """The exact 1 of G, one object per group: series are frozen, so every
+    caller can share it."""
+    return const_series(G, 1)
 
 
 def zero_series(G: LexWord) -> HahnSeries:
@@ -189,10 +199,14 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     Zloc exponent slot of both operands is scaled by D, the lcm of those
     slots' denominators, and each operand's coefficients by the lcm of its
     own coefficient denominators.  The pair products merge in one dict of
-    int tuples, in the order the pairs come, and only the merged terms are
-    turned back into Fractions, one per Fraction slot and per nonzero
-    coefficient.  _make then drops the terms at or above the truncation
-    and sorts, as for every other series.
+    int tuples, in the order the pairs come.  The nonzero terms are sorted
+    on the scaled tuples: scaling by D > 0 keeps the order of the Fraction
+    slots, and the real-run slots are never scaled, so elem_cmp sees the
+    same differences; with no real run the sort compares int tuples in C.
+    The merged exponents are distinct, so no second merge runs.  Only
+    the terms below the truncation are turned back into Fractions, one per
+    Fraction slot and per coefficient: they come ascending, so the first
+    exponent at or above the truncation ends the series.
     """
     G = a.group
     if a.is_zero() or b.is_zero():
@@ -223,17 +237,24 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
         for eb, cb in b_terms:
             e = tuple(map(add, ea, eb))
             acc[e] = get(e, 0) + ca * cb
+    kept = [(e, c) for e, c in acc.items() if c]
+    native = G.layout.native_order
+    if native:
+        kept.sort(key=itemgetter(0))
+    else:
+        kept = _sorted_terms(G, kept)
     den = a_den * b_den
-    pairs = []
-    for e, c in acc.items():
-        if c:
-            if slots:
-                e = list(e)
-                for i in slots:
-                    e[i] = Fraction(e[i], D)
-                e = tuple(e)
-            pairs.append((e, Fraction(c, den)))
-    return _make(G, pairs, trunc)
+    terms = []
+    for e, c in kept:
+        if slots:
+            e = list(e)
+            for i in slots:
+                e[i] = Fraction(e[i], D)
+            e = tuple(e)
+        if trunc is not None and (e >= trunc if native else elem_cmp(G, e, trunc) >= 0):
+            break
+        terms.append((e, Fraction(c, den)))
+    return HahnSeries(G, tuple(terms), trunc)
 
 
 def _int_terms(terms, slots, D: int) -> tuple[list, int]:
@@ -256,7 +277,7 @@ def _int_terms(terms, slots, D: int) -> tuple[list, int]:
 def series_pow(a: HahnSeries, k: int) -> HahnSeries:
     if k < 0:
         raise ShapeError("negative powers need series_invert")
-    out = const_series(a.group, 1)
+    out = one_series(a.group)
     base = a
     while k:
         if k & 1:
@@ -298,8 +319,7 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
     lead = _make(G, [(v, lc)], None)
     w = series_mul(series_sub(a, lead), inv_lead)
     w = HahnSeries(G, w.terms, None)  # powers are filtered against unit_cut below
-    acc = const_series(G, 1)
-    power = const_series(G, 1)
+    acc = power = one_series(G)
     for _ in range(512):
         power = _make(G, series_mul(power, series_neg(w)).terms, unit_cut)
         if not power.terms:

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 from arclab import hahn
 from arclab.cli import main
 from arclab.errors import RootError, ShapeError, TruncationError, ZeroInputError
-from arclab.groups import Rat, elem_add, elem_cmp, element, parse_group, zero_element
+from arclab.groups import (
+    Rat,
+    elem_add,
+    elem_cmp,
+    elem_sub,
+    element,
+    parse_group,
+    scalar_mul,
+    zero_element,
+)
 from arclab.hahn import (
     HahnSeries,
     _make,
@@ -410,9 +419,15 @@ def _outcome(mul, a, b):
         return type(exc)
 
 
+# a Fraction slot next to a real run: series_mul sorts such products through
+# elem_cmp on exponents whose Fraction slots are scaled to ints
+MIXED = ["lex(Q, real(1, pi))", "lex(real(1, pi), Zloc(3))"]
+
+
 @st.composite
 def _unit_products(draw):
-    G = parse_group(draw(st.sampled_from(["lex(Z, Q)", "lex(real(1, pi))", "lex(Zloc(2), Q)"])))
+    dsl = draw(st.sampled_from(["lex(Z, Q)", "lex(real(1, pi))", "lex(Zloc(2), Q)"] + MIXED))
+    G = parse_group(dsl)
     a = sample_series(G, draw(st.integers(0, 10_000)), support=4)
     # truncate at one of a's exponents; at the first, a is zero modulo it
     k = draw(st.one_of(st.none(), st.integers(0, len(a.terms) - 1)))
@@ -497,7 +512,7 @@ def _mul_operand(draw, G):
 
 @st.composite
 def _mul_pairs(draw):
-    G = parse_group(draw(st.sampled_from(POOL + ["lex(Zloc(3), Q, Z)"])))
+    G = parse_group(draw(st.sampled_from(POOL + ["lex(Zloc(3), Q, Z)"] + MIXED)))
     return draw(_mul_operand(G)), draw(_mul_operand(G))
 
 
@@ -515,13 +530,38 @@ def test_series_mul_is_the_pairwise_product(operands):
     assert _typed(_outcome(series_mul, a, b)) == _typed(_outcome(_mul_reference, a, b))
 
 
+@pytest.mark.parametrize("dsl", POOL + MIXED)
+def test_products_sort_natively_unless_a_real_run_needs_elem_cmp(dsl, monkeypatch):
+    # untruncated products of up to 16 terms; with no real run the sort is
+    # on int tuples, so neither elem_cmp nor a cmp_to_key wrapper is reached
+    G = parse_group(dsl)
+    draws = [sample_series(G, s, support=4) for s in range(21)]
+    operands = list(zip(draws, draws[1:]))
+    cmps, wrappers = [], []
+
+    def counting_cmp(G, a, b):
+        cmps.append((a, b))
+        return elem_cmp(G, a, b)
+
+    def counting_key(cmp):
+        wrappers.append(cmp)
+        return cmp_to_key(cmp)
+
+    monkeypatch.setattr(hahn, "elem_cmp", counting_cmp)
+    monkeypatch.setattr(hahn, "cmp_to_key", counting_key)
+    assert max(len(series_mul(a, b).terms) for a, b in operands) > 2
+    native = G.layout.native_order
+    assert native == ("real" not in dsl)
+    assert bool(cmps) == bool(wrappers) == (not native)
+
+
 def test_no_product_with_an_exact_one_is_built(monkeypatch):
-    """Every series_mul that reaches _make during a report has two operands
+    """Every product series_mul builds during a report has two operands
     other than the exact 1."""
     products, with_one = 0, 0
-    make = hahn._make
+    build = hahn.HahnSeries
 
-    def spy(G, pairs, trunc):
+    def spy(G, terms, trunc=None):
         nonlocal products, with_one
         caller = sys._getframe(1)
         if caller.f_code is series_mul.__code__:
@@ -530,9 +570,9 @@ def test_no_product_with_an_exact_one_is_built(monkeypatch):
             operands = caller.f_locals["a"], caller.f_locals["b"]
             if any(s.trunc is None and s.terms == one for s in operands):
                 with_one += 1
-        return make(G, pairs, trunc)
+        return build(G, terms, trunc)
 
-    monkeypatch.setattr(hahn, "_make", spy)
+    monkeypatch.setattr(hahn, "HahnSeries", spy)
     assert main(["examples", "zpluspi", "--json", "--seed", "42"], out=io.StringIO()) == 0
     assert products > 0 and with_one == 0
 
@@ -619,3 +659,30 @@ def test_exact_root_of_a_power_on_every_pool_group(dsl, seed, p):
     y = sample_series(G, seed)
     want = series_neg(y) if p % 2 == 0 and leading_coeff(y) < 0 else y
     assert _typed(pth_root(series_pow(y, p), p)) == _typed(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(POOL),
+    seeds,
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(1, 9)),
+)
+def test_root_claims_no_precision_its_input_lacks(dsl, seed, p, k, magnitude):
+    # y^p known modulo O(t^g) fixes its root y only modulo
+    # O(t^(g - (p-1)v(y))), whatever cutoff is asked for
+    G = parse_group(dsl)
+    y = sample_series(G, seed)
+    if p % 2 == 0 and leading_coeff(y) < 0:
+        y = series_neg(y)
+    a = series_pow(y, p)
+    # truncate past the leading term: at a later exponent, or above a monomial
+    g = a.terms[k][0] if k < len(a.terms) else elem_add(G, v_of(a), default_cutoff(G, k))
+    a = _make(G, a.terms, g)
+    cutoff = None if magnitude is None else default_cutoff(G, magnitude)
+    r = pth_root(a, p, cutoff)
+    limit = elem_sub(G, g, scalar_mul(G, p - 1, v_of(y)))
+    assert r.trunc is not None and elem_cmp(G, r.trunc, limit) <= 0
+    # and what it does claim is y
+    assert _typed(r) == _typed(_make(G, y.terms, r.trunc))
