@@ -5,12 +5,16 @@ Series carry exact rational coefficients and an optional truncation bound:
 trusted modulo O(t^g)).  Arithmetic is exact on exact inputs; truncation
 propagates conservatively and is never dropped silently.
 
-Products are convolved on ints: ``series_mul`` brings the exponents' Q and
-Zloc slots and each operand's coefficients over common denominators, merges
-the pair products as int tuples and ints, sorts them while they are ints,
-and turns only the terms below the truncation back into Fractions.  It
-builds its series itself, as ``sample_series`` does; the other operations
-end in ``_make``.
+Sums merge: ``series_add`` walks the two ascending term tuples once,
+comparing heads through ``elem_cmp``, and cuts the truncation as a prefix
+(``_cut``).  Products are convolved on ints: ``series_mul`` brings the
+exponents' Q and Zloc slots and each operand's coefficients over common
+denominators, merges the pair products as int tuples and ints, sorts them
+while they are ints, and turns only the terms below the truncation back
+into Fractions.  Both build their series themselves, as ``sample_series``
+does; ``_make`` is left for terms that may be unsorted or repeat an
+exponent: series literals, ``series_of``/``monomial`` and single-term
+builds.
 
 Root existence is decided by sign and exponent divisibility alone: the
 coefficients live inside a real closed field, where a p-th root of a
@@ -73,13 +77,14 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
     already elements of G; equal exponents merge, zero terms drop, and
     terms at or above trunc drop.
 
-    Every series operation but series_mul and sample_series ends here, so
-    each step is kept cheap: the coefficients must already be Fractions
-    (the first one seen for an exponent is stored as is, so an int would
-    survive into the series), and the sort runs only when two or more
-    terms remain.  Merging comes before sorting because series_add hands
-    over both operands' terms, whose exponents may repeat, and each
-    repeat would otherwise pay elem_cmp calls in the sort.
+    Only input that may be unsorted or repeat an exponent comes here:
+    series literals, series_of/monomial and single-term builds; terms
+    already ascending with distinct exponents go to _cut.  The
+    coefficients must already be Fractions (the first one seen for an
+    exponent is stored as is, so an int would survive into the series),
+    and the sort runs only when two or more terms remain.  Merging comes
+    before sorting, so a repeated exponent pays no elem_cmp calls in the
+    sort.
 
     Hashing an exponent costs one Python-level Fraction.__hash__ per Q or
     Zloc slot, so a new exponent is hashed once: setdefault stores it, and
@@ -98,6 +103,17 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
         if c and (trunc is None or elem_cmp(G, e, trunc) < 0)
     ]
     return HahnSeries(G, _sorted_terms(G, kept), trunc)
+
+
+def _cut(G: LexWord, terms, trunc: GroupElement | None) -> HahnSeries:
+    """A series from nonzero terms already ascending with distinct
+    exponents, cut at trunc: the terms end before the first exponent at or
+    above it.  Nothing is merged, hashed or sorted."""
+    if trunc is not None:
+        for k, (e, _) in enumerate(terms):
+            if elem_cmp(G, e, trunc) >= 0:
+                return HahnSeries(G, tuple(terms[:k]), trunc)
+    return HahnSeries(G, tuple(terms), trunc)
 
 
 def _sorted_terms(G: LexWord, terms: list) -> tuple:
@@ -165,8 +181,36 @@ def leading_coeff(a: HahnSeries) -> Fraction:
 
 
 def series_add(a: HahnSeries, b: HahnSeries) -> HahnSeries:
-    trunc = _min_trunc(a.group, a.trunc, b.trunc)
-    return _make(a.group, list(a.terms) + list(b.terms), trunc)
+    """The sum, by one merge of the two ascending term tuples: the smaller
+    exponent is taken as it is, equal exponents add (a's exponent, ca + cb,
+    as _make would keep them) and a zero sum drops.  The merge makes at most
+    len(a.terms) + len(b.terms) - 1 elem_cmp calls and hashes nothing; the
+    truncation is then cut as a prefix."""
+    G = a.group
+    x, y = a.terms, b.terms
+    n, m = len(x), len(y)
+    terms = []
+    append = terms.append
+    i = j = 0
+    while i < n and j < m:
+        ea, ca = x[i]
+        eb, cb = y[j]
+        s = elem_cmp(G, ea, eb)
+        if s < 0:
+            append(x[i])
+            i += 1
+        elif s > 0:
+            append(y[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                append((ea, c))
+            i += 1
+            j += 1
+    terms += x[i:]
+    terms += y[j:]
+    return _cut(G, terms, _min_trunc(G, a.trunc, b.trunc))
 
 
 def series_neg(a: HahnSeries) -> HahnSeries:
@@ -321,9 +365,9 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
     w = HahnSeries(G, w.terms, None)  # powers are filtered against unit_cut below
     acc = power = one_series(G)
     for _ in range(512):
-        power = _make(G, series_mul(power, series_neg(w)).terms, unit_cut)
+        power = _cut(G, series_mul(power, series_neg(w)).terms, unit_cut)
         if not power.terms:
-            inv_unit = _make(G, acc.terms, unit_cut)
+            inv_unit = _cut(G, acc.terms, unit_cut)
             result = series_mul(inv_unit, inv_lead)
             return HahnSeries(G, result.terms, eff)
         acc = series_add(acc, power)
@@ -429,12 +473,12 @@ def pth_root(
             if defect.trunc is None:
                 return z
             limit = elem_sub(G, defect.trunc, scalar_mul(G, p - 1, e_root))
-            return _make(G, z.terms, _min_trunc(G, limit, cutoff))
+            return _cut(G, z.terms, _min_trunc(G, limit, cutoff))
         e_step = elem_sub(G, v_of(defect), scalar_mul(G, p - 1, e_root))
         if cutoff is not None and elem_cmp(G, e_step, cutoff) >= 0:
-            return _make(G, z.terms, cutoff)
+            return _cut(G, z.terms, cutoff)
         if max_steps is not None and step >= max_steps:
-            return _make(G, z.terms, _min_trunc(G, e_step, cutoff))
+            return _cut(G, z.terms, _min_trunc(G, e_step, cutoff))
         coeff = leading_coeff(defect) / (p * root_lc ** (p - 1))
         z = series_add(z, _make(G, [(e_step, coeff)], None))
     raise TruncationError("root support exceeded the iteration cap; pass a cutoff")

@@ -123,6 +123,15 @@ def test_root_exists_rejects_non_prime_degree():
         root_exists(S("t^(4,0)"), 4)
 
 
+def test_exact_fraction_root_refuses_non_powers():
+    # a rounded root taken as exact would send pth_root's Newton steps after
+    # an irrational lead, in rationals whose digits double every step
+    for c, p in ((2, 2), (Fraction(1, 2), 2), (3, 3), (Fraction(9, 8), 3), (-4, 2)):
+        assert hahn.exact_fraction_root(Fraction(c), p) is None
+    for c, p in ((4, 2), (Fraction(9, 4), 2), (Fraction(-27, 8), 3), (0, 5), (1, 2)):
+        assert hahn.exact_fraction_root(Fraction(c), p) ** p == c
+
+
 def test_pth_root_exact_square():
     a = S("1 + t^(1,0)")
     r = pth_root(series_mul(a, a), 2)
@@ -259,7 +268,7 @@ def test_make_matches_reference(inputs):
 @settings(max_examples=100, deadline=None)
 @given(_make_inputs())
 def test_make_merges_the_same_pair_objects_twice(inputs):
-    # series_add(a, a) hands _make each (exponent, coefficient) object twice
+    # each (exponent, coefficient) object handed over twice merges as equal ones do
     G, pairs, trunc = inputs
     got, want = _make(G, pairs + pairs, trunc), _make_reference(G, pairs + pairs, trunc)
     assert got == want and _describe(got) == _describe(want)
@@ -575,6 +584,97 @@ def test_no_product_with_an_exact_one_is_built(monkeypatch):
     monkeypatch.setattr(hahn, "HahnSeries", spy)
     assert main(["examples", "zpluspi", "--json", "--seed", "42"], out=io.StringIO()) == 0
     assert products > 0 and with_one == 0
+
+
+def _add_reference(a, b):
+    """series_add through _make: both operands' terms merged on a dict,
+    then sorted and truncated."""
+    G = a.group
+    return _make(G, list(a.terms) + list(b.terms), hahn._min_trunc(G, a.trunc, b.trunc))
+
+
+def _sub_reference(a, b):
+    return _add_reference(a, series_neg(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mul_pairs())
+def test_series_add_is_the_make_route(operands):
+    a, b = operands
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _typed(series_add(x, y)) == _typed(_add_reference(x, y))
+        assert _typed(series_sub(x, y)) == _typed(_sub_reference(x, y))
+
+
+@pytest.mark.parametrize("dsl", POOL + MIXED)
+def test_series_add_fixed_cases(dsl):
+    G = parse_group(dsl)
+    zero = zero_series(G)
+    for seed in range(20):
+        a = sample_series(G, seed, support=4)
+        g = a.terms[-1][0]
+        # cut at a's own last exponent: that term lies exactly at the truncation
+        a_cut = _make(G, a.terms, g)
+        big_o = HahnSeries(G, (), g)
+        cases = [(a, a), (a, a_cut), (a_cut, a), (a, zero), (zero, a), (a, big_o), (big_o, a)]
+        for x, y in cases + [(zero, zero), (big_o, big_o), (a_cut, big_o)]:
+            assert _typed(series_add(x, y)) == _typed(_add_reference(x, y)), (x, y)
+            assert _typed(series_sub(x, y)) == _typed(_sub_reference(x, y)), (x, y)
+        assert series_eq(series_add(a, series_neg(a)), zero)
+        assert series_eq(series_sub(a, a_cut), big_o)
+
+
+@pytest.mark.parametrize("dsl", POOL + MIXED)
+def test_sums_merge_without_make_or_a_sort(dsl, monkeypatch):
+    # the merge compares each step's two heads once; the prefix cut then
+    # compares the kept terms and the first one dropped with the truncation
+    G = parse_group(dsl)
+    draws = [sample_series(G, s, support=4) for s in range(21)]
+    cuts = [_make(G, s.terms, s.terms[-1][0]) for s in draws]
+    cmps = []
+
+    def counting_cmp(G, a, b):
+        cmps.append((a, b))
+        return elem_cmp(G, a, b)
+
+    def refuse(*args):
+        raise AssertionError("a sum built a cmp_to_key wrapper or called _make")
+
+    monkeypatch.setattr(hahn, "elem_cmp", counting_cmp)
+    monkeypatch.setattr(hahn, "cmp_to_key", refuse)
+    monkeypatch.setattr(hahn, "_make", refuse)
+    operands = [
+        pair
+        for a, b, a_cut, b_cut in zip(draws, draws[1:], cuts, cuts[1:])
+        for pair in ((a, b), (a, a), (a, series_neg(a)), (a, b_cut), (a_cut, b_cut))
+    ]
+    for x, y in operands:
+        del cmps[:]
+        s = series_add(x, y)
+        bound = len(x.terms) + len(y.terms) - 1
+        if x.trunc is not None and y.trunc is not None:
+            bound += 1  # _min_trunc
+        if s.trunc is not None:
+            bound += len(s.terms) + 1
+        assert len(cmps) <= bound, (x, y)
+
+
+def test_exact_roots_on_an_int_group_still_compare_through_elem_cmp(monkeypatch):
+    # the benchmark's tracer self-test counts groups.elem_cmp calls that
+    # hahn makes through its from-imported binding on this very root; on
+    # lex(Z, Z) products sort natively, so the calls are the sums'
+    G = parse_group("lex(Z, Z)")
+    a = series_pow(sample_series(G, 3), 2)
+    calls = []
+
+    def counting_cmp(G, x, y):
+        calls.append((x, y))
+        return elem_cmp(G, x, y)
+
+    monkeypatch.setattr(hahn, "elem_cmp", counting_cmp)
+    root = pth_root(a, 2)
+    assert series_eq(series_pow(root, 2), a)
+    assert calls
 
 
 def test_print_parse_round_trip_on_samples():
