@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Plant known mutants in a copy of the repository and run the tests on each.
 
-Usage: python scripts/mutants.py [--timeout S] [--row N ...] [PYTEST_ARG ...]
+Usage: python scripts/mutants.py [--row N ...] [PYTEST_ARG ...]
 
 Each row of MUTANTS names a file, a text that occurs in it exactly once,
 the text that replaces it, and why the mutant matters.  For each row the
 repository (without .git and caches) is copied to a temporary directory,
-the row is applied there, and pytest runs on the copy under a timeout,
-stopping at the first failure; the PYTEST_ARGs replace the default ones.
+the row is applied there, and pytest runs on the copy under a TIMEOUT_S
+timeout, stopping at the first failure; the PYTEST_ARGs replace the
+default ones.
 The repository itself is never changed.
 
 Prints one line per row: killed (pytest failed), survived (pytest passed),
@@ -61,6 +62,7 @@ MUTANTS = [
     ),
 ]
 
+TIMEOUT_S = 300
 DEFAULT_PYTEST = ["-x", "-q", "-p", "no:cacheprovider"]
 IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_out")
 
@@ -70,7 +72,7 @@ def occurrences(row) -> int:
     return (ROOT / path).read_text().count(old)
 
 
-def run_row(row, pytest_args: list[str], timeout: float) -> str:
+def run_row(row, pytest_args: list[str]) -> str:
     path, old, new, _ = row
     if occurrences(row) != 1:
         return "broken"
@@ -87,7 +89,7 @@ def run_row(row, pytest_args: list[str], timeout: float) -> str:
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
-                timeout=timeout,
+                timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
             return "timed out"
@@ -99,15 +101,21 @@ def run_row(row, pytest_args: list[str], timeout: float) -> str:
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
-    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per row")
-    ap.add_argument("--row", type=int, action="append", help="1-based row index (repeatable)")
+    ap.add_argument(
+        "--row",
+        type=int,
+        action="append",
+        choices=range(1, len(MUTANTS) + 1),
+        metavar="N",
+        help=f"1-based row index, 1..{len(MUTANTS)} (repeatable)",
+    )
     args, pytest_args = ap.parse_known_args(argv)
     rows = args.row or range(1, len(MUTANTS) + 1)
     all_killed = True
     for k in rows:
         row = MUTANTS[k - 1]
         start = time.monotonic()
-        outcome = run_row(row, pytest_args or DEFAULT_PYTEST, args.timeout)
+        outcome = run_row(row, pytest_args or DEFAULT_PYTEST)
         all_killed &= outcome == "killed"
         print(f"{k:2d} {outcome:9s} {time.monotonic() - start:6.1f}s  {row[0]}: {row[3]}", flush=True)
     return 0 if all_killed else 1

@@ -659,24 +659,6 @@ def test_sums_merge_without_make_or_a_sort(dsl, monkeypatch):
         assert len(cmps) <= bound, (x, y)
 
 
-def test_exact_roots_on_an_int_group_still_compare_through_elem_cmp(monkeypatch):
-    # the benchmark's tracer self-test counts groups.elem_cmp calls that
-    # hahn makes through its from-imported binding on this very root; on
-    # lex(Z, Z) products sort natively, so the calls are the sums'
-    G = parse_group("lex(Z, Z)")
-    a = series_pow(sample_series(G, 3), 2)
-    calls = []
-
-    def counting_cmp(G, x, y):
-        calls.append((x, y))
-        return elem_cmp(G, x, y)
-
-    monkeypatch.setattr(hahn, "elem_cmp", counting_cmp)
-    root = pth_root(a, 2)
-    assert series_eq(series_pow(root, 2), a)
-    assert calls
-
-
 def test_print_parse_round_trip_on_samples():
     for seed in range(40):
         s = sample_series(K1, seed)
