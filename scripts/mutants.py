@@ -60,6 +60,24 @@ MUTANTS = [
         "return lo",
         "_int_nth_root returns a rounded root of a non-power as exact",
     ),
+    (
+        "src/arclab/convex.py",
+        "acc = acc.add(segment_exponent_map(G, chain[i + 1], chain[i]))",
+        "acc = acc.add(segment_exponent_map(G, chain[-1], chain[i]))",
+        "the chain table's scan adds each cut's suffix from Bottom, not its segment from the deeper neighbour",
+    ),
+    (
+        "src/arclab/convex.py",
+        "return tower.tail_exponent_map(lo + 1)",
+        "return PartitionMap(0)",
+        "the scan drops the tower tail below a tower's deepest materialised inner cut",
+    ),
+    (
+        "src/arclab/convex.py",
+        "if plain[k].value_at(p) > n:",
+        "if plain[k].value_at(p) >= n:",
+        "g_pn stops at the first component whose suffix exponent reaches n instead of passing it",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -12,11 +12,21 @@ for infinite quotients).  g_pn picks the shallowest cut whose suffix
 exponent drops to n.  The label map inverts g_pn; the certificate
 machinery witnesses the unlabeled cuts with regular straddling pairs,
 searched independently of the label formula so the two routes cross-check.
+
+A word's chain table (_chain_table, one bounded cache entry per word) holds
+E_c for every cut of chain_cuts, built by one deep-to-shallow scan in which
+each cut adds its own segment to the map of the next deeper cut, and the
+common refinement of the component exponent maps.  suffix_exponent_map,
+np_map, g_pn and the certificate cells read it; a cut the chain does not
+materialise is summed up from Bottom as before.  The certificate search
+still re-verifies its instances through is_p_regular, which sums the
+segment's units afresh, so the two routes still check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalError, ShapeError
 from .groups import LexWord, OmegaTower
@@ -59,19 +69,23 @@ def cut_name(G: LexWord, c: ConvexCut) -> str:
     return c.cut_id()
 
 
+def _numeral(text: str) -> bool:
+    """ASCII digits with no sign, space, underscore or leading zero: how
+    cut_name writes an index."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
 def parse_cut(G: LexWord, name: str) -> ConvexCut:
     if name == "top":
         return top_cut(G)
     if name == "bottom":
         return bottom_cut(G)
-    body = name.removeprefix("seg")
+    seg_s, plus, inner_s = name.removeprefix("seg").partition("+")
+    if not (name.startswith("seg") and _numeral(seg_s) and (not plus or _numeral(inner_s))):
+        raise ShapeError(f"unknown cut name {name!r}")
     try:
-        if "+" in body:
-            seg_s, _, inner_s = body.partition("+")
-            cut = ConvexCut(int(seg_s), int(inner_s))
-        else:
-            cut = ConvexCut(int(body))
-    except ValueError as exc:
+        cut = ConvexCut(int(seg_s), int(inner_s) if plus else None)
+    except ValueError as exc:  # a numeral past int()'s digit limit
         raise ShapeError(f"unknown cut name {name!r}") from exc
     validate_cut(G, cut)
     return cut
@@ -176,13 +190,57 @@ def segment_exponent_map(G: LexWord, low: ConvexCut, high: ConvexCut) -> Partiti
     return acc
 
 
+def _pair(a, b):
+    return (a, b)
+
+
+class _ChainTable:
+    """What a word's classification reads again and again, computed once.
+
+    suffix holds E_c for every cut c of chain_cuts(G); plain[k] is E at
+    ConvexCut(k) for k = 0..len(G.components), so plain[0] is n_p and
+    plain[-1] is zero; refinement is the common refinement of the
+    component exponent maps, its values nested pairs in component order.
+    """
+
+    __slots__ = ("suffix", "plain", "refinement")
+
+    def __init__(
+        self,
+        suffix: dict[ConvexCut, PartitionMap],
+        plain: tuple[PartitionMap, ...],
+        refinement: PartitionMap,
+    ):
+        self.suffix, self.plain, self.refinement = suffix, plain, refinement
+
+
+@lru_cache(maxsize=16)
+def _chain_table(G: LexWord) -> _ChainTable:
+    """One deep-to-shallow scan of the chain: each cut adds its own segment
+    to the suffix map of the next deeper cut."""
+    chain = chain_cuts(G)
+    acc = PartitionMap(0)
+    suffix = {chain[-1]: acc}
+    for i in range(len(chain) - 2, -1, -1):
+        acc = acc.add(segment_exponent_map(G, chain[i + 1], chain[i]))
+        suffix[chain[i]] = acc
+    plain = tuple(suffix[ConvexCut(k)] for k in range(len(G.components) + 1))
+    refinement = G.components[0].exponent_map()
+    for comp in G.components[1:]:
+        refinement = refinement.combine(comp.exponent_map(), _pair)
+    return _ChainTable(suffix, plain, refinement)
+
+
 def suffix_exponent_map(G: LexWord, c: ConvexCut) -> PartitionMap:
-    return segment_exponent_map(G, bottom_cut(G), c)
+    """E_c, read from the chain table; a cut the chain does not materialise
+    (a tower's inner cut past INNER_LIMIT) is summed up from Bottom."""
+    e = _chain_table(G).suffix.get(c)
+    return segment_exponent_map(G, bottom_cut(G), c) if e is None else e
 
 
 def np_map(G: LexWord) -> PartitionMap:
     """Exponent of the whole group: n_p = log_p |G / pG| (INF allowed)."""
-    return segment_exponent_map(G, bottom_cut(G), top_cut(G))
+    return _chain_table(G).plain[0]
 
 
 def suffix_divisible_primes(G: LexWord, c: ConvexCut) -> PrimeSet:
@@ -200,14 +258,10 @@ def is_dp_minimal(G: LexWord) -> bool:
 
 
 def max_divisible(G: LexWord) -> ConvexCut:
-    """The largest divisible convex subgroup."""
-    k0 = len(G.components)
-    for k in range(len(G.components) - 1, -1, -1):
-        if G.components[k].exponent_map().where(lambda v: v == 0).is_all():
-            k0 = k
-        else:
-            break
-    return ConvexCut(k0)
+    """The largest divisible convex subgroup: the shallowest whole-component
+    cut whose suffix exponent is zero at every prime."""
+    zero = PartitionMap(0)
+    return ConvexCut(next(k for k, e in enumerate(_chain_table(G).plain) if e == zero))
 
 
 def g_pn(G: LexWord, p: int, n: int) -> ConvexCut:
@@ -219,13 +273,11 @@ def g_pn(G: LexWord, p: int, n: int) -> ConvexCut:
     """
     if n < 0:
         raise ValueError("exponent bound must be a natural number")
-    suffix = 0
+    plain = _chain_table(G).plain
     k0 = len(G.components)
-    for k in range(len(G.components) - 1, -1, -1):
-        step = G.components[k].exponent_map().value_at(p)
-        if step is INF or suffix + step > n:
+    for k in range(k0 - 1, -1, -1):
+        if plain[k].value_at(p) > n:  # suffix values only grow toward Top
             break
-        suffix += step
         k0 = k
     if k0 > 0:
         comp = G.components[k0 - 1]
@@ -301,7 +353,7 @@ def cut_labels(G: LexWord, c: ConvexCut) -> tuple[LabelEntry, ...]:
     else:
         e_pred = suffix_exponent_map(G, pred_cut(G, c))
     entries = []
-    for primes, (ec, ep) in e_c.combine(e_pred, lambda a, b: (a, b)).pieces:
+    for primes, (ec, ep) in e_c.combine(e_pred, _pair).pieces:
         if ec is INF or ep <= ec:
             continue
         entries.append(LabelEntry(primes, ec, None if ep is INF else ep - 1))
@@ -425,11 +477,9 @@ class Certificate:
 def _certificate_cells(G: LexWord, e_map: PartitionMap) -> list[PrimeSet]:
     """Prime sets on which every quantity the pair search consults is
     constant: the common refinement of all component exponent maps and of
-    the target cut's own suffix map (which can split a tower's family)."""
-    acc = e_map
-    for comp in G.components:
-        acc = acc.combine(comp.exponent_map(), lambda a, b: (a, b))
-    return [piece for piece, _ in acc.pieces]
+    the target cut's own suffix map (which can split a tower's family),
+    ordered by E_c first and then component by component."""
+    return [piece for piece, _ in e_map.combine(_chain_table(G).refinement, _pair).pieces]
 
 
 def _probe_primes(piece: PrimeSet, display_primes: tuple[int, ...]) -> list[int]:
@@ -442,9 +492,10 @@ def _pair_for(G: LexWord, p: int, e: int) -> tuple[ConvexCut, ConvexCut, str]:
     return g_pn(G, p, e - 1), g_pn(G, p, e), "g_pn_pair"
 
 
-def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, e: int) -> PrimeSet:
+def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, high: ConvexCut) -> PrimeSet:
     """The primes of the piece whose candidate pair has its high side ON the
-    target cut (no strictly shallower landing exists for them).
+    target cut (no strictly shallower landing exists for them); high is
+    the high side at the piece's smallest prime.
 
     The high side g_pn(p, e) is never strictly deeper than c because c
     itself has suffix exponent e; so blocking means equality.  Within a
@@ -452,8 +503,6 @@ def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, e: int) -> PrimeS
     tower whose offset tracks the prime, hitting c for at most the single
     prime whose summand sits at c's own offset.
     """
-    probe = piece.smallest(1)[0]
-    _, high, _ = _pair_for(G, probe, e)
     if cuts_cmp(high, c) > 0:
         raise InternalError("pair landed below the target cut; exponent bookkeeping is off")
     if high.inner is None:
@@ -483,16 +532,16 @@ def non_definability_certificate(
     at_bottom = c == bottom_cut(G)
     entries = []
     for piece in _certificate_cells(G, e_map):
-        e = e_map.value_at(piece.smallest(1)[0])
+        probes = _probe_primes(piece, display_primes)  # the piece's smallest prime first
+        e = e_map.value_at(probes[0])
         if e is INF:
             return None
-        if not _blocked_primes(G, c, piece, e).is_empty():
-            return None
-        probes = _probe_primes(piece, display_primes)
         low0, high0, rule = _pair_for(G, probes[0], e)
+        if not _blocked_primes(G, c, piece, high0).is_empty():
+            return None
+        pairs = [(low0, high0, rule)] + [_pair_for(G, p, e) for p in probes[1:]]
         instances = []
-        for p in probes:
-            lo, hi, _ = _pair_for(G, p, e)
+        for p, (lo, hi, _) in zip(probes, pairs):
             straddle_ok = cuts_cmp(hi, c) < 0 and (
                 cuts_cmp(lo, c) > 0 or (at_bottom and lo == c)
             )

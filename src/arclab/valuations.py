@@ -392,22 +392,16 @@ def _coincidence_note(G: LexWord, display_primes: tuple[int, ...]) -> str | None
     return None
 
 
-def definable_rows(
-    G: LexWord, display_primes: tuple[int, ...], residue: dict | None = None
-) -> list[dict]:
+def definable_rows(G: LexWord, display_primes: tuple[int, ...]) -> list[dict]:
     """The definable image as report rows, deepest first: each cut's
-    closed-form labels, its levels at the display primes, and its flags.
-    residue maps each chain cut to its residue flag when the caller has
-    them already; otherwise each definable cut's flag is computed here."""
+    closed-form labels, its levels at the display primes, and its flags."""
     top = top_cut(G)
     return [
         {
             "cut": cut_name(G, c),
             "labels": [e.to_json() for e in entries],
             "display_labels": _labels_display(entries, display_primes),
-            "residue_real_closed": (
-                residue[c] if residue is not None else is_residue_real_closed(G, c)
-            ),
+            "residue_real_closed": is_residue_real_closed(G, c),
             "trivial": c == top,
         }
         for c, entries in enumerate_definable(G)
@@ -442,8 +436,7 @@ def classification_report(
     instead.
     """
     chain = chain_cuts(G)
-    residue = {c: is_residue_real_closed(G, c) for c in chain}
-    definable = definable_rows(G, display_primes, residue)
+    definable = definable_rows(G, display_primes)
     definable_names = {row["cut"] for row in definable}
 
     notes: list[str] = []
@@ -452,7 +445,7 @@ def classification_report(
     residue_rows = []
     for c in chain:
         nm = cut_name(G, c)
-        residue_rows.append({"cut": nm, "residue_real_closed": residue[c]})
+        residue_rows.append({"cut": nm, "residue_real_closed": is_residue_real_closed(G, c)})
         cert = non_definability_certificate(G, c, display_primes)
         if nm in definable_names:
             status = "definable"

@@ -1,11 +1,13 @@
 """Reference copies of the decision walk, the per-cell differential loop,
 the hand-written shape matchers, the Fraction-based real sign, the group
 parser with its own tokenizer, the regex series and binding readers, the
-series sampler that merged its draws through `_make` and the sampled walk
-with two assignment fields per verdict that `formulas.decision_plan`,
-`valuations.differential_sweep`, the builder-derived matchers, the integer
-`groups.sign_of_real`, the shared token stream, the direct-built
-`hahn.sample_series` and the one-assignment sampled walk replaced.
+series sampler that merged its draws through `_make`, the sampled walk
+with two assignment fields per verdict, and the level map and certificate
+cells that read each component's exponent map on every call, that
+`formulas.decision_plan`, `valuations.differential_sweep`, the
+builder-derived matchers, the integer `groups.sign_of_real`, the shared
+token stream, the direct-built `hahn.sample_series`, the one-assignment
+sampled walk and `convex`'s chain table replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
@@ -16,11 +18,13 @@ Fraction(), and the binding reader splits on ';' and '=' by hand; the
 sampler builds a fresh Fraction per draw, on its own generator, and
 merges and sorts through `_make`; the sampled walk keeps a counterexample
 and a witness field, states `or` apart from `and` and writes out each
-connective.
+connective; the level map adds component exponents up from the deepest
+component, and the cells combine the cut's suffix map with one component
+map after another.
 All are kept only so the tests can check that the plans, the grouped
 sweep, the unifier, the integer sign, the shared-token readers, the
-sampler and the sampled walk give the same answers, errors, mismatch
-lists, matches, groups, series and outcomes.
+sampler, the sampled walk and the chain table give the same answers,
+errors, mismatch lists, matches, groups, series, outcomes, cuts and cells.
 """
 
 import random
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from arclab import groups, valuations
-from arclab.convex import max_p_divisible, np_map, top_cut
+from arclab.convex import ConvexCut, max_p_divisible, np_map, top_cut
 from arclab.errors import (
     DslSyntaxError,
     InternalError,
@@ -117,7 +121,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
-from arclab.primes import is_prime
+from arclab.primes import INF, is_prime
 
 
 def reference_decide(F, env, G) -> bool:
@@ -968,3 +972,33 @@ def reference_eval_sampled(
             return EvalOutcome("falsified_by", True, sv.cex)
         return EvalOutcome("false", True, None)
     return EvalOutcome("unknown_on_sample", False, None)
+
+
+# -- the level map and the certificate cells before the chain table ---------------------
+
+
+def reference_g_pn(G: LexWord, p: int, n: int) -> ConvexCut:
+    if n < 0:
+        raise ValueError("exponent bound must be a natural number")
+    suffix = 0
+    k0 = len(G.components)
+    for k in range(len(G.components) - 1, -1, -1):
+        step = G.components[k].exponent_map().value_at(p)
+        if step is INF or suffix + step > n:
+            break
+        suffix += step
+        k0 = k
+    if k0 > 0:
+        comp = G.components[k0 - 1]
+        if isinstance(comp, OmegaTower):
+            off = comp.offset_of_prime(p)
+            if off is not None:
+                return ConvexCut(k0 - 1, off)
+    return ConvexCut(k0)
+
+
+def reference_certificate_cells(G: LexWord, e_map) -> list:
+    acc = e_map
+    for comp in G.components:
+        acc = acc.combine(comp.exponent_map(), lambda a, b: (a, b))
+    return [piece for piece, _ in acc.pieces]

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arclab import convex
 from arclab.convex import (
+    INNER_LIMIT,
     ConvexCut,
     bottom_cut,
     chain_cuts,
@@ -20,11 +22,16 @@ from arclab.convex import (
     parse_cut,
     segment_exponent_map,
     suffix_divisible_primes,
+    suffix_exponent_map,
     thm_condition_prime,
     top_cut,
 )
-from arclab.groups import element, elem_p_divisible, parse_group
-from arclab.primes import INF, PrimeSet
+from arclab.errors import ShapeError
+from arclab.groups import OmegaTower, element, elem_p_divisible, parse_group
+from arclab.primes import INF, PrimeSet, prime_at
+from conftest import EFFECTIVE_POOL
+from reference_eval import reference_certificate_cells, reference_g_pn
+from schematic_words import schematic_words
 
 K1 = parse_group("lex(Z, Q)")
 K2 = parse_group("lex(omega_tower(start=0))")
@@ -63,6 +70,19 @@ def test_cut_name_round_trip():
     for G in LIBRARY:
         for c in chain_cuts(G):
             assert parse_cut(G, cut_name(G, c)) == c
+
+
+@pytest.mark.parametrize(
+    "name", ["seg01", "seg 1", "seg0_1", "seg١", "seg1+٢", "seg1+02", "seg1 + 2", "seg+1", "seg1+"]
+)
+def test_parse_cut_takes_only_its_own_spelling(name):
+    # cut_name writes ASCII digits with no sign, space, underscore or
+    # leading zero; parse_cut refuses every other spelling of seg1 or seg1+2
+    G = parse_group("lex(Z, omega_tower(start=0), Q)")
+    assert parse_cut(G, "seg1") == ConvexCut(1)
+    assert parse_cut(G, "seg1+2") == ConvexCut(1, 2)
+    with pytest.raises(ShapeError):
+        parse_cut(G, name)
 
 
 # -- suffix divisibility -------------------------------------------------------
@@ -298,3 +318,31 @@ def test_certificate_pieces_partition_all_primes():
             assert union.intersection(entry.primes).is_empty()
             union = union.union(entry.primes)
         assert union.is_all()
+
+
+# -- the chain table against the direct computation -----------------------------------
+
+# the first 12 primes, and one whose offset in every tower of start <= 3
+# lies past INNER_LIMIT, where g_pn lands on a cut the chain does not hold
+TABLE_PRIMES = tuple(prime_at(k) for k in range(12)) + (prime_at(3 + INNER_LIMIT + 10),)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chain_table_is_the_direct_computation(seed):
+    words = schematic_words(seed, 60) + EFFECTIVE_POOL
+    for G in map(parse_group, words):
+        table = convex._chain_table(G)
+        chain = chain_cuts(G)
+        assert list(table.suffix) == chain[::-1]
+        for c in chain:
+            e_map = segment_exponent_map(G, bottom_cut(G), c)
+            assert table.suffix[c] == e_map == suffix_exponent_map(G, c), (G, c)
+            assert convex._certificate_cells(G, e_map) == reference_certificate_cells(G, e_map)
+        assert np_map(G) == segment_exponent_map(G, bottom_cut(G), top_cut(G))
+        for k, comp in enumerate(G.components):
+            if isinstance(comp, OmegaTower):  # outside the chain: summed up from Bottom
+                deep = ConvexCut(k, INNER_LIMIT + 3)
+                assert suffix_exponent_map(G, deep) == segment_exponent_map(G, bottom_cut(G), deep)
+        for p in TABLE_PRIMES:
+            for n in range(7):
+                assert g_pn(G, p, n) == reference_g_pn(G, p, n), (G, p, n)
