@@ -78,6 +78,24 @@ MUTANTS = [
         "if plain[k].value_at(p) >= n:",
         "g_pn stops at the first component whose suffix exponent reaches n instead of passing it",
     ),
+    (
+        "src/arclab/convex.py",
+        "units = units[:-1]",
+        "units = units",
+        "is_p_regular no longer exempts the deepest unit of the segment",
+    ),
+    (
+        "src/arclab/convex.py",
+        "return units, not tail",
+        "return units, True",
+        "_segment_units reports a deepest unit for a segment that ends in a tower tail",
+    ),
+    (
+        "src/arclab/primes.py",
+        "primes = {p for m in maps for p, _ in m.exceptions}",
+        "primes = {p for m in maps for p, _ in m.exceptions} | {2}",
+        "common_pieces keeps the prime 2 as a finite piece where its tuple equals the default",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -16,11 +16,12 @@ searched independently of the label formula so the two routes cross-check.
 A word's chain table (_chain_table, one bounded cache entry per word) holds
 E_c for every cut of chain_cuts, built by one deep-to-shallow scan in which
 each cut adds its own segment to the map of the next deeper cut, and the
-common refinement of the component exponent maps.  suffix_exponent_map,
-np_map, g_pn and the certificate cells read it; a cut the chain does not
-materialise is summed up from Bottom as before.  The certificate search
-still re-verifies its instances through is_p_regular, which sums the
-segment's units afresh, so the two routes still check each other.
+component exponent maps.  suffix_exponent_map, np_map, g_pn and the
+certificate cells read it; a cut the chain does not materialise is summed
+up from Bottom as before.  The certificate search still re-verifies its
+instances through is_p_regular, which splits the segment into its units
+afresh and reads each at the probe prime, so the two routes still check
+each other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 from .errors import InternalError, ShapeError
 from .groups import LexWord, OmegaTower
-from .primes import INF, PartitionMap, PrimeSet
+from .primes import INF, PartitionMap, PrimeSet, common_pieces
 
 
 @dataclass(frozen=True)
@@ -190,28 +191,24 @@ def segment_exponent_map(G: LexWord, low: ConvexCut, high: ConvexCut) -> Partiti
     return acc
 
 
-def _pair(a, b):
-    return (a, b)
-
-
 class _ChainTable:
     """What a word's classification reads again and again, computed once.
 
     suffix holds E_c for every cut c of chain_cuts(G); plain[k] is E at
     ConvexCut(k) for k = 0..len(G.components), so plain[0] is n_p and
-    plain[-1] is zero; refinement is the common refinement of the
-    component exponent maps, its values nested pairs in component order.
+    plain[-1] is zero; components holds the component exponent maps in
+    component order.
     """
 
-    __slots__ = ("suffix", "plain", "refinement")
+    __slots__ = ("suffix", "plain", "components")
 
     def __init__(
         self,
         suffix: dict[ConvexCut, PartitionMap],
         plain: tuple[PartitionMap, ...],
-        refinement: PartitionMap,
+        components: tuple[PartitionMap, ...],
     ):
-        self.suffix, self.plain, self.refinement = suffix, plain, refinement
+        self.suffix, self.plain, self.components = suffix, plain, components
 
 
 @lru_cache(maxsize=16)
@@ -224,11 +221,8 @@ def _chain_table(G: LexWord) -> _ChainTable:
     for i in range(len(chain) - 2, -1, -1):
         acc = acc.add(segment_exponent_map(G, chain[i + 1], chain[i]))
         suffix[chain[i]] = acc
-    plain = tuple(suffix[ConvexCut(k)] for k in range(len(G.components) + 1))
-    refinement = G.components[0].exponent_map()
-    for comp in G.components[1:]:
-        refinement = refinement.combine(comp.exponent_map(), _pair)
-    return _ChainTable(suffix, plain, refinement)
+    plain = tuple([suffix[ConvexCut(k)] for k in range(len(G.components) + 1)])
+    return _ChainTable(suffix, plain, tuple([comp.exponent_map() for comp in G.components]))
 
 
 def suffix_exponent_map(G: LexWord, c: ConvexCut) -> PartitionMap:
@@ -353,7 +347,7 @@ def cut_labels(G: LexWord, c: ConvexCut) -> tuple[LabelEntry, ...]:
     else:
         e_pred = suffix_exponent_map(G, pred_cut(G, c))
     entries = []
-    for primes, (ec, ep) in e_c.combine(e_pred, _pair).pieces:
+    for primes, (ec, ep) in common_pieces(e_c, e_pred):
         if ec is INF or ep <= ec:
             continue
         entries.append(LabelEntry(primes, ec, None if ep is INF else ep - 1))
@@ -373,52 +367,43 @@ def labels_at(G: LexWord, c: ConvexCut, p: int) -> list[int] | None:
 
 
 def _segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, bool]:
-    """Atomic pieces of the segment (high, low], shallow to deep.
-
-    Each piece is (PartitionMap, kind); an infinite tower tail enters as a
-    single piece.  The boolean reports whether a deepest unit exists (it
-    does not when the segment ends in a tower tail).
+    """The exponent maps of the atomic units of the segment (high, low],
+    shallow to deep; an infinite tower tail enters as a single unit.  The
+    boolean reports whether a deepest unit exists (it does not when the
+    segment ends in a tower tail).
     """
     if cuts_cmp(high, low) >= 0:
         raise ShapeError("segment must be nonempty with high shallower than low")
-    pieces: list[tuple[PartitionMap, str]] = []
+    units: list[PartitionMap] = []
+    tail = False
     for i, start_off, end_off in _segment_parts(G, low, high):
         comp = G.components[i]
-        if isinstance(comp, OmegaTower):
-            if end_off is None:
-                pieces.append((comp.tail_exponent_map(start_off + 1), "tower-tail"))
-            else:
-                for off in range(start_off + 1, end_off + 1):
-                    pieces.append((_tower_slice_map(comp, off - 1, off), "tower-summand"))
+        tail = isinstance(comp, OmegaTower) and end_off is None
+        if tail:
+            units.append(comp.tail_exponent_map(start_off + 1))
+        elif isinstance(comp, OmegaTower):
+            units += [_tower_slice_map(comp, off - 1, off) for off in range(start_off + 1, end_off + 1)]
         else:
-            pieces.append((comp.exponent_map(), "component"))
-    if not pieces:
+            units.append(comp.exponent_map())
+    if not units:
         raise ShapeError("empty segment")
-    has_deepest = pieces[-1][1] != "tower-tail"
-    return pieces, has_deepest
+    return units, not tail
 
 
-def regular_primes(G: LexWord, low: ConvexCut, high: ConvexCut) -> PrimeSet:
-    """Primes p for which the segment (high, low] is p-regular: every
-    convex cut m strictly between the endpoints keeps the upper part
-    (m, high] p-divisible.
+def is_p_regular(G: LexWord, low: ConvexCut, high: ConvexCut, p: int) -> bool:
+    """Whether the segment (high, low] is p-regular: every convex cut m
+    strictly between the endpoints keeps the upper part (m, high]
+    p-divisible.
 
     Intermediate cuts sit immediately below every unit except the deepest,
     so regularity at p says every non-deepest unit is p-divisible; a
     single-unit segment is regular at all primes.  When the deep end is a
     tower tail there is no deepest unit and nothing is exempt.
     """
-    pieces, has_deepest = _segment_units(G, low, high)
+    units, has_deepest = _segment_units(G, low, high)
     if has_deepest:
-        pieces = pieces[:-1]
-    bad = PrimeSet.empty()
-    for pmap, _kind in pieces:
-        bad = bad.union(pmap.where(lambda v: v != 0))
-    return bad.complement()
-
-
-def is_p_regular(G: LexWord, low: ConvexCut, high: ConvexCut, p: int) -> bool:
-    return p in regular_primes(G, low, high)
+        units = units[:-1]
+    return all(u.value_at(p) == 0 for u in units)
 
 
 @dataclass(frozen=True)
@@ -479,7 +464,7 @@ def _certificate_cells(G: LexWord, e_map: PartitionMap) -> list[PrimeSet]:
     constant: the common refinement of all component exponent maps and of
     the target cut's own suffix map (which can split a tower's family),
     ordered by E_c first and then component by component."""
-    return [piece for piece, _ in e_map.combine(_chain_table(G).refinement, _pair).pieces]
+    return [piece for piece, _ in common_pieces(e_map, *_chain_table(G).components)]
 
 
 def _probe_primes(piece: PrimeSet, display_primes: tuple[int, ...]) -> list[int]:

@@ -467,21 +467,16 @@ class _Parser(_Tokens):
             if params is not None:
                 self.fail(f"{name} takes no params", pos)
             return (build_psi_p_at if name == "psi_p" else build_phi_p_at)(p, arg)
-        _check_prime(p)
-        # the coset clause ors p^n probes, so p^n alone bounds its depth from
-        # below; multiplying up, with p >= 2, never computes p^n for a huge n
-        size = 1
-        for _ in range(n):
-            size *= p
-            if size > _MAX_FRAMES:
-                n_text = _clip(str(n))
-                self.fail(f"{name}[{p},{n_text}] needs {p}^{n_text} coset probes, too deep", pos)
+        try:
+            size = _probe_count(p, n)
+        except ParameterError as exc:
+            self.fail(str(exc), pos)
         if params is None:
             if self.group is None:
                 self.fail(f"{name}[{p},{n}] needs explicit params when no group is given", pos)
             params = [term_of_series(s) for s in choose_params(self.group, p, n)]
-        if len(params) != p**n:
-            self.fail(f"expected {p**n} params, got {len(params)}", pos)
+        if len(params) != size:
+            self.fail(f"expected {size} params, got {len(params)}", pos)
         return build_phi_pn_at(p, n, params, arg)
 
     # -- terms
@@ -643,10 +638,26 @@ def build_phi_p(p: int):
     return build_phi_p_at(p, Var("x"))
 
 
-def build_psi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None):
+def _probe_count(p: int, n: int) -> int:
+    """p^n, the number of coset probes phi_pn[p,n] ors together.  Its coset
+    clause is deeper than p^n, so past _MAX_FRAMES that is a ParameterError;
+    multiplying up, with p prime, never computes p^n for a huge n."""
     _check_prime(p)
-    if len(param_terms) != p**n:
-        raise ParameterError(f"expected {p**n} parameters, got {len(param_terms)}")
+    if n < 0:
+        raise ShapeError("level must be a natural")
+    size = 1
+    for _ in range(n):
+        size *= p
+        if size > _MAX_FRAMES:
+            n_text = _clip(str(n))
+            raise ParameterError(f"phi_pn[{p},{n_text}] needs {p}^{n_text} coset probes, too deep")
+    return size
+
+
+def build_psi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None):
+    size = _probe_count(p, n)
+    if len(param_terms) != size:
+        raise ParameterError(f"expected {size} parameters, got {len(param_terms)}")
     used = used if used is not None else _Names()
     used |= free_term_vars(arg)
     for prm in param_terms:
@@ -664,17 +675,13 @@ def build_phi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None
 
 def build_phi_pn(p: int, n: int, params):
     """params: the p^n series from choose_params (or equivalent coset reps)."""
-    if len(params) != p**n:
-        raise ParameterError(f"expected {p**n} parameters, got {len(params)}")
     return build_phi_pn_at(p, n, [term_of_series(s) for s in params], Var("x"))
 
 
 def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
     """Monomials whose exponents represent every coset of p times the level-n
     convex subgroup; padded with 1 up to length p^n."""
-    _check_prime(p)
-    if n < 0:
-        raise ShapeError("level must be a natural")
+    size = _probe_count(p, n)
     cut = g_pn(G, p, n)
     if cut.inner is not None:
         raise NonEffectiveError("coset representatives inside a schematic tower")
@@ -692,9 +699,9 @@ def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
     for combo in itertools.product(*ranges):
         flat = (0,) * prefix_zeros + combo
         out.append(monomial(G, flat, 1))
-    if len(out) > p**n:
+    if len(out) > size:
         raise InternalError("coset count exceeds p^n; the level cut is wrong")  # unreachable
-    while len(out) < p**n:
+    while len(out) < size:
         out.append(one_series(G))
     return out
 

@@ -1,12 +1,13 @@
 """Prime enumeration and the finite-or-cofinite set algebra.
 
 Everything downstream that talks about "which primes" does so through
-:class:`PrimeSet` (a finite or cofinite set of primes, closed under boolean
-operations) and :class:`PartitionMap` (a map from primes to extended
+:class:`PrimeSet` (a finite or cofinite set of primes, closed under union
+and intersection) and :class:`PartitionMap` (a map from primes to extended
 naturals, stored as a default value and the finitely many primes where it
-differs).  Keeping these closed under the operations we need is what makes
-the classification machinery terminate on groups with infinitely many
-relevant primes.
+differs); :func:`common_pieces` cuts the primes into the pieces on which
+several maps are all constant.  Keeping these closed under the operations
+we need is what makes the classification machinery terminate on groups
+with infinitely many relevant primes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .errors import ParameterError, ShapeError
@@ -126,9 +128,9 @@ class PrimeSet:
     """A finite or cofinite subset of the primes.
 
     ``basis`` holds the members when finite, the excluded primes when
-    cofinite.  The algebra (union, intersection, complement) is closed on
-    this class, which is the whole point: sets like "all primes except 2"
-    or "the primes p_k for k >= 3" stay representable.
+    cofinite.  Union and intersection are closed on this class, which is
+    the whole point: sets like "all primes except 2" or "the primes p_k
+    for k >= 3" stay representable.
     """
 
     cofinite: bool
@@ -178,9 +180,6 @@ class PrimeSet:
         fin, cof = (self, other) if not self.cofinite else (other, self)
         return PrimeSet(False, fin.basis - cof.basis)
 
-    def complement(self) -> "PrimeSet":
-        return PrimeSet(not self.cofinite, self.basis)
-
     def members_among(self, primes: Iterable[int]) -> list[int]:
         """The members of this set among a concrete finite list."""
         return sorted(p for p in primes if p in self)
@@ -229,12 +228,6 @@ def _check_value(v):
     raise ValueError(f"partition value must be a natural or INF, got {v!r}")
 
 
-def _sort_key(v):
-    if isinstance(v, tuple):
-        return (1, tuple(_sort_key(x) for x in v))
-    return (0, float(v))
-
-
 @dataclass(frozen=True)
 class PartitionMap:
     """A map primes -> N ∪ {INF} that is constant on finitely many pieces.
@@ -276,12 +269,7 @@ class PartitionMap:
     @property
     def pieces(self) -> tuple[tuple[PrimeSet, object], ...]:
         """One (prime set, value) piece per value, sorted by value (INF last)."""
-        by_value: dict = {}
-        for p, v in self.exceptions:
-            by_value.setdefault(v, set()).add(p)
-        out = [(PrimeSet(False, frozenset(ps)), v) for v, ps in by_value.items()]
-        out.append((PrimeSet(True, frozenset(p for p, _ in self.exceptions)), self.default))
-        return tuple(sorted(out, key=lambda item: _sort_key(item[1])))
+        return tuple([(ps, v) for ps, (v,) in common_pieces(self)])
 
     def value_at(self, p: int):
         i = bisect_left(self.exceptions, (p,))
@@ -326,3 +314,20 @@ def _canonical(default, items: Iterable[tuple[int, object]]) -> PartitionMap:
     # From a list: CPython resizes a tuple built from a generator, then frees
     # it onto a free list of its final size that nothing reuses (~1 MB RSS).
     return PartitionMap(default, tuple([(p, v) for p, v in items if v != default]))
+
+
+def common_pieces(*maps: PartitionMap) -> list[tuple[PrimeSet, tuple]]:
+    """The common refinement of the maps: one (prime set, value tuple) piece
+    per tuple of values they take together at a prime, sorted by the tuple.
+
+    A prime named by no map's exceptions takes the tuple of defaults, and
+    every other prime a different one, so the pieces' tuples are distinct
+    and exactly one piece, the defaults', is cofinite."""
+    primes = {p for m in maps for p, _ in m.exceptions}
+    cells: dict[tuple, list[int]] = {}
+    for p in primes:
+        cells.setdefault(tuple([m.value_at(p) for m in maps]), []).append(p)
+    out = [(PrimeSet(False, frozenset(ps)), v) for v, ps in cells.items()]
+    out.append((PrimeSet(True, frozenset(primes)), tuple([m.default for m in maps])))
+    out.sort(key=itemgetter(1))
+    return out

@@ -2,12 +2,13 @@
 the hand-written shape matchers, the Fraction-based real sign, the group
 parser with its own tokenizer, the regex series and binding readers, the
 series sampler that merged its draws through `_make`, the sampled walk
-with two assignment fields per verdict, and the level map and certificate
-cells that read each component's exponent map on every call, that
-`formulas.decision_plan`, `valuations.differential_sweep`, the
-builder-derived matchers, the integer `groups.sign_of_real`, the shared
-token stream, the direct-built `hahn.sample_series`, the one-assignment
-sampled walk and `convex`'s chain table replaced.
+with two assignment fields per verdict, the level map and certificate
+cells that read each component's exponent map on every call, and the
+regular-prime set, that `formulas.decision_plan`,
+`valuations.differential_sweep`, the builder-derived matchers, the integer
+`groups.sign_of_real`, the shared token stream, the direct-built
+`hahn.sample_series`, the one-assignment sampled walk, `convex`'s chain
+table and `convex.is_p_regular`'s probe-prime read replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
@@ -20,11 +21,13 @@ merges and sorts through `_make`; the sampled walk keeps a counterexample
 and a witness field, states `or` apart from `and` and writes out each
 connective; the level map adds component exponents up from the deepest
 component, and the cells combine the cut's suffix map with one component
-map after another.
+map after another; the regular primes are the complement of the union of
+every non-deepest unit's nonzero set, each unit split off with its kind.
 All are kept only so the tests can check that the plans, the grouped
 sweep, the unifier, the integer sign, the shared-token readers, the
-sampler, the sampled walk and the chain table give the same answers,
-errors, mismatch lists, matches, groups, series, outcomes, cuts and cells.
+sampler, the sampled walk, the chain table and the regularity test give
+the same answers, errors, mismatch lists, matches, groups, series,
+outcomes, cuts, cells and verdicts.
 """
 
 import random
@@ -33,7 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from arclab import groups, valuations
-from arclab.convex import ConvexCut, max_p_divisible, np_map, top_cut
+from arclab.convex import (
+    ConvexCut,
+    _segment_parts,
+    _tower_slice_map,
+    cuts_cmp,
+    max_p_divisible,
+    np_map,
+    top_cut,
+)
 from arclab.errors import (
     DslSyntaxError,
     InternalError,
@@ -121,7 +132,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
-from arclab.primes import INF, is_prime
+from arclab.primes import INF, PrimeSet, is_prime
 
 
 def reference_decide(F, env, G) -> bool:
@@ -1002,3 +1013,33 @@ def reference_certificate_cells(G: LexWord, e_map) -> list:
     for comp in G.components:
         acc = acc.combine(comp.exponent_map(), lambda a, b: (a, b))
     return [piece for piece, _ in acc.pieces]
+
+
+def _reference_segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, bool]:
+    if cuts_cmp(high, low) >= 0:
+        raise ShapeError("segment must be nonempty with high shallower than low")
+    pieces = []
+    for i, start_off, end_off in _segment_parts(G, low, high):
+        comp = G.components[i]
+        if isinstance(comp, OmegaTower):
+            if end_off is None:
+                pieces.append((comp.tail_exponent_map(start_off + 1), "tower-tail"))
+            else:
+                for off in range(start_off + 1, end_off + 1):
+                    pieces.append((_tower_slice_map(comp, off - 1, off), "tower-summand"))
+        else:
+            pieces.append((comp.exponent_map(), "component"))
+    if not pieces:
+        raise ShapeError("empty segment")
+    has_deepest = pieces[-1][1] != "tower-tail"
+    return pieces, has_deepest
+
+
+def reference_regular_primes(G: LexWord, low: ConvexCut, high: ConvexCut) -> PrimeSet:
+    pieces, has_deepest = _reference_segment_units(G, low, high)
+    if has_deepest:
+        pieces = pieces[:-1]
+    bad = PrimeSet.empty()
+    for pmap, _kind in pieces:
+        bad = bad.union(pmap.where(lambda v: v != 0))
+    return PrimeSet(not bad.cofinite, bad.basis)  # the complement

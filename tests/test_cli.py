@@ -370,6 +370,32 @@ def test_phi_pn_too_deep_is_refused_before_it_is_built():
     assert "DslSyntaxError" in done.stderr and "Traceback" not in done.stderr
 
 
+VERIFY = ["verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "1", "-n"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (VERIFY + ["13"], "ParameterError"),
+        (VERIFY + ["1000000000"], "ParameterError"),
+        (["formula", "eval", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,13](x)", "--at", "x=1"],
+         "DslSyntaxError"),
+    ],
+    ids=["verify-2^13", "verify-2^1000000000", "formula-2^13"],
+)
+def test_phi_pn_past_the_probe_bound_exits_2_at_once(argv, error):
+    # the API built the 2^13 probes the DSL refuses, and evaluated 2^1000000000
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "arclab.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 2
+    assert error in done.stderr and "Traceback" not in done.stderr
+
+
 # -- verify subcommands --------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from arclab.errors import ShapeError
 from arclab.groups import OmegaTower, element, elem_p_divisible, parse_group
 from arclab.primes import INF, PrimeSet, prime_at
 from conftest import EFFECTIVE_POOL
-from reference_eval import reference_certificate_cells, reference_g_pn
+from reference_eval import reference_certificate_cells, reference_g_pn, reference_regular_primes
 from schematic_words import schematic_words
 
 K1 = parse_group("lex(Z, Q)")
@@ -106,7 +108,7 @@ def test_suffix_divisible_tower_inner():
 
 
 def test_suffix_divisible_c0():
-    assert suffix_divisible_primes(C0, top_cut(C0)) == PrimeSet.finite([2]).complement()
+    assert suffix_divisible_primes(C0, top_cut(C0)) == PrimeSet(True, frozenset([2]))
 
 
 # -- G_p, G_0 -------------------------------------------------------------------
@@ -252,6 +254,7 @@ def test_is_p_regular_requires_proper_segment():
         is_p_regular(K1, top_cut(K1), bottom_cut(K1), 2)
 
 
+
 # -- labels and certificates (the dual routes) --------------------------------------
 
 
@@ -346,3 +349,22 @@ def test_chain_table_is_the_direct_computation(seed):
         for p in TABLE_PRIMES:
             for n in range(7):
                 assert g_pn(G, p, n) == reference_g_pn(G, p, n), (G, p, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_is_p_regular_matches_the_regular_prime_set(seed):
+    # every ordered pair of distinct cuts, with a tower's inner cut past INNER_LIMIT
+    for G in map(parse_group, schematic_words(seed, 40) + EFFECTIVE_POOL):
+        cuts = chain_cuts(G) + [
+            ConvexCut(k, INNER_LIMIT + 3)
+            for k, comp in enumerate(G.components)
+            if isinstance(comp, OmegaTower)
+        ]
+        for high, low in itertools.permutations(cuts, 2):
+            if cuts_cmp(high, low) > 0:
+                with pytest.raises(ShapeError):
+                    is_p_regular(G, low, high, 2)
+                continue
+            regular = reference_regular_primes(G, low, high)
+            for p in TABLE_PRIMES:
+                assert is_p_regular(G, low, high, p) == (p in regular), (G, low, high, p)

@@ -6,8 +6,10 @@ Imports are checked over src/arclab, tests and scripts; a name listed in
 A definition in src/arclab (a top-level function, class or assigned name,
 or a method, other than a dunder) must be referenced by name, attribute or import in
 the program itself (src/arclab, scripts, perfbench), not only by tests.
-Names exported in ``arclab.__all__`` or traced by name in
-``perfbench/tracing.py`` pass as well."""
+Names exported in ``arclab.__all__`` pass as well.  A name that only
+``perfbench/tracing.py``'s NAMED table lists is dead, since a traced
+metric must not keep dead code alive; TRACER_ONLY exempts the three such
+names there are today."""
 
 from __future__ import annotations
 
@@ -94,6 +96,15 @@ def references(source: str) -> set[str]:
     return out
 
 
+# Tracer-only definitions: retiring each one drops its NAMED entry and its
+# metrics, a change to the benchmark.
+TRACER_ONLY = {
+    "element": "ROADMAP item 7",
+    "from_pairs": "ROADMAP item 7",
+    "match_psi_p": "ROADMAP item 7",
+}
+
+
 def traced_names(source: str) -> set[str]:
     """The function and method names in the tracer's NAMED table."""
     for node in ast.parse(source).body:
@@ -115,7 +126,9 @@ def test_checker_flags_a_dead_definition():
 
 
 def test_no_dead_definitions():
-    used = set(arclab.__all__) | traced_names((ROOT / "perfbench/tracing.py").read_text())
+    # an exemption stays only while the tracer still names it
+    assert set(TRACER_ONLY) <= traced_names((ROOT / "perfbench/tracing.py").read_text())
+    used = set(arclab.__all__) | set(TRACER_ONLY)
     for top in PROGRAM:
         for path in sorted((ROOT / top).rglob("*.py")):
             used |= references(path.read_text())

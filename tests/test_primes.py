@@ -10,20 +10,28 @@ from hypothesis import strategies as st
 import arclab
 from arclab import primes
 from arclab.errors import ParameterError, ShapeError
-from arclab.primes import INF, PartitionMap, PrimeSet, is_prime, prime_at, prime_index
+from arclab.primes import (
+    INF,
+    PartitionMap,
+    PrimeSet,
+    common_pieces,
+    is_prime,
+    prime_at,
+    prime_index,
+)
 
 SOME_PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
 prime_sets = st.one_of(
     st.builds(PrimeSet.finite, st.sets(st.sampled_from(SOME_PRIMES))),
-    st.builds(lambda s: PrimeSet.finite(s).complement(), st.sets(st.sampled_from(SOME_PRIMES))),
+    st.builds(lambda s: PrimeSet(True, frozenset(s)), st.sets(st.sampled_from(SOME_PRIMES))),
 )
 
 
 def test_basic_membership():
     s = PrimeSet.finite([3, 2, 3])
     assert 2 in s and 3 in s and 5 not in s
-    c = PrimeSet.finite([2]).complement()
+    c = PrimeSet(True, frozenset([2]))
     assert 2 not in c and 97 in c
     assert PrimeSet.all_primes().is_all()
     assert PrimeSet.empty().is_empty()
@@ -38,12 +46,6 @@ def test_canonical_sorted_dedup():
 def test_boolean_algebra_pointwise(a, b, p):
     assert (p in a.union(b)) == (p in a or p in b)
     assert (p in a.intersection(b)) == (p in a and p in b)
-    assert (p in a.complement()) == (p not in a)
-
-
-@given(prime_sets)
-def test_complement_involution(a):
-    assert a.complement().complement() == a
 
 
 def _trial_division(n: int) -> bool:
@@ -100,14 +102,14 @@ def test_is_prime_on_pseudoprimes_and_large_n():
 
 
 def test_smallest():
-    assert PrimeSet.finite([2, 3]).complement().smallest() == [5]
+    assert PrimeSet(True, frozenset([2, 3])).smallest() == [5]
     assert PrimeSet.finite([11, 5]).smallest(2) == [5, 11]
     assert PrimeSet.empty().smallest() == []
 
 
 def test_partition_map_value_and_pieces():
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), INF), (PrimeSet.finite([2]).complement(), 0)]
+        [(PrimeSet.single(2), INF), (PrimeSet(True, frozenset([2])), 0)]
     )
     assert m.value_at(2) is INF
     assert m.value_at(3) == 0
@@ -116,7 +118,7 @@ def test_partition_map_value_and_pieces():
 
 def test_partition_map_where():
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), 0), (PrimeSet.finite([2]).complement(), 1)]
+        [(PrimeSet.single(2), 0), (PrimeSet(True, frozenset([2])), 1)]
     )
     assert m.where(lambda v: v == 0) == PrimeSet.single(2)
     assert m.where(lambda v: v >= 0).is_all()
@@ -124,7 +126,7 @@ def test_partition_map_where():
 
 def test_partition_map_add_saturates_at_inf():
     a = PartitionMap.from_pairs(
-        [(PrimeSet.single(2), INF), (PrimeSet.finite([2]).complement(), 1)]
+        [(PrimeSet.single(2), INF), (PrimeSet(True, frozenset([2])), 1)]
     )
     b = PartitionMap(1)
     s = a.add(b)
@@ -135,7 +137,7 @@ def test_partition_map_add_saturates_at_inf():
 @given(st.sampled_from(SOME_PRIMES), st.integers(0, 5), st.integers(0, 5))
 def test_partition_map_piecewise_get(p, a, b):
     m = PartitionMap.from_pairs(
-        [(PrimeSet.single(p), b), (PrimeSet.finite([p]).complement(), a)]
+        [(PrimeSet.single(p), b), (PrimeSet(True, frozenset([p])), a)]
     )
     assert m.value_at(p) == b
     q = 2 if p != 2 else 3
@@ -206,7 +208,7 @@ def piece_lists(draw):
     equal to the default gives a piece that merges into the default's."""
     default = draw(MAP_VALUES)
     assigned = draw(st.dictionaries(st.sampled_from(SOME_PRIMES), MAP_VALUES))
-    pairs = [(PrimeSet.finite(assigned).complement(), default)]
+    pairs = [(PrimeSet(True, frozenset(assigned)), default)]
     pairs += [(PrimeSet.single(p), v) for p, v in assigned.items()]
     return draw(st.permutations(pairs))
 
@@ -229,10 +231,11 @@ def test_partition_map_matches_piece_reference(pairs_a, pairs_b):
     assert a.pieces == ref_a.pieces
     assert a.to_json() == ref_a.to_json()
     assert a.add(b).pieces == ref_a.add(ref_b).pieces
-    assert (
-        a.combine(b, lambda x, y: (x, y)).pieces
-        == ref_a.combine(ref_b, lambda x, y: (x, y)).pieces
-    )
+    ref_ab = ref_a.combine(ref_b, lambda x, y: (x, y))
+    assert a.combine(b, lambda x, y: (x, y)).pieces == ref_ab.pieces
+    assert tuple(common_pieces(a, b)) == ref_ab.pieces
+    ref_abs = ref_ab.combine(ref_a.add(ref_b), lambda xy, z: (*xy, z))
+    assert tuple(common_pieces(a, b, a.add(b))) == ref_abs.pieces
     for fn in VALUE_FNS:
         assert a.map_values(fn).pieces == ref_a.map_values(fn).pieces
     for pred in PREDICATES:
@@ -243,9 +246,9 @@ def test_partition_map_matches_piece_reference(pairs_a, pairs_b):
 @pytest.mark.parametrize(
     "pairs, error, match",
     [
-        ([(PrimeSet.all_primes(), 0), (PrimeSet.finite([2]).complement(), 1)], ShapeError, "overlap"),
-        ([(PrimeSet.finite([2]).complement(), 0), (PrimeSet.single(3), 1)], ShapeError, "overlap"),
-        ([(PrimeSet.finite([2, 3]).complement(), 0), (PrimeSet.single(2), 1)], ShapeError, "cover"),
+        ([(PrimeSet.all_primes(), 0), (PrimeSet(True, frozenset([2])), 1)], ShapeError, "overlap"),
+        ([(PrimeSet(True, frozenset([2])), 0), (PrimeSet.single(3), 1)], ShapeError, "overlap"),
+        ([(PrimeSet(True, frozenset([2, 3])), 0), (PrimeSet.single(2), 1)], ShapeError, "cover"),
         ([(PrimeSet.all_primes(), True)], ValueError, "bool"),
         ([(PrimeSet.all_primes(), -1)], ValueError, ">= 0"),
     ],

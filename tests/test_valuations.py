@@ -183,7 +183,7 @@ def test_image_k2():
     top_entries = {(e.primes, e.n_min, e.n_max) for e in img["top"]}
     assert top_entries == {
         (PrimeSet.single(2), 0, 0),
-        (PrimeSet.finite([2]).complement(), 1, 1),
+        (PrimeSet(True, frozenset([2])), 1, 1),
     }
 
 
@@ -202,7 +202,7 @@ def test_image_c0():
     [e] = img["bottom"]
     assert e.primes == PrimeSet.single(2) and e.n_min == 0 and e.n_max is None
     [e] = img["top"]
-    assert e.primes == PrimeSet.finite([2]).complement() and (e.n_min, e.n_max) == (0, 0)
+    assert e.primes == PrimeSet(True, frozenset([2])) and (e.n_min, e.n_max) == (0, 0)
 
 
 def test_image_deepest_first():
