@@ -8,7 +8,8 @@ the text that replaces it, and why the mutant matters.  For each row the
 repository (without .git and caches) is copied to a temporary directory,
 the row is applied there, and pytest runs on the copy under a TIMEOUT_S
 timeout, stopping at the first failure; the PYTEST_ARGs replace the
-default ones.
+default ones.  The copy leaves out tests/test_mutants.py, which checks
+this table against the unmutated tree.
 The repository itself is never changed.
 
 Prints one line per row: killed (pytest failed), survived (pytest passed),
@@ -96,11 +97,45 @@ MUTANTS = [
         "primes = {p for m in maps for p, _ in m.exceptions} | {2}",
         "common_pieces keeps the prime 2 as a finite piece where its tuple equals the default",
     ),
+    (
+        "src/arclab/formulas.py",
+        "num = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))",
+        "num = series_add(series_mul(a.num, b.den), series_mul(b.num, a.den))",
+        "eval_term computes a difference as a sum",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "if not (a.defined and b.defined):\n        return (False, True)",
+        "if not (a.defined and b.defined):\n        return (True, True)",
+        "an atom over a division by zero is true instead of false",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "not zero or diff.trunc is None)",
+        "True)",
+        "an atom whose difference hides below a truncation counts as certain",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "if not sf.defined:\n            return True",
+        "if not sf.defined:\n            return False",
+        "the decided coset clause is false at an undefined argument",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "_nodes(f, _is_constant_term)",
+        "_nodes(f)",
+        "the witness grid takes the monomial inside a zero multiple 0*t^g as a constant",
+    ),
 ]
 
 TIMEOUT_S = 300
 DEFAULT_PYTEST = ["-x", "-q", "-p", "no:cacheprovider"]
-IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_out")
+# The table's own check (tests/test_mutants.py) fails in every mutated copy,
+# since the row's old text is gone there, so it would count each row killed.
+IGNORE = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".bench_out", "test_mutants.py"
+)
 
 
 def occurrences(row) -> int:

@@ -11,7 +11,9 @@ Subcommands
 Exit codes: 0 clean, 1 verification mismatch or red flag, 2 usage or
 parse error.  Unsupported quantifier shapes under --mode decide count as
 usage errors (the command asked for a decision procedure that does not
-cover the formula), so they exit 2 as well.
+cover the formula), so they exit 2 as well.  So does a `formula eval`
+whose bindings are truncated too coarsely to settle an atom or a product
+(TruncationError): the input, not a verification, is at fault.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import (
     NonEffectiveError,
     ParameterError,
     ShapeError,
+    TruncationError,
     UnboundVariableError,
     UnsupportedQuantifierPattern,
 )
@@ -361,6 +364,7 @@ _USAGE_ERRORS = (
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
+    usage = _USAGE_ERRORS + ((TruncationError,) if args.command == "formula" else ())
     try:
         if args.command == "group":
             return _report(args.dsl, args, out)
@@ -372,7 +376,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return _cmd_verify(args, out)
         dsl = EXAMPLES[args.name]
         return _report(dsl, args, out, header=f"example {args.name!r}: {dsl}")
-    except _USAGE_ERRORS as exc:
+    except usage as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArclabError as exc:

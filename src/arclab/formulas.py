@@ -38,6 +38,13 @@ Division is rational-function style: every term evaluates to a fraction of
 series, and a division by zero poisons the fraction.  Atoms mentioning a
 poisoned fraction are false (both ``=`` and ``!=``), which gives the usual
 implicit nonzero guard on hypotheses like phi_p(x/y).
+
+A binding enters one way: ``_norm_env`` takes a series or a rational and
+binds it as a fraction over the exact 1, so every assignment either
+evaluator sees, its own candidates included, is defined and has an exact
+denominator.  A tree is walked one way: ``_nodes`` reads the one child
+table in reading order for the prime every matcher reads off a shape and
+for the witness grid's constants and root targets.
 """
 
 from __future__ import annotations
@@ -217,7 +224,10 @@ def _leaf(node) -> tuple:
 
 
 # the subtrees of a node of each kind, in reading order: the one statement
-# of which fields hold subtrees, read by every structural walk
+# of which fields hold subtrees. _nodes is the one walk over them; only
+# _frames, which carries each node's depth, the unifier, which walks two
+# trees in step, and free_term_vars, on the unifier's path, keep work lists
+# of their own.
 _PAIR = attrgetter("left", "right")
 _CHILDREN = {
     **dict.fromkeys((Const, Var, Monomial), _leaf),
@@ -228,7 +238,22 @@ _CHILDREN = {
 }
 
 
+def _nodes(f, prune=None):
+    """The nodes of f in reading order (pre-order, left to right), not
+    descending below a node for which prune(node) holds. A value that is
+    no node has no subtrees. A work list, not recursion, since chains can
+    be long."""
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        yield node
+        if prune is None or not prune(node):
+            todo += reversed(_CHILDREN.get(type(node), _leaf)(node))
+
+
 def free_term_vars(t) -> frozenset:
+    # its own loop: the unifier asks it at every hole, where a generator's
+    # resumptions cost about 8% of a match; order does not matter here
     names = set()
     todo = [t]
     while todo:
@@ -686,7 +711,7 @@ def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
     if cut.inner is not None:
         raise NonEffectiveError("coset representatives inside a schematic tower")
     for comp in G.components[cut.seg :]:
-        if not comp.is_effective():
+        if not comp.n_slots():
             raise NonEffectiveError(f"cannot enumerate cosets of a schematic unit ({comp.describe()})")
     prefix_zeros = G.layout.offsets[cut.seg]
     ranges: list[range | tuple] = []
@@ -720,9 +745,6 @@ class SeriesFraction:
     def of(s: HahnSeries) -> "SeriesFraction":
         return SeriesFraction(s, one_series(s.group))
 
-    def is_zero(self) -> bool:
-        return self.defined and self.num.is_zero()
-
     def valuation(self, G: LexWord):
         v, d = v_of(self.num), v_of(self.den)
         # a denominator at exponent 0, as every one the sampler wraps, leaves v
@@ -743,16 +765,17 @@ def _undef(G: LexWord) -> SeriesFraction:
 
 
 def _norm_env(G: LexWord, env) -> dict:
+    """Each binding, a series over G or a rational, as a fraction over the
+    exact 1 of G; any other value is a ShapeError."""
     out = {}
     for name, val in (env or {}).items():
-        if isinstance(val, SeriesFraction):
-            out[name] = val
-        elif isinstance(val, HahnSeries):
-            out[name] = SeriesFraction.of(val)
-        else:
-            out[name] = SeriesFraction.of(const_series(G, Fraction(val)))
-        if out[name].num.group != G:
+        if isinstance(val, (int, Fraction)):
+            val = const_series(G, val)
+        elif not isinstance(val, HahnSeries):
+            raise ShapeError(f"assignment for {name!r} is neither a series nor a rational")
+        elif val.group != G:
             raise ShapeError(f"assignment for {name!r} lives over a different group")
+        out[name] = SeriesFraction.of(val)
     return out
 
 
@@ -871,12 +894,9 @@ def _shape_prime(f) -> int | None:
     boundary of the formula layer: every matcher reads p here, so a matched
     p is prime.
     """
-    todo = [f]
-    while todo:
-        node = todo.pop()
+    for node in _nodes(f):
         if type(node) is Pow:
             return node.n if is_prime(node.n) else None
-        todo += reversed(_CHILDREN.get(type(node), _leaf)(node))
     return None
 
 
@@ -974,17 +994,9 @@ def _ring_member_cut(G: LexWord, v, cut: ConvexCut) -> bool:
     return _in_cut_subgroup(G, v, cut)
 
 
-def _series_zero_status(s: HahnSeries) -> tuple[bool, bool]:
-    """(is-zero-so-far, certain)."""
-    if s.terms:
-        return (False, True)
-    if s.trunc is None:
-        return (True, True)
-    return (True, False)
-
-
 def _atom_status(G: LexWord, f, env) -> tuple[bool | None, bool]:
-    """Truth and certainty of an equational atom; poisoned atoms are false."""
+    """Truth and certainty of an equational atom; poisoned atoms are false.
+    A difference with no term is zero so far, and certain only when exact."""
     a = eval_term(G, f.left, env)
     b = eval_term(G, f.right, env)
     if not (a.defined and b.defined):
@@ -993,9 +1005,8 @@ def _atom_status(G: LexWord, f, env) -> tuple[bool | None, bool]:
         diff = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
     except TruncationError:
         return (None, False)
-    zero, certain = _series_zero_status(diff)
-    truth = zero if isinstance(f, Eq) else not zero
-    return (truth, certain)
+    zero = not diff.terms
+    return (zero if isinstance(f, Eq) else not zero, not zero or diff.trunc is None)
 
 
 def _sf_root_decision(G: LexWord, sf: SeriesFraction, p: int, allow_negation: bool) -> bool:
@@ -1251,40 +1262,54 @@ def _sv_or(a: _SV, b: _SV) -> _SV:
     return _sv_not(_sv_and(_sv_not(a), _sv_not(b)))
 
 
+def _is_atom(node) -> bool:
+    return type(node) is Eq or type(node) is Neq
+
+
 def _root_equation_targets(f) -> list:
     """(p, U) from every `y^p = U` atom with p prime, left to right, for
     root-derived witnesses."""
-    out, todo = [], [f]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Eq or kind is Neq:
-            lhs = node.left
-            if kind is Eq and type(lhs) is Pow and type(lhs.base) is Var and is_prime(lhs.n):
-                out.append((lhs.n, node.right.arg if type(node.right) is Neg else node.right))
-        else:
-            todo += reversed(_CHILDREN.get(kind, _leaf)(node))
+    out = []
+    for node in _nodes(f, _is_atom):
+        if type(node) is Eq:
+            lhs, rhs = node.left, node.right
+            if type(lhs) is Pow and type(lhs.base) is Var and is_prime(lhs.n):
+                out.append((lhs.n, rhs.arg if type(rhs) is Neg else rhs))
     return out
+
+
+def _is_constant_term(node) -> bool:
+    kind = type(node)
+    return kind is Monomial or (
+        kind is Mul and type(node.left) is Const and type(node.right) is Monomial
+    )
 
 
 def _constant_terms(f) -> list:
     """Monomial and Const*Monomial subterms, left to right: parameters and
     literals."""
-    out, todo = [], [f]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Monomial or (
-            kind is Mul and type(node.left) is Const and type(node.right) is Monomial
-        ):
-            out.append(node)
-        else:
-            todo += reversed(_CHILDREN.get(kind, _leaf)(node))
-    return out
+    return [node for node in _nodes(f, _is_constant_term) if _is_constant_term(node)]
 
 
 def _halve(G: LexWord, v):
     return elem_div_by_p(G, v, 2) if elem_p_divisible(G, v, 2) else None
+
+
+def _truncated_root(sf: SeriesFraction, p: int, cutoff) -> HahnSeries | None:
+    """Best effort: a p-th root of sf, or else of -sf, to O(t^cutoff) in at
+    most 8 Newton steps; None for an undefined or zero sf, and when neither
+    has a root with a visible expansion. For odd p the root of -sf is minus
+    the root of sf, so a root and its negative cover both signs."""
+    if not sf.defined or sf.num.is_zero():
+        return None
+    try:
+        ser = sf.as_series(cutoff=cutoff)
+        base = ser if root_exists(ser, p, False) else series_neg(ser)
+        if root_exists(base, p, False):
+            return pth_root(base, p, cutoff=cutoff, max_steps=8)
+    except (TruncationError, RootError):
+        pass
+    return None
 
 
 def _candidates(
@@ -1308,28 +1333,25 @@ def _candidates(
     for c in (1, -1, 2, -2, 3, Fraction(1, 2)):
         push(const_series(G, c))
 
+    # every binding is a series over the exact 1; the exact nonzero ones
+    # and the formula's nonzero constants are the bases
     bases: list[HahnSeries] = []
     for _, sf in sorted(env.items()):
-        if sf.defined and not sf.num.is_zero():
+        if not sf.num.is_zero():
             push(sf.num)
-            if sf.num.trunc is None and sf.den.trunc is None:
-                try:
-                    bases.append(sf.as_series())
-                except (TruncationError, ZeroInputError):
-                    bases.append(sf.num)
+            if sf.num.trunc is None:
+                bases.append(sf.num)
     for t in _constant_terms(body):
         try:
-            sf = eval_term(G, t, {})
-            if not sf.num.is_zero():
-                bases.append(sf.num)
-        except (ShapeError, ZeroInputError):
-            pass
+            num = eval_term(G, t, {}).num
+        except ShapeError:
+            continue
+        if not num.is_zero():
+            bases.append(num)
 
     zero = zero_element(G)
     for b in bases:
         push(b)
-        if b.trunc is not None or b.is_zero():
-            continue
         v = v_of(b)
         lc = leading_coeff(b)
         push(_make(G, [(elem_neg(G, v), Fraction(1) / lc)], None))
@@ -1360,19 +1382,12 @@ def _candidates(
         done.add(key)
         try:
             sf = eval_term(G, u, env)
-            if not sf.defined or sf.num.is_zero():
-                continue
-            ser = sf.as_series(cutoff=cutoff)
-        except (TruncationError, ZeroInputError):
+        except TruncationError:
             continue
-        for cand in (ser, series_neg(ser)):
-            try:
-                if root_exists(cand, p, False):
-                    r = pth_root(cand, p, cutoff=cutoff, max_steps=8)
-                    push(r)
-                    push(series_neg(r))
-            except (TruncationError, ZeroInputError, RootError):
-                pass
+        r = _truncated_root(sf, p, cutoff)
+        if r is not None:
+            push(r)
+            push(series_neg(r))
 
     i = 0
     while len(out) < budget and i < 3 * budget:
@@ -1395,9 +1410,8 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
         join, settles = _JOINS[type(f)]
         a = _sampled(G, f.left, env, budget, seed, qdepth, cmag)
         if isinstance(f, Implies):
-            if a.truth is False and a.exact:
-                return _SV(True, True)  # the hypothesis's counterexample is no witness
-            a = _sv_not(a)
+            # a false hypothesis's counterexample is no witness of the implication
+            a = _SV(True, a.exact) if a.truth is False else _sv_not(a)
         if a.truth is settles and a.exact:
             return a
         return join(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
@@ -1430,20 +1444,11 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
         p, u, allow_neg = m
         sf = eval_term(G, u, env)
         truth = _root_sampled(G, sf, p, allow_neg)
-        wit = None
-        if truth and qdepth == 0 and not sf.num.is_zero():
-            # best effort, and only for the outermost quantifier (inner
-            # verdicts never surface a witness): the oracle verdict
-            # stands even when the root has no exact expansion
-            try:
-                co = default_cutoff(G, cmag)
-                ser = sf.as_series(cutoff=co)
-                base = ser if root_exists(ser, p, False) else series_neg(ser)
-                if root_exists(base, p, False):
-                    wit = {f.var: pth_root(base, p, cutoff=co, max_steps=8)}
-            except (TruncationError, ZeroInputError, RootError):
-                pass
-        return _SV(truth, truth is not None, wit)
+        # a witness only for the outermost quantifier (inner verdicts never
+        # surface one): the oracle verdict stands even when the root has
+        # no visible expansion
+        r = _truncated_root(sf, p, default_cutoff(G, cmag)) if truth and qdepth == 0 else None
+        return _SV(truth, truth is not None, None if r is None else {f.var: r})
     best: _SV | None = None
     for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
         sub = {**env, f.var: SeriesFraction.of(cand)}

@@ -14,9 +14,10 @@ significant.  Component kinds:
                      transcendental constant; archimedean (it sits inside
                      the reals), so it contributes no inner convex cuts
 
-The first four kinds are *effective*: elements exist and arithmetic is exact.
-The last two are analysis-only; words containing them expose the symbolic
-interfaces but no element arithmetic.
+The first four kinds are *effective*: they have element slots, elements
+exist and arithmetic is exact.  The last two have no slots and are
+analysis-only; words containing them expose the symbolic interfaces but no
+element arithmetic.
 
 Every component declares one per-prime fact, its ``exponent_map()``: log_p
 of the size of C/pC at each prime p (INF when infinite), as a default value
@@ -33,8 +34,9 @@ Inputs are validated where they enter, and the arithmetic trusts them:
 
 * elements: ``unflatten`` (and ``element``, which delegates to it) checks
   slot count and slot kinds, and ``zero_element`` checks effectiveness;
-* series groups: ``formulas._norm_env`` rejects a binding over another
-  group, the only way series of two groups can meet;
+* bindings: ``formulas._norm_env`` takes a series or a rational and
+  rejects any other value, and a series over another group, the only way
+  series of two groups can meet;
 * primes: the formula builders and matchers, ``hahn.root_exists`` and the
   CLI's ``--primes`` check primality, so ``elem_p_divisible`` assumes it.
 """
@@ -149,9 +151,6 @@ class Zed:
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(1)
 
-    def is_effective(self) -> bool:
-        return True
-
     def n_slots(self) -> int:
         return 1
 
@@ -163,9 +162,6 @@ class Zed:
 class Rat:
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0)
-
-    def is_effective(self) -> bool:
-        return True
 
     def n_slots(self) -> int:
         return 1
@@ -184,9 +180,6 @@ class LocZ:
 
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0, ((self.q, 1),))
-
-    def is_effective(self) -> bool:
-        return True
 
     def n_slots(self) -> int:
         return 1
@@ -214,9 +207,6 @@ class FreeReal:
 
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(self.rank)
-
-    def is_effective(self) -> bool:
-        return True
 
     def n_slots(self) -> int:
         return self.rank
@@ -261,9 +251,6 @@ class OmegaTower:
     def exponent_map(self) -> PartitionMap:
         return self.tail_exponent_map(1)
 
-    def is_effective(self) -> bool:
-        return False
-
     def n_slots(self) -> int:
         return 0
 
@@ -291,9 +278,6 @@ class PolyModule:
 
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0, ((self.q, INF),))
-
-    def is_effective(self) -> bool:
-        return False
 
     def n_slots(self) -> int:
         return 0
@@ -348,7 +332,7 @@ class SlotLayout:
             for k in kinds
         )
         zero = tuple(0 if d is None else Fraction(0) for d in dens)
-        effective = all(c.is_effective() for c in components)
+        effective = all(c.n_slots() for c in components)
         frac = tuple(i for i, d in enumerate(dens) if d is not None)
         native = all(run is None for run in runs)
         return SlotLayout(

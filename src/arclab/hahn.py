@@ -354,12 +354,9 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
     if cutoff is None and a.trunc is None:
         raise TruncationError("a cutoff is required: the inverse has infinite support")
     # precision limits: the requested cutoff, and what the input itself knows
-    eff = None
-    if cutoff is not None:
-        eff = cutoff
+    eff = cutoff
     if a.trunc is not None:
-        from_input = elem_sub(G, a.trunc, scalar_mul(G, 2, v))
-        eff = from_input if eff is None else _min_trunc(G, eff, from_input)
+        eff = _min_trunc(G, eff, elem_sub(G, a.trunc, scalar_mul(G, 2, v)))
     # a = lc * t^v * (1 + w) with v(w) > 0; invert the unit part to O(t^(eff + v))
     unit_cut = elem_add(G, eff, v)
     lead = _make(G, [(v, lc)], None)

@@ -880,6 +880,8 @@ def _ref_sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, 
         a = _ref_sampled(G, f.left, env, budget, seed, qdepth, cmag)
         if a.truth is False and a.exact:
             return RefSV(True, True)
+        if a.truth is False:
+            a = RefSV(False, False)  # a false hypothesis's counterexample is no witness
         return ref_sv_or(ref_sv_not(a), _ref_sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
     if isinstance(f, Exists):
         # plain root existence is the one oracle the sampler trusts: it is a

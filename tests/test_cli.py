@@ -153,6 +153,18 @@ def test_differential_on_schematic_group_is_usage_error(capsys):
     assert "NonEffectiveError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, expr", [("decide", "x = 0"), ("sample", "x*x = 0")])
+def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys):
+    # the binding hides what the formula asks: the input is at fault, so
+    # this is exit 2, not the verification failure exit 1 stands for
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr,
+        "--at", "x = O(t^(1,0))", "--mode", mode,
+    )
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: TruncationError: ")
+
+
 def test_internal_contradiction_exits_1(monkeypatch, capsys):
     # an enclosure of pi that never narrows trips sign_of_real's precision cap
     monkeypatch.setattr(groups, "pi_interval", lambda digits: (Fraction(0), Fraction(10)))

@@ -14,6 +14,7 @@ from arclab.errors import (
     DslSyntaxError,
     ParameterError,
     ShapeError,
+    TruncationError,
     UnsupportedQuantifierPattern,
 )
 from arclab.formulas import (
@@ -56,7 +57,14 @@ from arclab.hahn import (
 )
 from arclab.valuations import boundary_monomials
 from conftest import EFFECTIVE_POOL
-from reference_eval import RefSV, ref_sv_and, ref_sv_not, ref_sv_or
+from reference_eval import (
+    RefSV,
+    ref_sv_and,
+    ref_sv_not,
+    ref_sv_or,
+    reference_decide,
+    reference_eval_sampled,
+)
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -350,6 +358,79 @@ def test_existential_without_root_is_false():
     ex = parse_formula("exists z. z^2 = x")
     out = eval_sampled(ex, at("t^(1,0)"), K1)
     assert out.status == "false" and out.certain
+
+
+def test_a_false_hypothesis_passes_on_no_witness():
+    # the hypothesis is false on the sample, and only inexactly so: its
+    # counterexample y = 1 says nothing about the implication
+    F = parse_formula("(not (exists y. y = x)) -> x = 5")
+    env = at("1 + O(t^(1,0))")
+    out = eval_sampled(F, env, K1)
+    assert (out.status, out.certain, out.witness) == ("true", False, None)
+    assert reference_eval_sampled(F, env, K1) == out
+    # exactly false, it settles the implication, again with no witness
+    F = parse_formula("(exists y. y^2 = x) -> x = 5")
+    out = eval_sampled(F, at("t^(1,0)"), K1)
+    assert (out.status, out.certain, out.witness) == ("true", True, None)
+
+
+def test_unsupported_bindings_are_a_shape_error():
+    for val in (SeriesFraction.of(const_series(K1, 1)), 0.5, "1", None):
+        with pytest.raises(ShapeError, match="'x'"):
+            eval_decidable(parse_formula("x = 1"), {"x": val}, K1)
+    assert eval_decidable(parse_formula("x = 1/2"), {"x": Fraction(1, 2)}, K1) is True
+    assert eval_decidable(parse_formula("x = 3"), {"x": 3}, K1) is True
+
+
+# -- term semantics, which both evaluators share ----------------------------------
+
+
+def _both(text, env, G=K1):
+    """The decided verdict and the sampled outcome of one formula."""
+    F = parse_formula(text, G)
+    return eval_decidable(F, env, G), eval_sampled(F, env, G, budget=10)
+
+
+def test_a_difference_subtracts():
+    env = {"x": parse_series("t^(1,0) + 2", K1), "y": parse_series("t^(1,0)", K1)}
+    decided, sampled = _both("x - y = 2", env)
+    assert decided is True and (sampled.status, sampled.certain) == ("true", True)
+    decided, sampled = _both("x - y = 2*t^(1,0) + 2", env)
+    assert decided is False and (sampled.status, sampled.certain) == ("false", True)
+
+
+@pytest.mark.parametrize("op", ["=", "!="])
+def test_an_atom_over_a_division_by_zero_is_false(op):
+    # a poisoned fraction makes both = and != false, exactly
+    decided, sampled = _both(f"x/y {op} 0", {"x": 1, "y": 0})
+    assert decided is False and (sampled.status, sampled.certain) == ("false", True)
+
+
+def test_an_atom_hidden_below_a_truncation_is_not_certain():
+    env = at("O(t^(1,0))")
+    for text in ("x = 0", "x != 0"):
+        with pytest.raises(TruncationError):
+            eval_decidable(parse_formula(text), env, K1)
+    assert eval_sampled(parse_formula("x = 0"), env, K1).certain is False
+    out = eval_sampled(parse_formula("x != 0"), env, K1)
+    assert (out.status, out.certain) == ("unknown_on_sample", False)
+    # a term below the truncation shows, and settles the atom
+    assert eval_decidable(parse_formula("x = 0"), at("t^(0,1/2) + O(t^(1,0))"), K1) is False
+
+
+def test_coset_clauses_at_an_undefined_argument_hold():
+    # each clause's hypothesis asks phi_p of the argument's quotient, which a
+    # poisoned fraction makes false, so both clauses hold vacuously
+    F = parse_formula("phi_pn[2,1](x/0)", K1)
+    outside = F.right.right
+    inside = F.right.left.right
+    for clause in (inside, outside):
+        assert formulas.match_coset_clause(clause) is not None
+        assert eval_decidable(clause, {"x": 1}, K1) is True
+        assert reference_decide(clause, {"x": 1}, K1) is True
+        out = eval_sampled(clause, {"x": 1}, K1, budget=10)
+        assert (out.status, out.certain) == ("true", False)
+    assert eval_decidable(F, {"x": 1}, K1) is True
 
 
 def _verdicts():

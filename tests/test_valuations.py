@@ -302,6 +302,15 @@ def test_witness_grid_pinned_with_constants_and_root_targets(dsl, h, digests):
         assert (len(cands), _digest(cands)) == (200, digest), text
 
 
+def test_a_zero_multiple_of_a_monomial_adds_nothing_to_the_grid():
+    # 0*t^g denotes zero, so the grid takes nothing from it, not even t^g
+    G = parse_group("lex(Z, Q)")
+    env = {"x": SeriesFraction.of(sample_series(G, 7))}
+    plain = _candidates(G, parse_formula("exists y. y = x", G), env, 200, 3)
+    padded = _candidates(G, parse_formula("exists y. y = x + 0*t^(5,0)", G), env, 200, 3)
+    assert padded == plain
+
+
 def test_differential_small_runs_clean():
     for G, p, n in ((K1, 2, 0), (K1, 2, 1), (ZPI, 2, 2), (ZL2, 3, 0)):
         run = differential_verify(G, p, n, samples=25, seed=7, falsify_budget=10)
