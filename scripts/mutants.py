@@ -105,8 +105,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        "if not (a.defined and b.defined):\n        return (False, True)",
-        "if not (a.defined and b.defined):\n        return (True, True)",
+        "if not (a.defined and b.defined):\n            return (False, True)",
+        "if not (a.defined and b.defined):\n            return (True, True)",
         "an atom over a division by zero is true instead of false",
     ),
     (
@@ -126,6 +126,50 @@ MUTANTS = [
         "_nodes(f, _is_constant_term)",
         "_nodes(f)",
         "the witness grid takes the monomial inside a zero multiple 0*t^g as a constant",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "    try:\n        a = eval_term(G, f.left, env)\n        b = eval_term(G, f.right, env)\n"
+        "        if not (a.defined and b.defined):\n            return (False, True)\n",
+        "    a = eval_term(G, f.left, env)\n    b = eval_term(G, f.right, env)\n"
+        "    if not (a.defined and b.defined):\n        return (False, True)\n    try:\n",
+        "a product a truncation hides in one side of an atom ends the sampled search",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "scalar_mul(G, k - 1, _lead(a))",
+        "scalar_mul(G, k, _lead(a))",
+        "series_pow truncates a truncated base's power at k*v(a) past a.trunc, not (k-1)*v(a)",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "den = C**k",
+        "den = C ** (k - 1)",
+        "series_pow divides a power's coefficients by C**(k-1) instead of C**k",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "if k == 1 or a.is_zero() or _is_one(G, a):\n        return a",
+        "if k == 1 or a.is_zero() or _is_one(G, a):\n        return one_series(G)",
+        "series_pow's first-power and exact-1 shortcut returns the exact 1",
+    ),
+    (
+        "src/arclab/groups.py",
+        "x.numerator % kind.q != 0",
+        "x % kind.q != 0",
+        "elem_p_divisible reads a Zloc(q) slot as an integer at p = q",
+    ),
+    (
+        "src/arclab/cli.py",
+        'return 1 if r["mismatches"] else 0',
+        "return 0",
+        "verify phi-p and phi-pn exit 0 with mismatches printed",
+    ),
+    (
+        "src/arclab/cli.py",
+        'return 0 if t["consistent"] else 1',
+        "return 0",
+        "verify thm26 exits 0 on an inconsistent report",
     ),
 ]
 

@@ -996,12 +996,14 @@ def _ring_member_cut(G: LexWord, v, cut: ConvexCut) -> bool:
 
 def _atom_status(G: LexWord, f, env) -> tuple[bool | None, bool]:
     """Truth and certainty of an equational atom; poisoned atoms are false.
-    A difference with no term is zero so far, and certain only when exact."""
-    a = eval_term(G, f.left, env)
-    b = eval_term(G, f.right, env)
-    if not (a.defined and b.defined):
-        return (False, True)
+    A difference with no term is zero so far, and certain only when exact.
+    A product or power of either side that a truncation hides, like the
+    difference itself, leaves the atom hidden: (None, False)."""
     try:
+        a = eval_term(G, f.left, env)
+        b = eval_term(G, f.right, env)
+        if not (a.defined and b.defined):
+            return (False, True)
         diff = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
     except TruncationError:
         return (None, False)

@@ -380,21 +380,6 @@ def _require_effective(G: LexWord) -> SlotLayout:
     return G.layout
 
 
-def q_adic_val(x: Fraction, q: int) -> int:
-    """The q-adic valuation of a nonzero rational."""
-    if x == 0:
-        raise ValueError("q-adic valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % q == 0:
-        num //= q
-        v += 1
-    while den % q == 0:
-        den //= q
-        v -= 1
-    return v
-
-
 def _coerce_slot(kind: Component, value) -> int | Fraction:
     f = Fraction(value)
     if isinstance(kind, Rat):
@@ -483,7 +468,9 @@ def elem_p_divisible(G: LexWord, a: GroupElement, p: int) -> bool:
             if x % p != 0:
                 return False
         elif isinstance(kind, LocZ):
-            if p == kind.q and x != 0 and q_adic_val(x, kind.q) < 1:
+            # a q-free denominator (see _coerce_slot): x is in qZloc(q)
+            # exactly when q divides its numerator
+            if p == kind.q and x.numerator % kind.q != 0:
                 return False
     return True
 

@@ -11,10 +11,11 @@ comparing heads through ``elem_cmp``, and cuts the truncation as a prefix
 exponents' Q and Zloc slots and each operand's coefficients over common
 denominators, merges the pair products as int tuples and ints, sorts them
 while they are ints, and turns only the terms below the truncation back
-into Fractions.  Both build their series themselves, as ``sample_series``
-does; ``_make`` is left for terms that may be unsorted or repeat an
-exponent: series literals, ``series_of``/``monomial`` and single-term
-builds.
+into Fractions.  A power (``series_pow``) stays on ints across all its
+squarings and products and converts back once, at the end.  Sums and
+products build their series themselves, as ``sample_series`` does;
+``_make`` is left for terms that may be unsorted or repeat an exponent:
+series literals, ``series_of``/``monomial`` and single-term builds.
 
 Root existence is decided by sign and exponent divisibility alone: the
 coefficients live inside a real closed field, where a p-th root of a
@@ -245,14 +246,9 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
     Zloc exponent slot of both operands is scaled by D, the lcm of those
     slots' denominators, and each operand's coefficients by the lcm of its
     own coefficient denominators.  The pair products merge in one dict of
-    int tuples, in the order the pairs come.  The nonzero terms are sorted
-    on the scaled tuples: scaling by D > 0 keeps the order of the Fraction
-    slots, and the real-run slots are never scaled, so elem_cmp sees the
-    same differences; with no real run the sort compares int tuples in C.
-    The merged exponents are distinct, so no second merge runs.  Only
-    the terms below the truncation are turned back into Fractions, one per
-    Fraction slot and per coefficient: they come ascending, so the first
-    exponent at or above the truncation ends the series.
+    int tuples (_convolve); the merged exponents are distinct, so no second
+    merge runs, and _from_ints sorts them and turns back into Fractions
+    only the terms below the truncation.
     """
     G = a.group
     if a.is_zero() or b.is_zero():
@@ -261,46 +257,25 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
         return a
     if _is_one(G, a):
         return b
-
-    def lead_bound(s: HahnSeries) -> GroupElement:
-        if s.terms:
-            return s.terms[0][0]
-        # no terms but truncated: the valuation is unknown
-        raise TruncationError("cannot multiply: operand is zero modulo its truncation")
-
     trunc = None
     if a.trunc is not None:
-        trunc = _min_trunc(G, trunc, elem_add(G, a.trunc, lead_bound(b)))
+        trunc = _min_trunc(G, trunc, elem_add(G, a.trunc, _lead(b)))
     if b.trunc is not None:
-        trunc = _min_trunc(G, trunc, elem_add(G, b.trunc, lead_bound(a)))
+        trunc = _min_trunc(G, trunc, elem_add(G, b.trunc, _lead(a)))
     slots = G.layout.frac_slots
     D = lcm(*[e[i].denominator for s in (a, b) for e, _ in s.terms for i in slots])
     a_terms, a_den = _int_terms(a.terms, slots, D)
     b_terms, b_den = _int_terms(b.terms, slots, D)
-    acc: dict[tuple, int] = {}
-    get = acc.get
-    for ea, ca in a_terms:
-        for eb, cb in b_terms:
-            e = tuple(map(add, ea, eb))
-            acc[e] = get(e, 0) + ca * cb
-    kept = [(e, c) for e, c in acc.items() if c]
-    native = G.layout.native_order
-    if native:
-        kept.sort(key=itemgetter(0))
-    else:
-        kept = _sorted_terms(G, kept)
-    den = a_den * b_den
-    terms = []
-    for e, c in kept:
-        if slots:
-            e = list(e)
-            for i in slots:
-                e[i] = Fraction(e[i], D)
-            e = tuple(e)
-        if trunc is not None and (e >= trunc if native else elem_cmp(G, e, trunc) >= 0):
-            break
-        terms.append((e, Fraction(c, den)))
-    return HahnSeries(G, tuple(terms), trunc)
+    kept = _convolve(a_terms, b_terms)
+    return HahnSeries(G, _from_ints(G, kept, D, a_den * b_den, trunc), trunc)
+
+
+def _lead(s: HahnSeries) -> GroupElement:
+    """The leading exponent of a factor; with no terms but a truncation,
+    the valuation is unknown."""
+    if s.terms:
+        return s.terms[0][0]
+    raise TruncationError("cannot multiply: operand is zero modulo its truncation")
 
 
 def _int_terms(terms, slots, D: int) -> tuple[list, int]:
@@ -320,17 +295,80 @@ def _int_terms(terms, slots, D: int) -> tuple[list, int]:
     return out, C
 
 
+def _convolve(x, y) -> list:
+    """The pair products of two int-term lists, merged in one dict of int
+    tuples in the order the pairs come; the nonzero terms, unsorted."""
+    acc: dict[tuple, int] = {}
+    get = acc.get
+    for ex, cx in x:
+        for ey, cy in y:
+            e = tuple(map(add, ex, ey))
+            acc[e] = get(e, 0) + cx * cy
+    return [(e, c) for e, c in acc.items() if c]
+
+
+def _from_ints(G: LexWord, kept: list, D: int, den: int, trunc) -> tuple:
+    """The Fraction terms of int terms with distinct exponents, ascending
+    and cut at trunc.
+
+    The terms are sorted on the scaled tuples: scaling by D > 0 keeps the
+    order of the Fraction slots, and the real-run slots are never scaled,
+    so elem_cmp sees the same differences; with no real run the sort
+    compares int tuples in C.  Only the terms below the truncation are
+    turned back into Fractions, one per Fraction slot (over D) and per
+    coefficient (over den): they come ascending, so the first exponent at
+    or above the truncation ends the series.
+    """
+    native = G.layout.native_order
+    if native:
+        kept.sort(key=itemgetter(0))
+    else:
+        kept = _sorted_terms(G, kept)
+    slots = G.layout.frac_slots
+    terms = []
+    for e, c in kept:
+        if slots:
+            e = list(e)
+            for i in slots:
+                e[i] = Fraction(e[i], D)
+            e = tuple(e)
+        if trunc is not None and (e >= trunc if native else elem_cmp(G, e, trunc) >= 0):
+            break
+        terms.append((e, Fraction(c, den)))
+    return tuple(terms)
+
+
 def series_pow(a: HahnSeries, k: int) -> HahnSeries:
+    """a**k for k >= 0, by binary powering on ints.
+
+    a is scaled to ints once, as a factor of series_mul is, and its
+    squarings and products stay int-term lists: their exponent slots are
+    over the same D, and the coefficients of a**k over C**k.  The terms
+    are sorted and turned back into Fractions once, at the end.  A
+    truncated a has a**k known below a.trunc + (k-1)*v(a), the bound the
+    chain of products gives; a term any product in that chain would drop
+    only feeds terms at or above it, so cutting once gives the same series.
+    """
     if k < 0:
         raise ShapeError("negative powers need series_invert")
-    out = one_series(a.group)
-    base = a
-    while k:
+    G = a.group
+    if k == 0:
+        return one_series(G)
+    if k == 1 or a.is_zero() or _is_one(G, a):
+        return a
+    trunc = None if a.trunc is None else elem_add(G, a.trunc, scalar_mul(G, k - 1, _lead(a)))
+    slots = G.layout.frac_slots
+    D = lcm(*[e[i].denominator for e, _ in a.terms for i in slots])
+    base, C = _int_terms(a.terms, slots, D)
+    den = C**k
+    out = None
+    while True:
         if k & 1:
-            out = series_mul(out, base)
-        base = series_mul(base, base) if k > 1 else base
+            out = base if out is None else _convolve(out, base)
         k >>= 1
-    return out
+        if not k:
+            return HahnSeries(G, _from_ints(G, out, D, den, trunc), trunc)
+        base = _convolve(base, base)
 
 
 def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeries:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arclab import groups
+from arclab import cli, groups, valuations
 from arclab.cli import EXAMPLES, _integer, main
 
 from test_fuzz import ODD_SPACES
@@ -153,7 +153,7 @@ def test_differential_on_schematic_group_is_usage_error(capsys):
     assert "NonEffectiveError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode, expr", [("decide", "x = 0"), ("sample", "x*x = 0")])
+@pytest.mark.parametrize("mode, expr", [("decide", "x = 0")])
 def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys):
     # the binding hides what the formula asks: the input is at fault, so
     # this is exit 2, not the verification failure exit 1 stands for
@@ -163,6 +163,23 @@ def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys)
     )
     assert code == 2 and text == ""
     assert capsys.readouterr().err.startswith("error: TruncationError: ")
+
+
+@pytest.mark.parametrize("expr, want", [
+    # the truncated candidate y = x hides its square; the search goes on
+    ("exists y. y*y = x + 1", "true (sampled, not a proof)   y = 1"),
+    # a product or a power of the truncated binding hides the atom, as a
+    # truncated difference does
+    ("x*x = 0", "unknown_on_sample (sampled, not a proof)"),
+    ("x^2 = 0", "unknown_on_sample (sampled, not a proof)"),
+], ids=["exists", "product", "power"])
+def test_sampler_judges_a_term_hidden_by_a_truncation(expr, want, capsys):
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr,
+        "--at", "x = O(t^(1,0))", "--mode", "sample",
+    )
+    assert (code, text.strip()) == (0, want)
+    assert capsys.readouterr().err == ""
 
 
 def test_internal_contradiction_exits_1(monkeypatch, capsys):
@@ -432,6 +449,24 @@ def test_verify_thm26():
     code, text = run("verify", "thm26", "--group", "lex(Z, Q)")
     assert code == 0
     assert "consistent" in text
+
+
+def test_verify_phi_p_exits_1_on_a_planted_mismatch(monkeypatch):
+    # ring membership negated on every point: the mismatches it prints
+    # must also set the exit code
+    honest = valuations.ring_member
+    monkeypatch.setattr(valuations, "ring_member", lambda V, a: not honest(V, a))
+    code, text = run("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5")
+    assert code == 1
+    assert "MISMATCH" in text and " 0 mismatches" not in text
+
+
+def test_verify_thm26_exits_1_on_an_inconsistent_report(monkeypatch):
+    honest = cli.verify_thm_defblRCF
+    monkeypatch.setattr(cli, "verify_thm_defblRCF", lambda G: dict(honest(G), consistent=False))
+    code, text = run("verify", "thm26", "--group", "lex(Z, Q)")
+    assert code == 1
+    assert "consistent=False" in text
 
 
 def test_verify_classification_clean():

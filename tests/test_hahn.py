@@ -513,7 +513,8 @@ def _mul_operand(draw, G):
         x = parse_series(draw(_literal(G)), G)
     else:
         x = series_pow(sample_series(G, draw(seeds), support=2), 5)
-    k = draw(st.one_of(st.none(), st.integers(0, len(x.terms) - 1)))
+    # a literal whose terms cancel has none: then it stays untruncated
+    k = draw(st.one_of(st.none(), st.integers(0, max(len(x.terms) - 1, 0))))
     if k is not None and x.terms:
         x = _make(G, x.terms, x.terms[k][0])
     return x
@@ -537,6 +538,63 @@ def _typed(outcome):
 def test_series_mul_is_the_pairwise_product(operands):
     a, b = operands
     assert _typed(_outcome(series_mul, a, b)) == _typed(_outcome(_mul_reference, a, b))
+
+
+def _pow_reference(a, k):
+    """series_pow as binary powering through series_mul, one product at a
+    time."""
+    if k < 0:
+        raise ShapeError("negative powers need series_invert")
+    out = hahn.one_series(a.group)
+    base = a
+    while k:
+        if k & 1:
+            out = series_mul(out, base)
+        base = series_mul(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
+@st.composite
+def _pow_cases(draw):
+    G = parse_group(draw(st.sampled_from(POOL + MIXED)))
+    return draw(_mul_operand(G)), draw(st.integers(0, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pow_cases())
+def test_series_pow_is_repeated_series_mul(case):
+    a, k = case
+    assert _typed(_outcome(series_pow, a, k)) == _typed(_outcome(_pow_reference, a, k))
+
+
+def test_series_pow_edge_cases():
+    G = K1
+    a, zero = S("2 - t^(1,1/2)"), zero_series(G)
+    with pytest.raises(ShapeError):
+        series_pow(a, -1)
+    assert series_pow(a, 1) is a
+    assert series_eq(series_pow(zero, 0), const_series(G, 1))
+    assert all(series_eq(series_pow(zero, k), zero) for k in (1, 2, 5))
+    for k in (2, 3):
+        with pytest.raises(TruncationError, match="zero modulo its truncation"):
+            series_pow(S("O(t^(1,0))"), k)
+    assert series_eq(series_pow(S("O(t^(1,0))"), 1), S("O(t^(1,0))"))
+
+
+@pytest.mark.parametrize("dsl", POOL + MIXED)
+def test_powers_make_no_series_mul_call(dsl, monkeypatch):
+    # a power stays on ints across its squarings instead of building a
+    # series per product
+    G = parse_group(dsl)
+
+    def refuse(*args):
+        raise AssertionError("series_pow called series_mul")
+
+    monkeypatch.setattr(hahn, "series_mul", refuse)
+    for s in range(5):
+        for k in range(2, 6):
+            assert len(series_pow(sample_series(G, s, support=3), k).terms) > 1
 
 
 @pytest.mark.parametrize("dsl", POOL + MIXED)
