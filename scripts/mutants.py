@@ -129,9 +129,9 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        "    try:\n        a = eval_term(G, f.left, env)\n        b = eval_term(G, f.right, env)\n"
+        "    try:\n        a, b = left(env), right(env)\n"
         "        if not (a.defined and b.defined):\n            return (False, True)\n",
-        "    a = eval_term(G, f.left, env)\n    b = eval_term(G, f.right, env)\n"
+        "    a, b = left(env), right(env)\n"
         "    if not (a.defined and b.defined):\n        return (False, True)\n    try:\n",
         "a product a truncation hides in one side of an atom ends the sampled search",
     ),
@@ -170,6 +170,55 @@ MUTANTS = [
         'return 0 if t["consistent"] else 1',
         "return 0",
         "verify thm26 exits 0 on an inconsistent report",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "        try:\n            sf = eval_term(G, u, env)\n        except TruncationError:"
+        "  # a product the truncation hides: so is the test\n            return _SV(None, False)\n",
+        "        sf = eval_term(G, u, env)\n",
+        "the sampler's root test lets a product the truncation hides in its argument end the run",
+    ),
+    (
+        "src/arclab/valuations.py",
+        'if out.status == "falsified_by":',
+        "if False:",
+        "the sweep never reports a sampled falsification of a stability clause decided true",
+    ),
+    (
+        "src/arclab/cli.py",
+        "bad.append(f\"differential p={d['p']} n={d['n']}: {len(d['mismatches'])} mismatches\")",
+        "pass",
+        "a report with differential mismatches exits 0",
+    ),
+    (
+        "src/arclab/cli.py",
+        'bad.append("thm26 conditions disagree")',
+        "pass",
+        "a report whose thm26 conditions disagree exits 0",
+    ),
+    (
+        "src/arclab/valuations.py",
+        'status = "red-flag"',
+        "pass",
+        "a labeled cut that also carries a certificate keeps the status definable",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "        return _on_first_reach(kept)",
+        "        return kept()",
+        "a plan evaluates a closed subterm when it is built, not when evaluation reaches it",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "return functools.partial(_read, t.name)",
+        "return lambda env: env[t.name]",
+        "a compiled variable raises KeyError, not UnboundVariableError, when unbound",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "return lambda env: _sf_neg(arg(env))",
+        "return lambda env: arg(env)",
+        "a compiled negation drops the sign",
     ),
 ]
 

@@ -18,10 +18,10 @@ quantifiers.  On top of the raw AST the module provides
     recognizes the quantifier shapes appearing in the builders and decides
     them through the root oracle and cut comparisons.  It runs through a
     ``decision_plan``: the formula compiled once for a group, with each
-    quantifier node matched once and its point-independent data (level
-    table entry, cuts, validated coset parameters) computed once, then
-    called once per assignment.  Callers that decide one formula at many
-    points build the plan themselves;
+    quantifier node matched once, its point-independent data (level
+    table entry, cuts, validated coset parameters) computed once and each
+    term compiled once, then called once per assignment.  Callers that
+    decide one formula at many points build the plan themselves;
   * ``eval_sampled`` -- a witness-search evaluator that never uses the
     quantifier reductions and exists to hunt counterexamples against
     ``eval_decidable``.  Each sampled verdict carries one assignment, the
@@ -779,38 +779,66 @@ def _norm_env(G: LexWord, env) -> dict:
     return out
 
 
+# The term arithmetic, one function per operator: eval_term and the terms a
+# decision plan compiles (_plan_term) both apply these.
+
+
+def _read(name: str, env: dict) -> SeriesFraction:
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundVariableError(f"variable {name!r} is not assigned") from None
+
+
+def _sf_neg(a: SeriesFraction) -> SeriesFraction:
+    return SeriesFraction(series_neg(a.num), a.den, a.defined)
+
+
+def _sf_pow(a: SeriesFraction, n: int) -> SeriesFraction:
+    return SeriesFraction(series_pow(a.num, n), series_pow(a.den, n), a.defined)
+
+
+def _sf_add(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
+    num = series_add(series_mul(a.num, b.den), series_mul(b.num, a.den))
+    return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
+
+
+def _sf_sub(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
+    num = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
+    return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
+
+
+def _sf_mul(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
+    num = series_mul(a.num, b.num)
+    return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
+
+
+def _sf_div(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
+    # divisor with no visible term: zero, or indistinguishable from it
+    if not (a.defined and b.defined) or not b.num.terms:
+        return _undef(a.num.group)
+    return SeriesFraction(series_mul(a.num, b.den), series_mul(a.den, b.num), True)
+
+
+_BINARY_OPS = {Add: _sf_add, Sub: _sf_sub, Mul: _sf_mul, Div: _sf_div}
+
+
 def eval_term(G: LexWord, t, env: dict) -> SeriesFraction:
-    if isinstance(t, Const):
+    kind = type(t)
+    if kind is Var:
+        return _read(t.name, env)
+    if kind is Const:
         return SeriesFraction.of(const_series(G, t.value))
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise UnboundVariableError(f"variable {t.name!r} is not assigned")
-        return env[t.name]
-    if isinstance(t, Monomial):
+    if kind is Monomial:
         return SeriesFraction.of(monomial(G, t.exps, 1))
-    if isinstance(t, Neg):
-        a = eval_term(G, t.arg, env)
-        return SeriesFraction(series_neg(a.num), a.den, a.defined)
-    if isinstance(t, Pow):
-        a = eval_term(G, t.base, env)
-        return SeriesFraction(series_pow(a.num, t.n), series_pow(a.den, t.n), a.defined)
-    a = eval_term(G, t.left, env)
-    b = eval_term(G, t.right, env)
-    ok = a.defined and b.defined
-    if isinstance(t, Add):
-        num = series_add(series_mul(a.num, b.den), series_mul(b.num, a.den))
-        return SeriesFraction(num, series_mul(a.den, b.den), ok)
-    if isinstance(t, Sub):
-        num = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
-        return SeriesFraction(num, series_mul(a.den, b.den), ok)
-    if isinstance(t, Mul):
-        return SeriesFraction(series_mul(a.num, b.num), series_mul(a.den, b.den), ok)
-    if isinstance(t, Div):
-        # divisor with no visible term: zero, or indistinguishable from it
-        if not ok or not b.num.terms:
-            return _undef(G)
-        return SeriesFraction(series_mul(a.num, b.den), series_mul(a.den, b.num), True)
-    raise ShapeError(f"not a term: {t!r}")
+    if kind is Neg:
+        return _sf_neg(eval_term(G, t.arg, env))
+    if kind is Pow:
+        return _sf_pow(eval_term(G, t.base, env), t.n)
+    op = _BINARY_OPS.get(kind)
+    if op is None:
+        raise ShapeError(f"not a term: {t!r}")
+    return op(eval_term(G, t.left, env), eval_term(G, t.right, env))
 
 
 # ---------------------------------------------------------------------------
@@ -994,21 +1022,28 @@ def _ring_member_cut(G: LexWord, v, cut: ConvexCut) -> bool:
     return _in_cut_subgroup(G, v, cut)
 
 
-def _atom_status(G: LexWord, f, env) -> tuple[bool | None, bool]:
-    """Truth and certainty of an equational atom; poisoned atoms are false.
+def _atom_verdict(f, left, right, env) -> tuple[bool | None, bool]:
+    """Truth and certainty of the equational atom f, whose sides the
+    functions left and right evaluate at env; poisoned atoms are false.
     A difference with no term is zero so far, and certain only when exact.
     A product or power of either side that a truncation hides, like the
     difference itself, leaves the atom hidden: (None, False)."""
     try:
-        a = eval_term(G, f.left, env)
-        b = eval_term(G, f.right, env)
+        a, b = left(env), right(env)
         if not (a.defined and b.defined):
             return (False, True)
         diff = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
     except TruncationError:
         return (None, False)
     zero = not diff.terms
-    return (zero if isinstance(f, Eq) else not zero, not zero or diff.trunc is None)
+    return (zero if type(f) is Eq else not zero, not zero or diff.trunc is None)
+
+
+def _atom_status(G: LexWord, f, env) -> tuple[bool | None, bool]:
+    """The atom's verdict with its sides evaluated by eval_term."""
+    return _atom_verdict(
+        f, functools.partial(eval_term, G, f.left), functools.partial(eval_term, G, f.right), env
+    )
 
 
 def _sf_root_decision(G: LexWord, sf: SeriesFraction, p: int, allow_negation: bool) -> bool:
@@ -1040,8 +1075,6 @@ def _validate_coset_params(G: LexWord, p: int, param_terms) -> tuple[int, Convex
             raise ParameterError(f"parameters must be closed terms: {exc}") from exc
         if not sf.defined or sf.num.is_zero():
             raise ParameterError("parameters must be defined and nonzero")
-        if sf.num.trunc is not None or sf.den.trunc is not None:
-            raise ParameterError("parameters must be exact series")
         v = sf.valuation(G)
         if not _in_cut_subgroup(G, v, cut):
             raise ParameterError(
@@ -1075,14 +1108,18 @@ def decision_plan(F, G: LexWord):
     """F compiled once for G into a function env -> bool that decides it
     exactly as ``eval_decidable`` does.
 
-    Connectives and atoms are planned at once. A quantifier node runs its
-    matchers the first time evaluation reaches it, and a stability clause
-    then reads its level-table entry and v_p cut. A coset clause validates
-    its parameters the first time it is reached after being matched. A node
-    that fails to build raises on that evaluation and builds again on the
-    next one, so every error is raised exactly where and whenever the
-    evaluation reaches it, and none is kept as a success. The plan holds no
-    state beyond its own nodes.
+    Connectives, atoms and terms are planned at once. Each term is compiled
+    once (``_plan_term``): a variable is read straight from the assignment,
+    a closed subterm (a constant, a monomial, a coset parameter) is
+    evaluated the first time evaluation reaches it and then kept, and an
+    operator applies the term arithmetic ``eval_term`` applies. A
+    quantifier node runs its matchers the first time evaluation reaches it,
+    and a stability clause then reads its level-table entry and v_p cut. A
+    coset clause validates its parameters the first time it is reached
+    after being matched. A node that fails to build raises on that
+    evaluation and builds again on the next one, so every error is raised
+    exactly where and whenever the evaluation reaches it, and none is kept
+    as a success. The plan holds no state beyond its own nodes.
     """
     _require_effective(G)
     decide = _plan(G, F)
@@ -1090,24 +1127,63 @@ def decision_plan(F, G: LexWord):
 
 
 def _on_first_reach(build):
-    """A decision function that calls build() when first reached and keeps
-    the result; a build that raises is retried on the next reach."""
-    decide = None
+    """A function of env that calls build() when first reached and keeps
+    the function it returns; a build that raises is retried on the next
+    reach."""
+    run_built = None
 
-    def run(env) -> bool:
-        nonlocal decide
-        if decide is None:
-            decide = build()
-        return decide(env)
+    def run(env):
+        nonlocal run_built
+        if run_built is None:
+            run_built = build()
+        return run_built(env)
 
     return run
 
 
+def _is_closed(t) -> bool:
+    """t is a term with no variable."""
+    return all(type(node) in _TERM_NODES and type(node) is not Var for node in _nodes(t))
+
+
+def _plan_term(G: LexWord, t):
+    """t compiled once for G into a function env -> SeriesFraction that
+    evaluates it as eval_term does. Nothing is evaluated here: a closed
+    subterm is evaluated the first time it is reached and then kept, and
+    a node that is no term raises when it is reached."""
+    if _is_closed(t):
+
+        def kept():
+            value = eval_term(G, t, {})
+            return lambda env: value
+
+        return _on_first_reach(kept)
+    kind = type(t)
+    if kind is Var:
+        return functools.partial(_read, t.name)
+    if kind is Neg:
+        arg = _plan_term(G, t.arg)
+        return lambda env: _sf_neg(arg(env))
+    if kind is Pow:
+        base, n = _plan_term(G, t.base), t.n
+        return lambda env: _sf_pow(base(env), n)
+    op = _BINARY_OPS.get(kind)
+    if op is None:
+
+        def not_a_term(env):
+            raise ShapeError(f"not a term: {t!r}")
+
+        return not_a_term
+    left, right = _plan_term(G, t.left), _plan_term(G, t.right)
+    return lambda env: op(left(env), right(env))
+
+
 def _plan(G: LexWord, f):
     if isinstance(f, (Eq, Neq)):
+        left, right = _plan_term(G, f.left), _plan_term(G, f.right)
 
         def atom(env) -> bool:
-            truth, certain = _atom_status(G, f, env)
+            truth, certain = _atom_verdict(f, left, right, env)
             if not certain:
                 raise TruncationError("atom truth is hidden below a truncation")
             return truth
@@ -1138,13 +1214,15 @@ def _plan_quantifier(G: LexWord, f):
         m = _match_root_exists(f)
         if m is not None:
             p, u, allow_neg = m
-            return lambda env: _sf_root_decision(G, eval_term(G, u, env), p, allow_neg)
+            root_arg = _plan_term(G, u)
+            return lambda env: _sf_root_decision(G, root_arg(env), p, allow_neg)
         m = _match_coset_probe(f)
         if m is not None:
             p, w = m
+            probe_arg = _plan_term(G, w)
 
             def coset_probe(env) -> bool:
-                sf = eval_term(G, w, env)
+                sf = probe_arg(env)
                 if not sf.defined or sf.num.is_zero():
                     return False
                 return elem_p_divisible(G, sf.valuation(G), p)
@@ -1170,9 +1248,10 @@ def _plan_stability(G: LexWord, p: int, x_term):
     if np_map(G).value_at(p) == 0:
         return lambda env: True
     cut = max_p_divisible(G, p)
+    x_arg = _plan_term(G, x_term)
 
     def stability(env) -> bool:
-        sf = eval_term(G, x_term, env)
+        sf = x_arg(env)
         if not sf.defined or sf.num.is_zero():
             return False
         v = sf.valuation(G)
@@ -1190,9 +1269,10 @@ def _plan_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str):
     _n, cut = _validate_coset_params(G, p, param_terms)
     ring_p = max_p_divisible(G, p)
     at_zero = side == "outside" or cut == top_cut(G)
+    x_arg = _plan_term(G, x_term)
 
     def coset_clause(env) -> bool:
-        sf = eval_term(G, x_term, env)
+        sf = x_arg(env)
         if not sf.defined:
             return True
         if sf.num.is_zero():
@@ -1444,7 +1524,10 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
     m = _match_root_exists(f)
     if m is not None:
         p, u, allow_neg = m
-        sf = eval_term(G, u, env)
+        try:
+            sf = eval_term(G, u, env)
+        except TruncationError:  # a product the truncation hides: so is the test
+            return _SV(None, False)
         truth = _root_sampled(G, sf, p, allow_neg)
         # a witness only for the outermost quantifier (inner verdicts never
         # surface one): the oracle verdict stands even when the root has
@@ -1492,9 +1575,10 @@ def _sampled_stability(
     Per candidate z this makes the calls the generic walk would make on the
     built body (the hypothesis on z, then, unless it is exactly false, the
     conclusion on x*z), in the same order, and catches only what it
-    catches: a root decision hidden below a truncation. So verdicts, the
-    first counterexample and the errors raised agree with the generic walk
-    over the same grid; only the traversal overhead is gone.
+    catches: a root argument or a root decision hidden below a truncation.
+    So verdicts, the first counterexample and the errors raised agree with
+    the generic walk over the same grid; only the traversal overhead is
+    gone.
     """
     X = None
     one = one_series(G)
@@ -1502,9 +1586,13 @@ def _sampled_stability(
         hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
         if hyp is False:
             continue
-        if X is None:
-            X = eval_term(G, x_term, env)
-        concl = _psi_sampled(G, SeriesFraction(series_mul(X.num, cand), X.den, X.defined), p)
+        try:
+            if X is None:
+                X = eval_term(G, x_term, env)
+            xz = SeriesFraction(series_mul(X.num, cand), X.den, X.defined)
+        except TruncationError:
+            continue  # x*z is hidden, so is the conclusion: no counterexample
+        concl = _psi_sampled(G, xz, p)
         if hyp and concl is False:
             return _SV(False, True, {f.var: cand})
     return _SV(True, False)  # survived the grid; not a proof

@@ -890,8 +890,8 @@ def _ref_sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, 
         m = _match_root_exists(f)
         if m is not None:
             p, u, allow_neg = m
-            sf = eval_term(G, u, env)
             try:
+                sf = eval_term(G, u, env)
                 truth = _sf_root_decision(G, sf, p, allow_neg)
             except TruncationError:
                 return RefSV(None, False)
@@ -952,9 +952,10 @@ def _ref_sampled_stability(
     Per candidate z this makes the calls the generic walk would make on the
     built body (the hypothesis on z, then, unless it is exactly false, the
     conclusion on x*z), in the same order, and catches only what it
-    catches: a root decision hidden below a truncation. So verdicts, the
-    first counterexample and the errors raised agree with the generic walk
-    over the same grid; only the traversal overhead is gone.
+    catches: a root argument or a root decision hidden below a truncation.
+    So verdicts, the first counterexample and the errors raised agree with
+    the generic walk over the same grid; only the traversal overhead is
+    gone.
     """
     X = None
     one = const_series(G, 1)
@@ -962,9 +963,13 @@ def _ref_sampled_stability(
         hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
         if hyp is False:
             continue
-        if X is None:
-            X = eval_term(G, x_term, env)
-        concl = _psi_sampled(G, SeriesFraction(series_mul(X.num, cand), X.den, X.defined), p)
+        try:
+            if X is None:
+                X = eval_term(G, x_term, env)
+            W = SeriesFraction(series_mul(X.num, cand), X.den, X.defined)
+        except TruncationError:
+            continue
+        concl = _psi_sampled(G, W, p)
         if hyp and concl is False:
             return RefSV(False, True, {f.var: cand}, None)
     return RefSV(True, False)  # survived the grid; not a proof

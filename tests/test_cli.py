@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from arclab import cli, groups, valuations
 from arclab.cli import EXAMPLES, _integer, main
+from arclab.formulas import Forall
 
 from test_fuzz import ODD_SPACES
 
@@ -153,7 +155,10 @@ def test_differential_on_schematic_group_is_usage_error(capsys):
     assert "NonEffectiveError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode, expr", [("decide", "x = 0")])
+@pytest.mark.parametrize(
+    "mode, expr",
+    [("decide", "x = 0"), ("decide", "exists y. y^2 = x*x"), ("decide", "psi_p[2](x*x)")],
+)
 def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys):
     # the binding hides what the formula asks: the input is at fault, so
     # this is exit 2, not the verification failure exit 1 stands for
@@ -172,7 +177,10 @@ def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys)
     # truncated difference does
     ("x*x = 0", "unknown_on_sample (sampled, not a proof)"),
     ("x^2 = 0", "unknown_on_sample (sampled, not a proof)"),
-], ids=["exists", "product", "power"])
+    # so does a product the truncation hides in a root test's argument
+    ("exists y. y^2 = x*x", "unknown_on_sample (sampled, not a proof)"),
+    ("psi_p[2](x*x)", "unknown_on_sample (sampled, not a proof)"),
+], ids=["exists", "product", "power", "root", "psi"])
 def test_sampler_judges_a_term_hidden_by_a_truncation(expr, want, capsys):
     code, text = run(
         "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr,
@@ -467,6 +475,58 @@ def test_verify_thm26_exits_1_on_an_inconsistent_report(monkeypatch):
     code, text = run("verify", "thm26", "--group", "lex(Z, Q)")
     assert code == 1
     assert "consistent=False" in text
+
+
+def test_verify_phi_p_exits_1_on_a_falsified_stability_clause(monkeypatch):
+    # the stability clause decided true at every point: where it is false,
+    # the sweep's sampled falsification must report it, and so must the exit
+    honest = valuations.decision_plan
+    monkeypatch.setattr(
+        valuations,
+        "decision_plan",
+        lambda F, G: (lambda env: True) if type(F) is Forall else honest(F, G),
+    )
+    code, text = run(
+        "verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5", "--json"
+    )
+    kinds = [m["kind"] for m in json.loads(text)["mismatches"]]
+    assert code == 1
+    assert kinds and set(kinds) == {"falsified"}
+
+
+def _analyze_with_a_planted_fault(capsys) -> list[str]:
+    """The FAIL lines of `group analyze lex(Z, Q)`, which must exit 1."""
+    code, _ = run("group", "analyze", "lex(Z, Q)", "--samples", "5")
+    assert code == 1
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAIL: ")]
+
+
+def test_group_analyze_exits_1_on_a_differential_mismatch(monkeypatch, capsys):
+    honest = valuations.ring_member
+    monkeypatch.setattr(valuations, "ring_member", lambda V, a: not honest(V, a))
+    fails = _analyze_with_a_planted_fault(capsys)
+    assert fails and all(line.startswith("FAIL: differential p=") for line in fails)
+
+
+def test_group_analyze_exits_1_on_disagreeing_thm26_conditions(monkeypatch, capsys):
+    honest = valuations._thm26
+    monkeypatch.setattr(
+        valuations, "_thm26", lambda G, rows: dict(honest(G, rows), consistent=False)
+    )
+    assert _analyze_with_a_planted_fault(capsys) == ["FAIL: thm26 conditions disagree"]
+
+
+def test_group_analyze_exits_1_on_a_certified_labeled_cut(monkeypatch, capsys):
+    # a non-definability certificate for every cut, the labeled ones included
+    honest = valuations.non_definability_certificate
+    planted = SimpleNamespace(to_json=lambda G: "planted")
+    monkeypatch.setattr(
+        valuations,
+        "non_definability_certificate",
+        lambda G, c, primes: honest(G, c, primes) or planted,
+    )
+    fails = _analyze_with_a_planted_fault(capsys)
+    assert fails and all(line.endswith("has status red-flag") for line in fails)
 
 
 def test_verify_classification_clean():

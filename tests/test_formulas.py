@@ -288,6 +288,53 @@ def test_plan_raises_only_where_evaluation_reaches_an_unsupported_node():
             plan(at("1"))
 
 
+def test_plan_evaluates_a_closed_subterm_once_and_only_where_reached(monkeypatch):
+    # a closed subterm is evaluated the first time a point reaches it, and
+    # kept; the variable is read from the point, with no evaluation
+    calls = []
+    honest = formulas.eval_term
+    monkeypatch.setattr(
+        formulas, "eval_term", lambda G, t, env: calls.append(t) or honest(G, t, env)
+    )
+    plan = decision_plan(parse_formula("x = 0 or x = 1 + t^(1,0)"), K1)
+    assert calls == []
+    assert [plan(at(text)) for text in ("0", "1 + t^(1,0)", "1", "0")] == [True, True, False, True]
+    assert [print_term(t) for t in calls] == ["0", "1 + t^(1,0)", "1", "t^(1,0)"]
+
+
+def test_plan_raises_only_where_evaluation_reaches_a_bad_closed_subterm():
+    # lex(Z, Q) has no exponent 1/2 in its first slot
+    plan = decision_plan(parse_formula("x = 0 or x = t^(1/2,0)"), K1)
+    for _ in range(2):  # raised on every reach, never kept
+        assert plan(at("0")) is True
+        with pytest.raises(ShapeError):
+            plan(at("1"))
+
+
+def _value_or_error(evaluate):
+    try:
+        return evaluate()
+    except ArclabError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x", "2", "t^(1,0)", "y + 1", "-x", "-(1 + x)", "x^3", "1 + x", "x - t^(1,0)",
+        "2*x", "x*x", "x/t^(1,0)", "x/0", "1/x", "-(x*x) + 1/x", "(1 + t^(0,1/2))/(x - 1)",
+    ],
+)
+def test_a_compiled_term_evaluates_as_eval_term(text):
+    # the same fraction, or the same error class, at exact, zero and truncated points
+    t = parse_formula(f"{text} = 0").left
+    compiled = formulas._plan_term(K1, t)
+    for point in ("0", "1", "t^(1,0) + 3", "-t^(-1,1/2) + O(t^(1,0))", "O(t^(1,0))"):
+        env = formulas._norm_env(K1, at(point))
+        want = _value_or_error(lambda: formulas.eval_term(K1, t, env))
+        assert _value_or_error(lambda: compiled(env)) == want, point
+
+
 def test_plan_validates_coset_parameters_only_where_reached(monkeypatch):
     # two equal parameters represent one coset where the level-1 subgroup
     # has two; phi_p(x) short-circuits before the coset clauses unless x

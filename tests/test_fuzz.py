@@ -25,7 +25,14 @@ from arclab.formulas import (
     print_formula,
 )
 from arclab.groups import parse_group
-from arclab.hahn import parse_bindings, parse_series, print_series, sample_series, zero_series
+from arclab.hahn import (
+    parse_bindings,
+    parse_series,
+    print_series,
+    sample_series,
+    series_of,
+    zero_series,
+)
 
 from reference_eval import (
     reference_decide,
@@ -197,19 +204,35 @@ def _shown(o) -> tuple:
     return (o.status, o.certain, o.witness and {k: print_series(v) for k, v in o.witness.items()})
 
 
+def _binding(G, point):
+    """x at a drawn point: None is 0, a seed gives a sample series, and
+    (seed, k) keeps that series' first k terms, truncated at the next one;
+    k = 0 gives a binding that is zero modulo its truncation."""
+    if point is None:
+        return zero_series(G)
+    if isinstance(point, int):
+        return sample_series(G, point)
+    s = sample_series(G, point[0])
+    k = min(point[1], len(s.terms) - 1)
+    return series_of(G, s.terms[:k], s.terms[k][0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(formulas(), st.sampled_from(SAMPLED_SHAPES)),
     st.sampled_from(GROUPS),
     st.sampled_from([4, 12, 30]),
     st.integers(0, 1000),
-    st.one_of(st.none(), st.integers(0, 1000)),
+    st.one_of(
+        st.none(), st.integers(0, 1000), st.tuples(st.integers(0, 1000), st.integers(0, 2))
+    ),
 )
 def test_eval_sampled_matches_the_two_field_reference(text, G, budget, seed, point):
-    # the one-assignment walk against the walk it replaced (None is x = 0):
-    # the same outcome, witness included, or the same error class
+    # the one-assignment walk against the walk it replaced, on exact and
+    # truncated bindings: the same outcome, witness included, or the same
+    # error class
     F = parse_formula(text, group=G)
-    env = {"x": zero_series(G) if point is None else sample_series(G, point)}
+    env = {"x": _binding(G, point)}
     got = _outcome(lambda: _shown(eval_sampled(F, env, G, budget=budget, seed=seed)))
     want = _outcome(lambda: _shown(reference_eval_sampled(F, env, G, budget=budget, seed=seed)))
     assert got == want

@@ -9,12 +9,19 @@ the program itself (src/arclab, scripts, perfbench), not only by tests.
 Names exported in ``arclab.__all__`` pass as well.  A name that only
 ``perfbench/tracing.py``'s NAMED table lists is dead, since a traced
 metric must not keep dead code alive; TRACER_ONLY exempts the three such
-names there are today."""
+names there are today.
+
+The standing rules are checked facts too: the sampler reaches no part of
+the decision procedure, the decision procedure reaches no part of the
+sampler, and the two ring tests do not reach each other."""
 
 from __future__ import annotations
 
 import ast
+import fnmatch
 import pathlib
+
+import pytest
 
 import arclab
 
@@ -139,3 +146,81 @@ def test_no_dead_definitions():
         if name not in used
     ]
     assert found == []
+
+
+# The standing rules: what each root may not reach. The evaluators stay
+# independent so that each checks the other, and so do the ring tests.
+STANDING_RULES = {
+    "eval_sampled": ("eval_decidable", "decision_plan", "_plan*", "_validate_coset_params"),
+    "decision_plan": ("eval_sampled", "_sampled", "_candidates"),
+    "ring_member": ("_ring_member_cut",),
+    "_ring_member_cut": ("ring_member",),
+}
+
+
+def program_definitions() -> dict[str, list[ast.AST]]:
+    """Every top-level function, method and assigned name of src/arclab, by
+    name; a name defined in several places maps to all of them."""
+    defs: dict[str, list[ast.AST]] = {}
+    for path in sorted((ROOT / "src/arclab").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                items = [(n.name, n) for n in node.body if isinstance(n, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                items = [(node.name, node)]
+            elif isinstance(node, ast.Assign):
+                items = [(t.id, node.value) for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                items = []
+            for name, item in items:
+                defs.setdefault(name, []).append(item)
+    return defs
+
+
+def reached(root: str, defs: dict[str, list[ast.AST]]) -> set[str]:
+    """Every name or attribute the root's definition references, followed
+    through the definitions of that name: an over-approximation of what a
+    call of root can run."""
+    seen, todo = {root}, [root]
+    while todo:
+        for item in defs.get(todo.pop(), ()):
+            for node in ast.walk(item):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+    return seen
+
+
+def rule_breaches(defs: dict[str, list[ast.AST]]) -> list[str]:
+    return [
+        f"{root} reaches {name}"
+        for root, banned in STANDING_RULES.items()
+        for name in sorted(reached(root, defs))
+        if any(fnmatch.fnmatchcase(name, pattern) for pattern in banned)
+    ]
+
+
+def test_standing_rules_hold():
+    defs = program_definitions()
+    assert set(STANDING_RULES) <= set(defs)
+    assert rule_breaches(defs) == []
+
+
+@pytest.mark.parametrize(
+    "host, call",
+    [
+        ("_atom_verdict", "_plan_term"),  # the sampler's atoms share this verdict
+        ("_sf_root_decision", "_candidates"),  # a plan's root tests decide here
+        ("v_of", "_ring_member_cut"),
+    ],
+)
+def test_a_planted_call_breaks_a_standing_rule(host, call):
+    defs = program_definitions()
+    defs[host] = defs[host] + [ast.parse(f"def {host}():\n    {call}()").body[0]]
+    assert any(line.endswith(f" reaches {call}") for line in rule_breaches(defs))
