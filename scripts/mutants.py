@@ -220,6 +220,78 @@ MUTANTS = [
         "return lambda env: arg(env)",
         "a compiled negation drops the sign",
     ),
+    (
+        "src/arclab/formulas.py",
+        "if any(combo) else _ONE",
+        "if True else _ONE",
+        "choose_params builds the zero exponent as the monomial t^0, not the shared 1",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "return out + [_ONE] * (size - len(out))",
+        "return out",
+        "choose_params drops the padding with 1 up to p^n parameters",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "    _require_effective(G)\n    cut = g_pn(G, p, n)",
+        "    cut = g_pn(G, p, n)",
+        "choose_params picks coset exponents over a schematic group",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if n is None:\n        raise ParameterError(f"parameter count',
+        'if False:\n        raise ParameterError(f"parameter count',
+        "a coset clause whose parameter count is no power of p is not refused",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "except UnboundVariableError as exc:\n            raise ParameterError",
+        "except ZeroDivisionError as exc:\n            raise ParameterError",
+        "an open coset parameter escapes as an unbound variable, not a ParameterError",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if not sf.defined or sf.num.is_zero():\n            raise ParameterError("parameters',
+        'if not sf.defined:\n            raise ParameterError("parameters',
+        "a zero coset parameter is not refused",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "if not _in_cut_subgroup(G, v, cut):",
+        "if False:",
+        "a coset parameter whose exponent escapes the level-n subgroup is not refused",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'def not_a_formula(env) -> bool:\n        raise ShapeError(f"not a formula: {f!r}")',
+        "def not_a_formula(env) -> bool:\n        return False",
+        "a plan decides a node that is no formula as false",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'def not_a_term(env):\n            raise ShapeError(f"not a term: {t!r}")',
+        "def not_a_term(env):\n            return _undef(G)",
+        "a plan evaluates a node that is no term as an undefined fraction",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if op is None:\n        raise ShapeError(f"not a term: {t!r}")',
+        "if op is None:\n        return _undef(G)",
+        "eval_term evaluates a node that is no term as an undefined fraction",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if not isinstance(f, (Exists, Forall)):\n        raise ShapeError(f"not a formula: {f!r}")',
+        "if not isinstance(f, (Exists, Forall)):\n        return _SV(False, True)",
+        "the sampler judges a node that is no formula as false",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "eff = _min_trunc(G, eff, elem_sub(G, a.trunc, scalar_mul(G, 2, v)))",
+        "eff = eff",
+        "series_invert claims the requested cutoff's precision for a truncated input",
+    ),
 ]
 
 TIMEOUT_S = 300

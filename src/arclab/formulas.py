@@ -8,10 +8,11 @@ quantifiers.  On top of the raw AST the module provides
     non-power unit" test), ``build_phi_p`` (the ring test for the finest
     p-compatible coarsening) and ``build_phi_pn`` (the parameterized coset
     refinement), plus ``choose_params`` which picks canonical coset
-    representatives.  The builders are the one statement of each shape:
-    the matchers unify a formula against a builder's output at the
-    formula's prime, so a hand-written formula is decided only when it
-    equals a built shape up to bound-variable names and product order;
+    representatives as the closed terms the phi_pn builders take.  The
+    builders are the one statement of each shape: the matchers unify a
+    formula against a builder's output at the formula's prime, so a
+    hand-written formula is decided only when it equals a built shape up
+    to bound-variable names and product order;
   * a small DSL (``parse_formula`` / ``print_formula``) with macros for
     all three builders;
   * ``eval_decidable`` -- an exact, pattern-based decision procedure that
@@ -268,27 +269,6 @@ def free_term_vars(t) -> frozenset:
     return frozenset(names)
 
 
-def term_of_series(s: HahnSeries):
-    """A closed term denoting an exact series (sum of coeff * monomial)."""
-    if s.trunc is not None:
-        raise ShapeError("cannot embed a truncated series as a term")
-    if s.is_zero():
-        return Const(Fraction(0))
-    parts = []
-    for g, c in s.terms:
-        flat = tuple(Fraction(x) for x in g)
-        if all(x == 0 for x in flat):
-            parts.append(Const(c))
-        elif c == 1:
-            parts.append(Monomial(flat))
-        else:
-            parts.append(Mul(Const(c), Monomial(flat)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = Add(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # printing and parsing
 
@@ -499,7 +479,7 @@ class _Parser(_Tokens):
         if params is None:
             if self.group is None:
                 self.fail(f"{name}[{p},{n}] needs explicit params when no group is given", pos)
-            params = [term_of_series(s) for s in choose_params(self.group, p, n)]
+            params = choose_params(self.group, p, n)
         if len(params) != size:
             self.fail(f"expected {size} params, got {len(params)}", pos)
         return build_phi_pn_at(p, n, params, arg)
@@ -699,20 +679,22 @@ def build_phi_pn_at(p: int, n: int, param_terms, arg, used: _Names | None = None
 
 
 def build_phi_pn(p: int, n: int, params):
-    """params: the p^n series from choose_params (or equivalent coset reps)."""
-    return build_phi_pn_at(p, n, [term_of_series(s) for s in params], Var("x"))
+    """params: the p^n closed terms from choose_params (or equivalent coset
+    representatives)."""
+    return build_phi_pn_at(p, n, params, Var("x"))
 
 
-def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
-    """Monomials whose exponents represent every coset of p times the level-n
-    convex subgroup; padded with 1 up to length p^n."""
+# the exponent-0 coset representative and the padding, shared by every list
+_ONE = Const(Fraction(1))
+
+
+def choose_params(G: LexWord, p: int, n: int) -> list:
+    """Closed terms t^e whose exponents e represent every coset of p times
+    the level-n convex subgroup, the exponent 0 as the constant 1; padded
+    with 1 up to length p^n."""
     size = _probe_count(p, n)
+    _require_effective(G)
     cut = g_pn(G, p, n)
-    if cut.inner is not None:
-        raise NonEffectiveError("coset representatives inside a schematic tower")
-    for comp in G.components[cut.seg :]:
-        if not comp.n_slots():
-            raise NonEffectiveError(f"cannot enumerate cosets of a schematic unit ({comp.describe()})")
     prefix_zeros = G.layout.offsets[cut.seg]
     ranges: list[range | tuple] = []
     for kind in G.layout.kinds[prefix_zeros:]:
@@ -720,15 +702,13 @@ def choose_params(G: LexWord, p: int, n: int) -> list[HahnSeries]:
             ranges.append(range(p))
         else:  # Q, or Zloc(q) with q != p: p-divisible
             ranges.append((0,))
-    out = []
-    for combo in itertools.product(*ranges):
-        flat = (0,) * prefix_zeros + combo
-        out.append(monomial(G, flat, 1))
+    out = [
+        Monomial(tuple(map(Fraction, (0,) * prefix_zeros + combo))) if any(combo) else _ONE
+        for combo in itertools.product(*ranges)
+    ]
     if len(out) > size:
         raise InternalError("coset count exceeds p^n; the level cut is wrong")  # unreachable
-    while len(out) < size:
-        out.append(one_series(G))
-    return out
+    return out + [_ONE] * (size - len(out))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,20 @@ def test_unbound_binding_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("group, params, message", [
+    ("lex(Z, Q)", "1, y", "parameters must be closed terms: "),
+    ("lex(Z, Q)", "1, 0", "parameters must be defined and nonzero"),
+    ("lex(Z, Z)", "1, t^(1,0)", "parameter exponent (1, 0) escapes the level-1 subgroup at seg1"),
+], ids=["open", "zero", "escaping"])
+def test_bad_coset_parameters_are_usage_errors(group, params, message, capsys):
+    code, text = run(
+        "formula", "eval", "--group", group, "--expr", f"phi_pn[2,1](x, params = {params})",
+        "--at", "x=t^(-1,0)", "--mode", "decide",
+    )
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith(f"error: ParameterError: {message}")
+
+
 def test_differential_on_schematic_group_is_usage_error(capsys):
     code, _ = run("verify", "phi-p", "--group", "lex(omega_tower(start=0))", "-p", "2")
     assert code == 2

@@ -37,13 +37,13 @@ from arclab.formulas import (
     decision_plan,
     eval_decidable,
     eval_sampled,
+    eval_term,
     free_term_vars,
     match_phi_p,
     match_psi_p,
     parse_formula,
     print_formula,
     print_term,
-    term_of_series,
 )
 from arclab.groups import elem_cmp, elem_p_divisible, elem_sub, parse_group, zero_element
 from arclab.hahn import (
@@ -213,6 +213,14 @@ def test_phi_pn_param_count_checked():
         build_phi_pn(2, 1, [])  # level 1 needs 2^1 coset representatives
 
 
+def test_a_coset_clause_with_a_count_no_power_of_p_is_refused():
+    # the builders require p^n parameters; only a hand-typed clause has 3
+    params = [Const(Fraction(1))] * 3
+    clause = formulas._coset_clause(2, params, Var("x"), "inside", formulas._Names())
+    with pytest.raises(ParameterError, match="parameter count 3 is not a power of 2"):
+        eval_decidable(parse_formula(print_formula(clause)), at("t^(1,0)"), K1)
+
+
 def test_print_parse_round_trip():
     for f in (
         build_psi_p(2),
@@ -233,6 +241,13 @@ def test_a_node_of_the_wrong_sort_is_a_shape_error():
     for bad in (x, Or(atom, And(atom, x)), Not(Exists("y", x)), Eq(x, atom), 3):
         with pytest.raises(ShapeError):
             print_formula(bad)
+
+
+def test_a_malformed_tree_is_a_shape_error_in_both_evaluators():
+    for bad, what in ((Eq(Var("x"), "junk"), "not a term"), ("junk", "not a formula")):
+        for evaluate in (eval_decidable, eval_sampled):
+            with pytest.raises(ShapeError, match=what):
+                evaluate(bad, at("1"), K1)
 
 
 def test_matchers_round_trip():
@@ -270,7 +285,7 @@ def test_zero_argument_edge():
     assert eval_decidable(build_psi_p(2), {"x": zero_series(K1)}, K1) is False
     assert eval_decidable(build_phi_p(2), {"x": zero_series(K1)}, K1) is True
     for G, p, n in ((K1, 2, 1), (ZPI, 2, 2), (ZPI, 3, 0)):
-        params = [term_of_series(s) for s in choose_params(G, p, n)]
+        params = choose_params(G, p, n)
         f = build_psi_pn_at(p, n, params, Var("x"))
         assert eval_decidable(f, {"x": zero_series(G)}, G) is True
 
@@ -286,6 +301,16 @@ def test_plan_raises_only_where_evaluation_reaches_an_unsupported_node():
         assert plan(at("0")) is True
         with pytest.raises(UnsupportedQuantifierPattern):
             plan(at("1"))
+
+
+def test_plan_raises_only_where_evaluation_reaches_a_malformed_node():
+    x = Var("x")
+    for bad in ("junk", Eq(x, "junk")):
+        plan = decision_plan(Or(Eq(x, Const(Fraction(0))), bad), K1)
+        for _ in range(2):  # raised on every reach, never cached as a verdict
+            assert plan(at("0")) is True
+            with pytest.raises(ShapeError):
+                plan(at("1"))
 
 
 def test_plan_evaluates_a_closed_subterm_once_and_only_where_reached(monkeypatch):
@@ -513,14 +538,14 @@ def test_verdict_algebra_matches_the_two_field_reference():
 
 
 def test_choose_params_pins():
-    assert [print_series(s) for s in choose_params(K1, 2, 1)] == ["1", "t^(1,0)"]
-    assert [print_series(s) for s in choose_params(ZPI, 2, 2)] == [
+    assert [print_term(t) for t in choose_params(K1, 2, 1)] == ["1", "t^(1,0)"]
+    assert [print_term(t) for t in choose_params(ZPI, 2, 2)] == [
         "1",
         "t^(0,1)",
         "t^(1,0)",
         "t^(1,1)",
     ]
-    assert [print_series(s) for s in choose_params(K1, 3, 0)] == ["1"]
+    assert [print_term(t) for t in choose_params(K1, 3, 0)] == ["1"]
 
 
 def test_choose_params_count_is_p_to_n():
@@ -534,7 +559,7 @@ def test_choose_params_are_coset_distinct():
 
     G, p, n = ZPI, 2, 2
     cut = g_pn(G, p, n - 1)
-    params = choose_params(G, p, n)
+    params = [eval_term(G, t, {}).num for t in choose_params(G, p, n)]
     for i, a in enumerate(params):
         for b in params[i + 1 :]:
             diff_v = (

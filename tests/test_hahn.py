@@ -86,6 +86,16 @@ def test_invert_geometric():
     assert print_series(inv) == "1 + t^(1,0) + t^(2,0) + O(t^(3,0))"
 
 
+@pytest.mark.parametrize("text, want", [
+    ("1 - t^(1,0) + O(t^(3,0))", "1 + t^(1,0) + t^(2,0) + O(t^(3,0))"),
+    ("2*t^(1,0) + t^(2,0) + O(t^(4,0))", "1/2*t^(-1,0) - 1/4 + 1/8*t^(1,0) + O(t^(2,0))"),
+])
+def test_invert_truncated_input_caps_the_precision(text, want):
+    # a truncated input knows its inverse only to O(t^(trunc - 2v)), below
+    # the requested cutoff
+    assert print_series(series_invert(S(text), cutoff=element(K1, 9, 9))) == want
+
+
 def test_invert_monomial_exact():
     inv = series_invert(monomial(K1, (1, 2), Fraction(3, 2)))
     assert inv.trunc is None

@@ -42,7 +42,6 @@ from arclab.formulas import (
     eval_decidable,
     parse_formula,
     print_formula,
-    term_of_series,
 )
 from arclab.groups import parse_group
 from arclab.hahn import parse_series
@@ -172,7 +171,7 @@ def _built_shapes():
         for arg in args:
             out += [build_psi_p_at(p, arg), build_phi_p_at(p, arg)]
         for n in (0, 1):
-            params = [term_of_series(s) for s in choose_params(K1, p, n)]
+            params = choose_params(K1, p, n)
             out.append(build_phi_pn_at(p, n, params, Var("x")))
             named = [Var("y"), Var("z")] + params[2:] if n else [Var("z")]
             out.append(build_psi_pn_at(p, n, named, Var("y")))
@@ -254,7 +253,7 @@ def _turn_products(node):
 
 @pytest.mark.parametrize("G, p, n", [(K1, 2, 1), (parse_group("lex(real(1, pi))"), 3, 1)])
 def test_coset_tests_with_turned_products_decide_the_same(G, p, n):
-    params = [term_of_series(s) for s in choose_params(G, p, n)]
+    params = choose_params(G, p, n)
     probe = formulas._coset_probe(p, Mul(params[-1], Var("y")), formulas._Names({"y"}))
     clauses = build_psi_pn_at(p, n, params, Var("x"))
     for built, var in ((probe, "y"), (clauses, "x")):

@@ -27,9 +27,10 @@ from arclab.formulas import (
     build_psi_pn_at,
     choose_params,
     eval_decidable,
+    eval_term,
     match_coset_clause,
     parse_formula,
-    term_of_series,
+    print_term,
 )
 from arclab.groups import elem_add, elem_p_divisible, elem_sub, parse_group
 from arclab.hahn import (
@@ -117,7 +118,7 @@ def test_two_slot_real_component_above_the_cut():
     xs = [parse_series(f"t^{e}", PIZ) for e in exps]
     assert [ring_member(V, x) for x in xs] == [False, True, True, False, True]
     assert [_in_cut_subgroup(PIZ, v_of(x), c) for x in xs] == [False, False, True, False, False]
-    assert [print_series(s) for s in choose_params(PIZ, 2, 1)] == ["1", "t^(0,0,1)"]
+    assert [print_term(t) for t in choose_params(PIZ, 2, 1)] == ["1", "t^(0,0,1)"]
 
 
 def test_ring_member_inner_cut_zero_only():
@@ -417,7 +418,7 @@ def _coset_oracle(G, p, params, x, side, box) -> bool:
 def _coset_oracle_mismatches(G, p, n, oracle_params) -> list:
     """Decided coset clauses (built with choose_params) against the oracle
     (judged with oracle_params) on the boundary probes and 30 samples."""
-    params = [term_of_series(s) for s in choose_params(G, p, n)]
+    params = choose_params(G, p, n)
     psi = build_psi_pn_at(p, n, params, Var("x"))
     clauses = [psi.left.right, psi.right]
     box = _exponent_box(G)
@@ -437,7 +438,8 @@ def test_coset_clauses_match_finite_oracle(dsl):
     G = parse_group(dsl)
     for p in (2, 3):
         for n in range(np_map(G).value_at(p) + 1):
-            bad = _coset_oracle_mismatches(G, p, n, choose_params(G, p, n))
+            series = [eval_term(G, t, {}).num for t in choose_params(G, p, n)]
+            bad = _coset_oracle_mismatches(G, p, n, series)
             assert bad == [], (p, n, bad[:5])
 
 
