@@ -161,14 +161,14 @@ MUTANTS = [
     ),
     (
         "src/arclab/cli.py",
-        'return 1 if r["mismatches"] else 0',
-        "return 0",
+        '1 if r["mismatches"] else 0',
+        "0",
         "verify phi-p and phi-pn exit 0 with mismatches printed",
     ),
     (
         "src/arclab/cli.py",
-        'return 0 if t["consistent"] else 1',
-        "return 0",
+        '0 if t["consistent"] else 1',
+        "0",
         "verify thm26 exits 0 on an inconsistent report",
     ),
     (
@@ -291,6 +291,72 @@ MUTANTS = [
         "eff = _min_trunc(G, eff, elem_sub(G, a.trunc, scalar_mul(G, 2, v)))",
         "eff = eff",
         "series_invert claims the requested cutoff's precision for a truncated input",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if kind != "name" or name in _KEYWORDS or name in _MACROS:',
+        "if False:",
+        "a quantifier binds a numeral",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if params is not None:\n                self.fail(f"{name} takes no params", pos)',
+        'if False:\n                self.fail(f"{name} takes no params", pos)',
+        "psi_p and phi_p drop the params they were given",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "if len(params) != size:",
+        "if False:",
+        "phi_pn takes explicit params that are not p^n in number",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "if rhs.value == 0:",
+        "if False:",
+        "the parser divides a constant by the zero constant",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if n < 1:\n            self.fail("exponent must be >= 1")',
+        'if False:\n            self.fail("exponent must be >= 1")',
+        "the parser takes a power with exponent 0",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "        try:\n            num = eval_term(G, t, {}).num\n        except ShapeError:\n            continue\n",
+        "        num = eval_term(G, t, {}).num\n",
+        "the witness grid lets a formula constant that fits no exponent end the run",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "        try:\n            sf = eval_term(G, u, env)\n        except TruncationError:\n            continue\n",
+        "        sf = eval_term(G, u, env)\n",
+        "the witness grid lets a root target the truncation hides end the run",
+    ),
+    (
+        "src/arclab/convex.py",
+        "if cut_name(G, cut) != name:",
+        "if False:",
+        "parse_cut takes a spelling cut_name does not write, such as seg0 for top",
+    ),
+    (
+        "src/arclab/convex.py",
+        "if not (0 <= c.seg <= len(G.components)):",
+        "if False:",
+        "validate_cut takes a cut index past the bottom",
+    ),
+    (
+        "src/arclab/convex.py",
+        "if c.inner < 1:",
+        "if False:",
+        "validate_cut takes the inner offset 0",
+    ),
+    (
+        "src/arclab/convex.py",
+        "if c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower):",
+        "if False:",
+        "validate_cut takes an inner cut of a component that is no tower",
     ),
 ]
 

@@ -8,6 +8,11 @@ Subcommands
                                  the individual verification suites
     examples k1|k2|zpluspi|c0    canned reports for the library fields
 
+One output path: each subcommand body returns its payload (what --json
+prints), its text lines and its exit code, and the classification report
+also its FAIL: lines.  `main` alone prints: the payload as JSON or the
+lines as text, then the FAIL: lines to stderr, then returns the code.
+
 Exit codes: 0 clean, 1 verification mismatch or red flag, 2 usage or
 parse error.  Unsupported quantifier shapes under --mode decide count as
 usage errors (the command asked for a decision procedure that does not
@@ -21,6 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .convex import cut_name
 from .errors import (
@@ -88,47 +95,46 @@ def _fmt_np(np_table: dict) -> str:
     return f"{shown}   (closed form: {'; '.join(pieces)})"
 
 
-def _emit_report_text(r: dict, out) -> None:
-    print(f"group: {r['group']}", file=out)
-    print(f"n_p table: {_fmt_np(r['np_table'])}", file=out)
+def _fmt_tags(row: dict) -> str:
+    """A definable row's labels and markers, as both listings print them."""
+    tags = "; ".join(_fmt_label_entry(e) for e in row["labels"])
+    if row["trivial"]:
+        tags += "   [trivial coarsening]"
+    if row["residue_real_closed"]:
+        tags += "   [residue real closed]"
+    return tags
+
+
+def _fmt_thm26(t: dict) -> str:
+    return " ".join(f"{k}={t[k]}" for k in ("cond1", "cond2", "cond3", "consistent"))
+
+
+def _report_text(r: dict) -> list[str]:
+    lines = [
+        f"group: {r['group']}",
+        f"n_p table: {_fmt_np(r['np_table'])}",
+        "chain cuts (shallow to deep):",
+    ]
     cert_by_cut = {c["cut"]: c["certificate"] for c in r["certificates"]}
     label_rows = {d["cut"]: d for d in r["definable"]}
-    print("chain cuts (shallow to deep):", file=out)
     for row in r["cuts"]:
         cut = row["cut"]
         line = f"  {cut:<10} {row['status']}"
-        d = label_rows.get(cut)
-        if d is not None:
-            tags = "; ".join(_fmt_label_entry(e) for e in d["labels"])
-            line += f"   labels: {tags}"
-            if d["trivial"]:
-                line += "   [trivial coarsening]"
-            if d["residue_real_closed"]:
-                line += "   [residue real closed]"
+        if cut in label_rows:
+            line += f"   labels: {_fmt_tags(label_rows[cut])}"
         elif isinstance(cert_by_cut.get(cut), dict):
-            c = cert_by_cut[cut]
-            line += f"   certificate: {len(c['pieces'])} prime piece(s)"
-        print(line, file=out)
+            line += f"   certificate: {len(cert_by_cut[cut]['pieces'])} prime piece(s)"
+        lines.append(line)
     if r.get("chain_truncated"):
-        print("  ... (schematic chain shown to the configured depth)", file=out)
-    t = r["thm26"]
-    print(
-        "residue-real-closed equivalence (thm26): "
-        f"cond1={t['cond1']} cond2={t['cond2']} cond3={t['cond3']} consistent={t['consistent']}",
-        file=out,
-    )
-    print(f"dp-minimal: {r['dp_minimal']}", file=out)
-    if r["differential"]:
-        for d in r["differential"]:
-            print(
-                f"differential p={d['p']} n={d['n']}: {len(d['mismatches'])} mismatches "
-                f"({d['checked']} points)",
-                file=out,
-            )
-    else:
-        print("differential: skipped (group is not effective for sampling)", file=out)
-    for note in r["notes"]:
-        print(f"note: {note}", file=out)
+        lines.append("  ... (schematic chain shown to the configured depth)")
+    lines.append(f"residue-real-closed equivalence (thm26): {_fmt_thm26(r['thm26'])}")
+    lines.append(f"dp-minimal: {r['dp_minimal']}")
+    lines += [
+        f"differential p={d['p']} n={d['n']}: {len(d['mismatches'])} mismatches "
+        f"({d['checked']} points)"
+        for d in r["differential"]
+    ] or ["differential: skipped (group is not effective for sampling)"]
+    return lines + [f"note: {note}" for note in r["notes"]]
 
 
 def _report_failures(r: dict) -> list[str]:
@@ -141,33 +147,33 @@ def _report_failures(r: dict) -> list[str]:
     return bad
 
 
-def _dump_json(payload: dict, out) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns what it computed, and main prints it
 
 
-def _report(dsl: str, args, out, header: str | None = None) -> int:
+class _Output(NamedTuple):
+    payload: dict  # what --json prints
+    lines: list[str]  # what text mode prints
+    code: int = 0
+    fails: Sequence[str] = ()  # FAIL: lines for stderr, after the output
+
+
+def _report(dsl: str, args, header: tuple[str, ...] = ()) -> _Output:
     """The classification report of one group, shared by `group analyze`,
     `verify classification` and `examples` (which adds a header line)."""
     r = classification_report(
         parse_group(dsl), display_primes=args.primes, samples=args.samples, seed=args.seed
     )
-    if args.json:
-        _dump_json(r, out)
-    else:
-        if header is not None:
-            print(header, file=out)
-        _emit_report_text(r, out)
     bad = _report_failures(r)
-    for b in bad:
-        print(f"FAIL: {b}", file=sys.stderr)
-    return 1 if bad else 0
+    return _Output(r, [*header, *_report_text(r)], 1 if bad else 0, bad)
 
 
-def _cmd_valuations_list(args, out) -> int:
+def _cmd_examples(args) -> _Output:
+    dsl = EXAMPLES[args.name]
+    return _report(dsl, args, header=(f"example {args.name!r}: {dsl}",))
+
+
+def _cmd_valuations_list(args) -> _Output:
     G = parse_group(args.dsl)
     rows = definable_rows(G, args.primes)
     payload = {
@@ -176,82 +182,47 @@ def _cmd_valuations_list(args, out) -> int:
         "v0": cut_name(G, v0_descriptor(G).cut),
         "v_p": {str(p): cut_name(G, v_p_descriptor(G, p).cut) for p in args.primes},
     }
-    if args.json:
-        _dump_json(payload, out)
-        return 0
-    print(f"group: {payload['group']}", file=out)
-    print("definable coarsenings (deepest first):", file=out)
-    for row in rows:
-        tags = "; ".join(_fmt_label_entry(e) for e in row["labels"])
-        extra = "   [trivial coarsening]" if row["trivial"] else ""
-        rc = "   [residue real closed]" if row["residue_real_closed"] else ""
-        print(f"  {row['cut']:<10} {tags}{extra}{rc}", file=out)
-    print(f"v0 cut: {payload['v0']}", file=out)
-    print(
-        "v_p cuts: " + ", ".join(f"p={p} -> {c}" for p, c in sorted(payload["v_p"].items(), key=lambda kv: int(kv[0]))),
-        file=out,
-    )
-    return 0
+    v_p = sorted(payload["v_p"].items(), key=lambda kv: int(kv[0]))
+    return _Output(payload, [
+        f"group: {payload['group']}",
+        "definable coarsenings (deepest first):",
+        *(f"  {row['cut']:<10} {_fmt_tags(row)}" for row in rows),
+        f"v0 cut: {payload['v0']}",
+        "v_p cuts: " + ", ".join(f"p={p} -> {c}" for p, c in v_p),
+    ])
 
 
-def _cmd_formula_eval(args, out) -> int:
+def _cmd_formula_eval(args) -> _Output:
     G = parse_group(args.group)
     F = parse_formula(args.expr, group=G)
     env = parse_bindings(args.at, G)
     if args.mode == "decide":
         verdict = eval_decidable(F, env, G)
-        payload = {"mode": "decide", "result": verdict}
-        if args.json:
-            _dump_json(payload, out)
-        else:
-            print("true" if verdict else "false", file=out)
-        return 0
+        return _Output({"mode": "decide", "result": verdict}, ["true" if verdict else "false"])
     o = eval_sampled(F, env, G, budget=args.samples, seed=args.seed, cutoff_mag=args.cutoff)
-    payload = {
-        "mode": "sample",
-        "status": o.status,
-        "certain": o.certain,
-        "witness": None if o.witness is None else {k: print_series(v) for k, v in sorted(o.witness.items())},
-    }
-    if args.json:
-        _dump_json(payload, out)
-    else:
-        line = o.status if o.certain else f"{o.status} (sampled, not a proof)"
-        if payload["witness"]:
-            line += "   " + "; ".join(f"{k} = {v}" for k, v in payload["witness"].items())
-        print(line, file=out)
-    return 0
+    witness = o.witness and {k: print_series(v) for k, v in sorted(o.witness.items())}
+    line = o.status if o.certain else f"{o.status} (sampled, not a proof)"
+    if witness:
+        line += "   " + "; ".join(f"{k} = {v}" for k, v in witness.items())
+    payload = {"mode": "sample", "status": o.status, "certain": o.certain, "witness": witness}
+    return _Output(payload, [line])
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> _Output:
     if args.what == "classification":
-        return _report(args.group, args, out)
+        return _report(args.group, args)
     G = parse_group(args.group)
     if args.what == "thm26":
         t = verify_thm_defblRCF(G)
-        if args.json:
-            _dump_json(t, out)
-        else:
-            print(
-                f"cond1={t['cond1']} cond2={t['cond2']} cond3={t['cond3']} "
-                f"consistent={t['consistent']}",
-                file=out,
-            )
-        return 0 if t["consistent"] else 1
+        return _Output(t, [_fmt_thm26(t)], 0 if t["consistent"] else 1)
     # phi-p is level 0 of phi-pn
     n = args.n if args.what == "phi-pn" else 0
     r = differential_verify(G, args.p, n, samples=args.samples, seed=args.seed)
-    if args.json:
-        _dump_json(r, out)
-    else:
-        print(
-            f"p={r['p']} n={r['n']}: checked {r['checked']} points, "
-            f"{len(r['mismatches'])} mismatches",
-            file=out,
-        )
-        for m in r["mismatches"][:10]:
-            print(f"  MISMATCH {m}", file=out)
-    return 1 if r["mismatches"] else 0
+    lines = [
+        f"p={r['p']} n={r['n']}: checked {r['checked']} points, {len(r['mismatches'])} mismatches",
+        *(f"  MISMATCH {m}" for m in r["mismatches"][:10]),
+    ]
+    return _Output(r, lines, 1 if r["mismatches"] else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,27 +332,32 @@ _USAGE_ERRORS = (
 )
 
 
+_COMMANDS = {
+    "group": lambda args: _report(args.dsl, args),
+    "valuations": _cmd_valuations_list,
+    "formula": _cmd_formula_eval,
+    "verify": _cmd_verify,
+    "examples": _cmd_examples,
+}
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     usage = _USAGE_ERRORS + ((TruncationError,) if args.command == "formula" else ())
     try:
-        if args.command == "group":
-            return _report(args.dsl, args, out)
-        if args.command == "valuations":
-            return _cmd_valuations_list(args, out)
-        if args.command == "formula":
-            return _cmd_formula_eval(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        dsl = EXAMPLES[args.name]
-        return _report(dsl, args, out, header=f"example {args.name!r}: {dsl}")
+        result = _COMMANDS[args.command](args)
     except usage as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ArclabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    lines = [json.dumps(result.payload, indent=2, sort_keys=True)] if args.json else result.lines
+    print("\n".join(lines), file=out)
+    for line in result.fails:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return result.code
 
 
 if __name__ == "__main__":

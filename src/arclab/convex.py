@@ -70,25 +70,20 @@ def cut_name(G: LexWord, c: ConvexCut) -> str:
     return c.cut_id()
 
 
-def _numeral(text: str) -> bool:
-    """ASCII digits with no sign, space, underscore or leading zero: how
-    cut_name writes an index."""
-    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
-
-
 def parse_cut(G: LexWord, name: str) -> ConvexCut:
+    """The cut named `name`, taken only in cut_name's own spelling."""
     if name == "top":
         return top_cut(G)
     if name == "bottom":
         return bottom_cut(G)
     seg_s, plus, inner_s = name.removeprefix("seg").partition("+")
-    if not (name.startswith("seg") and _numeral(seg_s) and (not plus or _numeral(inner_s))):
-        raise ShapeError(f"unknown cut name {name!r}")
     try:
         cut = ConvexCut(int(seg_s), int(inner_s) if plus else None)
-    except ValueError as exc:  # a numeral past int()'s digit limit
+    except ValueError as exc:  # no numeral, or one past int()'s digit limit
         raise ShapeError(f"unknown cut name {name!r}") from exc
     validate_cut(G, cut)
+    if cut_name(G, cut) != name:
+        raise ShapeError(f"unknown cut name {name!r}")
     return cut
 
 

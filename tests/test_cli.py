@@ -204,6 +204,34 @@ def test_sampler_judges_a_term_hidden_by_a_truncation(expr, want, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("exists 1. x = x", "expected a variable name"),
+    ("psi_p[2](x, params = 1)", "psi_p takes no params"),
+    ("phi_pn[2,1](x, params = 1)", "expected 2 params, got 1"),
+    ("x = 1/0", "division by the zero constant"),
+    ("x^0 = 1", "exponent must be >= 1"),
+], ids=["binder", "psi-params", "param-count", "zero-divisor", "zero-exponent"])
+def test_formula_parser_refusals_are_usage_errors(expr, message, capsys):
+    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: DslSyntaxError: {message}")
+
+
+@pytest.mark.parametrize("expr, at, want", [
+    # the formula constant t^(1) fits no exponent of lex(Z, Q): no base, no refusal
+    ("exists y. (y = 1 or x = t^(1))", "x=1", "true   y = 1"),
+    # the root target x*x is hidden by the truncation: no root candidate, no refusal
+    ("exists y. (y^2 = x*x and y = y)", "x = O(t^(1,0))",
+     "unknown_on_sample (sampled, not a proof)"),
+], ids=["shape", "truncation"])
+def test_witness_grid_skips_a_constant_or_target_it_cannot_evaluate(expr, at, want, capsys):
+    code, text = run(
+        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", at, "--mode", "sample"
+    )
+    assert (code, text) == (0, want + "\n")
+    assert capsys.readouterr().err == ""
+
+
 def test_internal_contradiction_exits_1(monkeypatch, capsys):
     # an enclosure of pi that never narrows trips sign_of_real's precision cap
     monkeypatch.setattr(groups, "pi_interval", lambda digits: (Fraction(0), Fraction(10)))
@@ -611,3 +639,55 @@ def test_example_text_mentions_notes():
     code, text = run("examples", "zpluspi")
     assert code == 0
     assert "note:" in text and "coincide" in text
+
+
+# -- the whole output, pinned ------------------------------------------------------------
+
+_PIN_GROUPS = [*(EXAMPLES[name] for name in sorted(EXAMPLES)), "lex(Zloc(2), Q)",
+               "lex(Z, omega_tower(start=1), Q)"]
+_PIN_FORMULAS = [
+    ("lex(Z, Q)", "psi_p[2](x)", "x=t^(1,0)", "decide"),
+    ("lex(Z, Q)", "phi_p[3](x)", "x=t^(-1,0) + 2", "decide"),
+    ("lex(Z, Z)", "phi_pn[2,1](x)", "x=t^(0,-1)", "decide"),
+    ("lex(Z, Q)", "exists y. y^2 = x", "x=t^(2,0)", "decide"),
+    ("lex(Z, Q)", "exists y. y^2 = x", "x=2", "sample"),
+    ("lex(Z, Q)", "forall z. (psi_p[2](z) -> psi_p[2](x*z))", "x=t^(-2,0)", "sample"),
+    ("lex(Z, Q)", "forall y. y^2 != x", "x=4", "sample"),
+    ("lex(Z, Q)", "exists y. y*y = x + 1", "x = O(t^(1,0))", "sample"),
+    ("lex(Z, Q)", "x = y", "x=1; y=1", "sample"),
+    # the calls that exit 2
+    ("lex(Z, Q)", "x = 1", "x=t^(nope)", "decide"),
+    ("lex(Z, Q)", "forall z. z = z", "x=1", "decide"),
+    ("lex(Z, Q)", "psi_p[2](x)", "y=1", "sample"),
+    ("lex(Z, Q)", "x = 0", "x = O(t^(1,0))", "decide"),
+    ("lex(omega_tower(start=0))", "x = 1", "x=1", "sample"),
+]
+
+
+def _pin_battery():
+    """Every subcommand in text and in --json over six groups, small sample
+    counts, non-default display primes, and formula eval in both modes."""
+    for fmt in ((), ("--json",)):
+        for dsl in _PIN_GROUPS:
+            for primes in ((), ("--primes", "3,11")):
+                yield ("group", "analyze", dsl, "--samples", "3", *primes, *fmt)
+                yield ("valuations", "list", dsl, *primes, *fmt)
+            yield ("verify", "phi-p", "--group", dsl, "-p", "3", "--samples", "3", *fmt)
+            yield ("verify", "phi-pn", "--group", dsl, "-p", "2", "-n", "1", "--samples", "2", *fmt)
+            yield ("verify", "thm26", "--group", dsl, *fmt)
+            yield ("verify", "classification", "--group", dsl, "--samples", "2", "--seed", "7", *fmt)
+        for name in sorted(EXAMPLES):
+            yield ("examples", name, "--samples", "4", "--primes", "2,5", *fmt)
+        for group, expr, at, mode in _PIN_FORMULAS:
+            yield ("formula", "eval", "--group", group, "--expr", expr, "--at", at, "--mode", mode,
+                   "--samples", "12", *fmt)
+
+
+def test_cli_output_pinned(capsys):
+    # stdout, stderr and exit code of every call in the battery, hashed
+    digest = hashlib.sha256()
+    for argv in _pin_battery():
+        code = main(list(argv))
+        got = capsys.readouterr()
+        digest.update(repr((argv, code, got.out, got.err)).encode())
+    assert digest.hexdigest() == "dbe2904abfeee38082b254697ede4d3d1691a298b0c380e104f5da922954c7d6"

@@ -75,11 +75,16 @@ def test_cut_name_round_trip():
 
 
 @pytest.mark.parametrize(
-    "name", ["seg01", "seg 1", "seg0_1", "seg١", "seg1+٢", "seg1+02", "seg1 + 2", "seg+1", "seg1+"]
+    "name",
+    [
+        "seg01", "seg 1", "seg0_1", "seg١", "seg1+٢", "seg1+02", "seg1 + 2", "seg+1", "seg1+",
+        "seg0", "seg3", "seg9", "seg1+0", "seg0+1",
+    ],
 )
 def test_parse_cut_takes_only_its_own_spelling(name):
     # cut_name writes ASCII digits with no sign, space, underscore or
-    # leading zero; parse_cut refuses every other spelling of seg1 or seg1+2
+    # leading zero; parse_cut refuses every other spelling of seg1 or seg1+2,
+    # the top and bottom cuts as seg0 and seg3, and names that denote no cut
     G = parse_group("lex(Z, omega_tower(start=0), Q)")
     assert parse_cut(G, "seg1") == ConvexCut(1)
     assert parse_cut(G, "seg1+2") == ConvexCut(1, 2)
