@@ -358,6 +358,30 @@ MUTANTS = [
         "if False:",
         "validate_cut takes an inner cut of a component that is no tower",
     ),
+    (
+        "src/arclab/valuations.py",
+        "return elem_cmp(G, masked, zero) >= 0",
+        "return elem_cmp(G, masked, zero) > 0",
+        "ring_member leaves out elements whose exponent falls into the convex subgroup",
+    ),
+    (
+        "src/arclab/valuations.py",
+        "masked = v_of(a)[:k] + zero[k:]",
+        "masked = v_of(a)",
+        "ring_member reads the whole exponent instead of its part above the cut",
+    ),
+    (
+        "src/arclab/valuations.py",
+        "    if a.is_zero():\n        return True\n    G = a.group",
+        "    G = a.group",
+        "ring_member asks zero for its valuation instead of taking it into every ring",
+    ),
+    (
+        "src/arclab/valuations.py",
+        "validate_cut(a.group, c)",
+        "pass",
+        "ring_member takes a cut that is not a cut of the series' group",
+    ),
 ]
 
 TIMEOUT_S = 300

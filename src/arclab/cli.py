@@ -29,7 +29,7 @@ import sys
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .convex import cut_name
+from .convex import cut_name, max_divisible, max_p_divisible
 from .errors import (
     ArclabError,
     DslSyntaxError,
@@ -47,8 +47,6 @@ from .valuations import (
     classification_report,
     definable_rows,
     differential_verify,
-    v0_descriptor,
-    v_p_descriptor,
     verify_thm_defblRCF,
 )
 
@@ -179,8 +177,8 @@ def _cmd_valuations_list(args) -> _Output:
     payload = {
         "group": print_group(G),
         "definable": rows,
-        "v0": cut_name(G, v0_descriptor(G).cut),
-        "v_p": {str(p): cut_name(G, v_p_descriptor(G, p).cut) for p in args.primes},
+        "v0": cut_name(G, max_divisible(G)),
+        "v_p": {str(p): cut_name(G, max_p_divisible(G, p)) for p in args.primes},
     }
     v_p = sorted(payload["v_p"].items(), key=lambda kv: int(kv[0]))
     return _Output(payload, [

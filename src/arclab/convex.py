@@ -248,13 +248,15 @@ def is_dp_minimal(G: LexWord) -> bool:
 
 def max_divisible(G: LexWord) -> ConvexCut:
     """The largest divisible convex subgroup: the shallowest whole-component
-    cut whose suffix exponent is zero at every prime."""
+    cut whose suffix exponent is zero at every prime.  Its cut names v0, the
+    coarsest coarsening with a real closed residue field."""
     zero = PartitionMap(0)
     return ConvexCut(next(k for k, e in enumerate(_chain_table(G).plain) if e == zero))
 
 
 def g_pn(G: LexWord, p: int, n: int) -> ConvexCut:
-    """The shallowest cut whose suffix exponent at p is at most n.
+    """The shallowest cut whose suffix exponent at p is at most n: the cut
+    of v_(p,n), level n of the definable family at p.
 
     Scans whole components first; when the blocking component is a tower
     containing p as a summand, refines to the inner cut that drops exactly
@@ -278,7 +280,8 @@ def g_pn(G: LexWord, p: int, n: int) -> ConvexCut:
 
 
 def max_p_divisible(G: LexWord, p: int) -> ConvexCut:
-    """The largest p-divisible convex subgroup (shallowest cut with E = 0)."""
+    """The largest p-divisible convex subgroup (shallowest cut with E = 0):
+    the cut of v_p, level 0 of the definable family at p."""
     return g_pn(G, p, 0)
 
 
@@ -347,14 +350,6 @@ def cut_labels(G: LexWord, c: ConvexCut) -> tuple[LabelEntry, ...]:
             continue
         entries.append(LabelEntry(primes, ec, None if ep is INF else ep - 1))
     return tuple(entries)
-
-
-def labels_at(G: LexWord, c: ConvexCut, p: int) -> list[int] | None:
-    """Concrete label list for one prime; None marks an unbounded family."""
-    for entry in cut_labels(G, c):
-        if p in entry.primes:
-            return entry.levels()
-    return []
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ Inputs are validated where they enter, and the arithmetic trusts them:
   slot count and slot kinds, and ``zero_element`` checks effectiveness;
 * bindings: ``formulas._norm_env`` takes a series or a rational and
   rejects any other value, and a series over another group, the only way
-  series of two groups can meet;
+  series of two groups can meet (``valuations.ring_member`` takes no
+  group: it reads the group off the series);
+* cuts: ``convex.parse_cut`` checks a cut where it is read, and
+  ``valuations.ring_member`` checks a cut against the group of the series
+  it tests;
 * primes: the formula builders and matchers, ``hahn.root_exists`` and the
   CLI's ``--primes`` check primality, so ``elem_p_divisible`` assumes it.
 """

@@ -705,15 +705,15 @@ def parse_series(text: str, G: LexWord) -> HahnSeries:
 
 def parse_bindings(text: str, G: LexWord) -> dict[str, HahnSeries]:
     """name = series items separated by ';', e.g. "x = t^(1,0); y = 2";
-    empty items are skipped."""
+    empty items are skipped, and a name is bound once."""
     reader = _SeriesReader(text, G, ";")
     env = {}
     while reader.peek()[0] != "eof":
         if reader.accept(";"):
             continue
         kind, name, pos = reader.next()
-        if kind != "name":
-            reader.fail(f"expected a variable name, got {_clip(name)!r}", pos)
+        if kind != "name" or name in env:
+            reader.fail(f"expected a variable name not bound before, got {_clip(name)!r}", pos)
         reader.expect("=")
         env[name] = reader.series()
     return env

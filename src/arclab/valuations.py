@@ -3,10 +3,11 @@
 Every convex cut of the exponent group names a coarsening of the exponent
 valuation on the power-series field: an element sits in the coarsened ring
 exactly when its leading exponent, read above the cut, is zero or positive.
-This module turns cuts into valuation descriptors, enumerates the definable
-family (the labeled image of the (p, n) cut map), checks the three-way
-equivalence behind the "definable with real closed residue field" test, and
-runs the differential suites that pin the formula layer against plain ring
+So a valuation is named by its cut alone, and `ring_member` reads the group
+off the series it tests. This module enumerates the definable family (the
+labeled image of the (p, n) cut map), checks the three-way equivalence
+behind the "definable with real closed residue field" test, and runs the
+differential suites that pin the formula layer against plain ring
 membership.
 
 The differential runs are deliberately two-track: membership comes from
@@ -25,7 +26,6 @@ classification report makes one sweep per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .convex import (
@@ -47,7 +47,7 @@ from .convex import (
     top_cut,
     validate_cut,
 )
-from .errors import NonEffectiveError, ShapeError
+from .errors import ShapeError
 from .formulas import (
     Forall,
     build_phi_p,
@@ -72,42 +72,24 @@ from .primes import INF
 
 
 # ---------------------------------------------------------------------------
-# descriptors and membership
+# membership
 
 
-@dataclass(frozen=True)
-class ValuationDescriptor:
-    """A coarsening of the exponent valuation, named by its convex cut.
+def ring_member(c: ConvexCut, a: HahnSeries) -> bool:
+    """Is `a` in the valuation ring of the coarsening at the cut c of its
+    group?
 
-    cut = Bottom is the exponent valuation itself; cut = Top is the trivial
-    valuation (ring = everything).
+    c = Bottom is the exponent valuation itself; c = Top is the trivial
+    valuation (ring = everything). Zero belongs to every ring. Otherwise
+    membership reads the leading exponent above the cut: coordinates of
+    the quotient prefix all zero (the exponent fell into the convex
+    subgroup) or lexicographically positive.
     """
-
-    group: LexWord
-    cut: ConvexCut
-
-    def __post_init__(self):
-        validate_cut(self.group, self.cut)
-
-    def name(self) -> str:
-        return cut_name(self.group, self.cut)
-
-
-def ring_member(V: ValuationDescriptor, a: HahnSeries) -> bool:
-    """Is `a` in the valuation ring of the coarsening?
-
-    Zero belongs to every ring. Otherwise membership reads the leading
-    exponent above the cut: coordinates of the quotient prefix all zero
-    (the exponent fell into the convex subgroup) or lexicographically
-    positive. Cuts inside a schematic tower have no concrete elements to
-    test against.
-    """
+    validate_cut(a.group, c)
     if a.is_zero():
         return True
-    if V.cut.inner is not None:
-        raise NonEffectiveError("ring membership at a cut inside a schematic tower")
-    G = V.group
-    k = G.layout.offsets[V.cut.seg]
+    G = a.group
+    k = G.layout.offsets[c.seg]
     zero = zero_element(G)
     masked = v_of(a)[:k] + zero[k:]
     return elem_cmp(G, masked, zero) >= 0
@@ -117,21 +99,6 @@ def is_residue_real_closed(G: LexWord, c: ConvexCut) -> bool:
     """The residue field of the coarsening at c is real closed exactly when
     the convex subgroup below c is divisible (all primes)."""
     return suffix_divisible_primes(G, c).is_all()
-
-
-def v0_descriptor(G: LexWord) -> ValuationDescriptor:
-    """Coarsest coarsening with real closed residue field."""
-    return ValuationDescriptor(G, max_divisible(G))
-
-
-def v_p_descriptor(G: LexWord, p: int) -> ValuationDescriptor:
-    """Coarsening at the maximal p-divisible convex subgroup."""
-    return ValuationDescriptor(G, max_p_divisible(G, p))
-
-
-def v_pn_descriptor(G: LexWord, p: int, n: int) -> ValuationDescriptor:
-    """Level-n member of the definable family at p; level 0 is v_p."""
-    return ValuationDescriptor(G, g_pn(G, p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +229,12 @@ def differential_sweep(
             stability = _stability_clause(phi_p)
             primes[p] = (
                 decision_plan(phi_p, G),
-                v_p_descriptor(G, p),
+                max_p_divisible(G, p),
                 stability,
                 decision_plan(stability, G),
             )
         phi_pn = build_phi_pn(p, n, choose_params(G, p, n))
-        levels.append((p, n, decision_plan(phi_pn, G), v_pn_descriptor(G, p, n)))
+        levels.append((p, n, decision_plan(phi_pn, G), g_pn(G, p, n)))
 
     xs = boundary_monomials(G)
     xs += [sample_series(G, seed * 6007 + i) for i in range(samples)]
@@ -331,13 +298,13 @@ def differential_cross(
     mismatches — if it cannot, the differential harness is blind."""
     _require_effective(G)
     decide = decision_plan(build_phi_p(p_formula), G)
-    V = v_p_descriptor(G, p_ring)
+    ring = max_p_divisible(G, p_ring)
     xs = boundary_monomials(G)
     xs += [sample_series(G, seed * 7457 + i) for i in range(samples)]
     found = []
     for x in xs:
         d = decide({"x": x})
-        r = ring_member(V, x)
+        r = ring_member(ring, x)
         if d != r:
             found.append({"x": print_series(x), "decide": d, "ring": r})
     return found

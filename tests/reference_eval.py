@@ -214,8 +214,8 @@ def reference_differential_verify(G, p, n, samples=200, seed=42, falsify_budget=
         raise NonEffectiveError("differential sampling needs an effective group")
     phi_p = build_phi_p(p)
     phi_pn = build_phi_pn(p, n, choose_params(G, p, n))
-    vp = valuations.v_p_descriptor(G, p)
-    vpn = valuations.v_pn_descriptor(G, p, n)
+    vp = max_p_divisible(G, p)
+    vpn = reference_g_pn(G, p, n)
     stability = valuations._stability_clause(phi_p)
 
     xs = valuations.boundary_monomials(G)
@@ -689,6 +689,8 @@ def reference_parse_bindings(text: str, G: LexWord) -> dict:
         name = name.strip()
         if not name.isidentifier():
             raise DslSyntaxError(f"bad variable name {name!r}", 0, chunk)
+        if name in env:
+            raise DslSyntaxError(f"{name!r} is bound twice", 0, chunk)
         env[name] = reference_parse_series(rhs.strip(), G)
     return env
 

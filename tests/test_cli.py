@@ -343,6 +343,15 @@ def test_bindings_with_empty_items_and_spaces(at):
     assert code == 0 and text.strip() == "true"
 
 
+@pytest.mark.parametrize("at", ["x = 1; x = 2", "x=2;x=1", "y=1; x=1; y=1"])
+def test_a_name_bound_twice_is_usage_error(at, capsys):
+    # no binding silently wins over another
+    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "DslSyntaxError" in err and "not bound before" in err
+
+
 LONG = "1" * 5000  # past Python's 4,300-digit int conversion limit
 
 

@@ -16,7 +16,6 @@ from arclab.convex import (
     g_pn,
     is_dp_minimal,
     is_p_regular,
-    labels_at,
     max_divisible,
     max_p_divisible,
     non_definability_certificate,
@@ -31,6 +30,7 @@ from arclab.convex import (
 from arclab.errors import ShapeError
 from arclab.groups import OmegaTower, element, elem_p_divisible, parse_group
 from arclab.primes import INF, PrimeSet, prime_at
+from arclab.valuations import definable_rows
 from conftest import EFFECTIVE_POOL
 from reference_eval import reference_certificate_cells, reference_g_pn, reference_regular_primes
 from schematic_words import schematic_words
@@ -273,10 +273,13 @@ def test_cut_labels_k1():
 
 
 def test_labels_at_c0():
-    assert labels_at(C0, bottom_cut(C0), 2) is None  # (2, n) for every n
-    assert labels_at(C0, bottom_cut(C0), 3) == []
-    assert labels_at(C0, top_cut(C0), 3) == [0]
-    assert labels_at(C0, top_cut(C0), 2) == []
+    # the levels a report prints for each cut at each display prime
+    rows = {row["cut"]: row["display_labels"] for row in definable_rows(C0, (2, 3))}
+    bottom, top = rows[cut_name(C0, bottom_cut(C0))], rows[cut_name(C0, top_cut(C0))]
+    assert bottom["2"] == "unbounded"  # (2, n) for every n
+    assert bottom["3"] == []
+    assert top["3"] == [0]
+    assert top["2"] == []
 
 
 def test_certificate_k1_bottom():

@@ -8,11 +8,14 @@ import pytest
 
 from arclab import valuations
 from arclab.convex import (
+    ConvexCut,
     bottom_cut,
     chain_cuts,
     cut_name,
     cuts_cmp,
+    g_pn,
     max_divisible,
+    max_p_divisible,
     np_map,
     parse_cut,
     top_cut,
@@ -44,7 +47,6 @@ from arclab.hahn import (
 )
 from arclab.primes import PrimeSet
 from arclab.valuations import (
-    ValuationDescriptor,
     _stability_clause,
     boundary_monomials,
     classification_report,
@@ -54,9 +56,6 @@ from arclab.valuations import (
     enumerate_definable,
     is_residue_real_closed,
     ring_member,
-    v0_descriptor,
-    v_p_descriptor,
-    v_pn_descriptor,
     verify_thm_defblRCF,
 )
 
@@ -76,25 +75,24 @@ PIZ = parse_group("lex(real(1, pi), Z)")  # a two-slot component above a cut
 
 
 def test_ring_member_pins():
-    V = ValuationDescriptor(K1, parse_cut(K1, "seg1"))
-    assert ring_member(V, parse_series("t^(0,-5)", K1))
-    assert not ring_member(V, parse_series("t^(-1,3)", K1))
-    assert ring_member(V, parse_series("t^(1,-99)", K1))
-    assert ring_member(V, zero_series(K1))
+    c = parse_cut(K1, "seg1")
+    assert ring_member(c, parse_series("t^(0,-5)", K1))
+    assert not ring_member(c, parse_series("t^(-1,3)", K1))
+    assert ring_member(c, parse_series("t^(1,-99)", K1))
+    assert ring_member(c, zero_series(K1))
 
 
 def test_trivial_ring_holds_everything():
-    V = ValuationDescriptor(K1, top_cut(K1))
-    assert V.cut == top_cut(K1)
+    c = top_cut(K1)
     for text in ("t^(-3,0)", "t^(0,-1/2)", "7", "t^(2,5)"):
-        assert ring_member(V, parse_series(text, K1))
+        assert ring_member(c, parse_series(text, K1))
 
 
 def test_bottom_ring_is_the_plain_valuation_ring():
-    V = ValuationDescriptor(K1, bottom_cut(K1))
-    assert ring_member(V, parse_series("t^(0,1/2)", K1))
-    assert ring_member(V, parse_series("1 + t^(1,0)", K1))
-    assert not ring_member(V, parse_series("t^(0,-1/2)", K1))
+    c = bottom_cut(K1)
+    assert ring_member(c, parse_series("t^(0,1/2)", K1))
+    assert ring_member(c, parse_series("1 + t^(1,0)", K1))
+    assert not ring_member(c, parse_series("t^(0,-1/2)", K1))
 
 
 def test_ring_member_coarsening_monotone():
@@ -102,55 +100,59 @@ def test_ring_member_coarsening_monotone():
     chain = chain_cuts(K1)
     probes = [parse_series(s, K1) for s in ("t^(-1,2)", "t^(0,-5)", "t^(1,0)", "3")]
     for deep, shallow in zip(chain[1:], chain):
-        vd = ValuationDescriptor(K1, deep)
-        vs = ValuationDescriptor(K1, shallow)
         assert cuts_cmp(shallow, deep) == -1
         for x in probes:
-            if ring_member(vd, x):
-                assert ring_member(vs, x)
+            if ring_member(deep, x):
+                assert ring_member(shallow, x)
 
 
 def test_two_slot_real_component_above_the_cut():
     # seg1 sits below real(1, pi): the quotient prefix is two slots wide
     c = parse_cut(PIZ, "seg1")
-    V = ValuationDescriptor(PIZ, c)
     exps = ["(1,-1,0)", "(-1,1,0)", "(0,0,-3)", "(3,-1,-7)", "(0,1,-5)"]
     xs = [parse_series(f"t^{e}", PIZ) for e in exps]
-    assert [ring_member(V, x) for x in xs] == [False, True, True, False, True]
+    assert [ring_member(c, x) for x in xs] == [False, True, True, False, True]
     assert [_in_cut_subgroup(PIZ, v_of(x), c) for x in xs] == [False, False, True, False, False]
     assert [print_term(t) for t in choose_params(PIZ, 2, 1)] == ["1", "t^(0,0,1)"]
 
 
+def test_ring_member_refuses_a_cut_of_another_shape():
+    # the group comes from the series, and the cut must be one of its cuts
+    x = parse_series("t^(1,-1)", K1)
+    for c in (ConvexCut(3), ConvexCut(0, 1)):
+        with pytest.raises(ShapeError):
+            ring_member(c, x)
+
+
 def test_ring_member_inner_cut_zero_only():
     # schematic cuts admit no nonzero test elements; zero still belongs
-    V = ValuationDescriptor(K2, parse_cut(K2, "seg0+2"))
-    assert ring_member(V, zero_series(K2))
+    assert ring_member(parse_cut(K2, "seg0+2"), zero_series(K2))
 
 
-# -- descriptors ----------------------------------------------------------------------
+# -- the named cuts: v0, v_p and v_pn ---------------------------------------------------
 
 
 def test_v_p_is_level_zero():
     for G in (K1, ZPI, ZL2):
         for p in (2, 3, 5):
-            assert v_p_descriptor(G, p).cut == v_pn_descriptor(G, p, 0).cut
+            assert max_p_divisible(G, p) == g_pn(G, p, 0)
 
 
 def test_v_pn_saturation_pin():
-    assert v_pn_descriptor(ZPI, 2, 2).cut == top_cut(ZPI)
+    assert g_pn(ZPI, 2, 2) == top_cut(ZPI)
 
 
 def test_v0_pins():
-    assert v0_descriptor(K1).name() == "seg1"
-    assert v0_descriptor(K2).name() == "bottom"
-    assert v0_descriptor(ZPI).name() == "bottom"
-    assert v0_descriptor(C0).name() == "bottom"
+    assert cut_name(K1, max_divisible(K1)) == "seg1"
+    assert cut_name(K2, max_divisible(K2)) == "bottom"
+    assert cut_name(ZPI, max_divisible(ZPI)) == "bottom"
+    assert cut_name(C0, max_divisible(C0)) == "bottom"
 
 
 def test_v0_residue_flag():
     # v0 is the shallowest chain cut whose residue is real closed
     for G in (K1, K2, ZPI, C0):
-        c0 = v0_descriptor(G).cut
+        c0 = max_divisible(G)
         assert is_residue_real_closed(G, c0)
         for c in chain_cuts(G):
             if cuts_cmp(c, c0) < 0:  # strictly shallower
@@ -394,7 +396,7 @@ def _exponent_box(G):
 def _coset_oracle(G, p, params, x, side, box) -> bool:
     """No t^g on the box (nor t^v(x)) meets the hypothesis and misses every
     parameter coset."""
-    vp = v_p_descriptor(G, p)
+    vp = max_p_divisible(G, p)
 
     def member(g):
         return ring_member(vp, monomial(G, g))
