@@ -382,6 +382,24 @@ MUTANTS = [
         "pass",
         "ring_member takes a cut that is not a cut of the series' group",
     ),
+    (
+        "src/arclab/formulas.py",
+        "ranges.append((0,))",
+        "ranges.append(range(p))",
+        "choose_params gives a p-divisible slot p coset exponents, past p^n in all",
+    ),
+    (
+        "src/arclab/formulas.py",
+        'if n < 0:\n        raise ShapeError("level must be a natural")',
+        'if False:\n        raise ShapeError("level must be a natural")',
+        "phi_pn takes a negative level",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "if cutoff is None and a.trunc is None:",
+        "if False:",
+        "series_invert expands an exact non-monomial without a cutoff",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -124,17 +124,13 @@ def has_tower(G: LexWord) -> bool:
 
 def is_limit_cut(G: LexWord, c: ConvexCut) -> bool:
     """True when c is approached from above by the inner cuts of a tower."""
-    validate_cut(G, c)
     return c.inner is None and c.seg >= 1 and isinstance(G.components[c.seg - 1], OmegaTower)
 
 
-def pred_cut(G: LexWord, c: ConvexCut) -> ConvexCut | None:
-    """The immediately shallower cut, or None (at Top or at a tower limit)."""
-    validate_cut(G, c)
+def pred_cut(c: ConvexCut) -> ConvexCut:
+    """The immediately shallower cut; c is neither Top nor a limit cut."""
     if c.inner is not None:
         return ConvexCut(c.seg, c.inner - 1) if c.inner >= 2 else ConvexCut(c.seg)
-    if c.seg == 0 or is_limit_cut(G, c):
-        return None
     return ConvexCut(c.seg - 1)
 
 
@@ -174,8 +170,6 @@ def segment_exponent_map(G: LexWord, low: ConvexCut, high: ConvexCut) -> Partiti
     """
     validate_cut(G, low)
     validate_cut(G, high)
-    if cuts_cmp(high, low) > 0:
-        raise ShapeError("segment endpoints out of order")
     acc = PartitionMap(0)
     for i, start_off, end_off in _segment_parts(G, low, high):
         comp = G.components[i]
@@ -343,7 +337,7 @@ def cut_labels(G: LexWord, c: ConvexCut) -> tuple[LabelEntry, ...]:
         # nothing is shallower; the whole-group exponent is the sole bound
         e_pred = np_map(G).map_values(lambda v: INF if v is INF else v + 1)
     else:
-        e_pred = suffix_exponent_map(G, pred_cut(G, c))
+        e_pred = suffix_exponent_map(G, pred_cut(c))
     entries = []
     for primes, (ec, ep) in common_pieces(e_c, e_pred):
         if ec is INF or ep <= ec:
@@ -375,8 +369,6 @@ def _segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, b
             units += [_tower_slice_map(comp, off - 1, off) for off in range(start_off + 1, end_off + 1)]
         else:
             units.append(comp.exponent_map())
-    if not units:
-        raise ShapeError("empty segment")
     return units, not tail
 
 

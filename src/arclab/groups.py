@@ -43,6 +43,12 @@ Inputs are validated where they enter, and the arithmetic trusts them:
   it tests;
 * primes: the formula builders and matchers, ``hahn.root_exists`` and the
   CLI's ``--primes`` check primality, so ``elem_p_divisible`` assumes it.
+
+Internal helpers trust their callers and check nothing themselves:
+``convex.is_limit_cut`` and ``convex.pred_cut`` take a validated cut (for
+``pred_cut`` neither Top nor a limit cut), ``OmegaTower.summand_prime`` a
+1-based offset, ``primes.prime_at`` a natural index and
+``hahn._int_nth_root`` a natural.
 """
 
 from __future__ import annotations
@@ -237,8 +243,6 @@ class OmegaTower:
 
     def summand_prime(self, offset: int) -> int:
         """Prime of the summand at tower offset (1-based)."""
-        if offset < 1:
-            raise ValueError("tower offsets are 1-based")
         return prime_at(self.start + offset)
 
     def offset_of_prime(self, p: int) -> int | None:

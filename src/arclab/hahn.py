@@ -442,8 +442,6 @@ def root_exists(a: HahnSeries, p: int, allow_negation: bool = False) -> bool:
 
 
 def _int_nth_root(n: int, p: int) -> int | None:
-    if n < 0:
-        return None
     if n in (0, 1):
         return n
     lo, hi = 1, 1 << ((n.bit_length() + p - 1) // p + 1)
@@ -492,8 +490,6 @@ def pth_root(
     it None and get the loud iteration-cap error instead).
     """
     G = a.group
-    if a.is_zero():
-        raise ZeroInputError("root of zero")
     if not root_exists(a, p, False):
         raise RootError("no p-th root: leading exponent or sign obstruction")
     v = v_of(a)

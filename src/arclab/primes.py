@@ -95,8 +95,6 @@ def _sieve(n: int) -> None:
 
 def prime_at(k: int) -> int:
     """k-th prime, zero-indexed: prime_at(0) == 2."""
-    if k < 0:
-        raise ValueError(f"prime index must be >= 0, got {k}")
     while k >= len(_primes):
         if _sieved_to >= _PRIME_LIMIT:
             raise ParameterError(f"prime index {k} is beyond the primes below {_PRIME_LIMIT}")
@@ -202,19 +200,6 @@ class PrimeSet:
         key = "cofinite_excluding" if self.cofinite else "finite"
         return {key: sorted(self.basis)}
 
-    def describe(self) -> str:
-        if self.is_empty():
-            return "{}"
-        if self.is_all():
-            return "all primes"
-        body = ", ".join(str(p) for p in sorted(self.basis))
-        if self.cofinite:
-            return f"all primes except {{{body}}}"
-        return f"{{{body}}}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrimeSet<{self.describe()}>"
-
 
 def _check_value(v):
     if isinstance(v, bool):
@@ -302,10 +287,6 @@ class PartitionMap:
             {"primes": ps.to_json(), "value": "inf" if v == INF else v}
             for ps, v in self.pieces
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = "; ".join(f"{ps.describe()} -> {v}" for ps, v in self.pieces)
-        return f"PartitionMap<{body}>"
 
 
 def _canonical(default, items: Iterable[tuple[int, object]]) -> PartitionMap:

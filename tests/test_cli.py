@@ -163,6 +163,12 @@ def test_bad_coset_parameters_are_usage_errors(group, params, message, capsys):
     assert capsys.readouterr().err.startswith(f"error: ParameterError: {message}")
 
 
+def test_negative_level_is_usage_error(capsys):
+    code, text = run("verify", "phi-pn", "--group", "lex(Z, Q)", "-n", "-1")
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: ShapeError: level must be a natural\n"
+
+
 def test_differential_on_schematic_group_is_usage_error(capsys):
     code, _ = run("verify", "phi-p", "--group", "lex(omega_tower(start=0))", "-p", "2")
     assert code == 2

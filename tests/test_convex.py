@@ -200,6 +200,11 @@ def test_g_pn_k1():
     assert g_pn(K1, 2, 1) == top_cut(K1)
 
 
+def test_g_pn_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="exponent bound must be a natural number"):
+        g_pn(K1, 2, -1)
+
+
 def test_g_pn_zpluspi():
     assert g_pn(ZPI, 2, 0) == bottom_cut(ZPI)
     assert g_pn(ZPI, 2, 1) == bottom_cut(ZPI)

@@ -9,7 +9,9 @@ from arclab import groups
 from arclab.errors import DslSyntaxError, NonEffectiveError, ShapeError
 from arclab.groups import (
     FreeReal,
+    LexWord,
     LocZ,
+    OmegaTower,
     Rat,
     RealGen,
     Zed,
@@ -66,6 +68,17 @@ def test_parse_print_round_trip(text):
 def test_parse_rejects(bad):
     with pytest.raises(DslSyntaxError):
         parse_group(bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RealGen("e"), "unknown generator kind 'e'"),
+    (lambda: FreeReal(()), "at least one generator"),
+    (lambda: OmegaTower(-1), "tower start must be a natural number"),
+    (lambda: LexWord(()), "at least one component"),
+], ids=["generator-kind", "real-rank-0", "tower-start", "empty-word"])
+def test_constructors_refuse_what_the_parser_never_builds(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # group words from the DSL's grammar, with the separators spaced at random

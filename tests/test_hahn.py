@@ -79,6 +79,8 @@ def test_v_of_picks_lex_least_exponent():
 def test_zero_has_no_valuation():
     with pytest.raises(ZeroInputError):
         v_of(zero_series(K1))
+    with pytest.raises(ZeroInputError, match="no leading term"):
+        leading_coeff(zero_series(K1))
 
 
 def test_invert_geometric():
@@ -94,6 +96,16 @@ def test_invert_truncated_input_caps_the_precision(text, want):
     # a truncated input knows its inverse only to O(t^(trunc - 2v)), below
     # the requested cutoff
     assert print_series(series_invert(S(text), cutoff=element(K1, 9, 9))) == want
+
+
+@pytest.mark.parametrize("a, error, message", [
+    (zero_series(K1), ZeroInputError, "inverse of zero"),
+    (S("O(t^(1,0))"), TruncationError, "zero modulo its truncation"),
+    (S("1 + t^(1,0)"), TruncationError, "a cutoff is required"),
+], ids=["zero", "hidden", "exact-without-cutoff"])
+def test_invert_refusals(a, error, message):
+    with pytest.raises(error, match=message):
+        series_invert(a)
 
 
 def test_invert_monomial_exact():

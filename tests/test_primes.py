@@ -67,6 +67,11 @@ def test_prime_at_and_prime_index_match_trial_division():
         prime_index(20_001)
 
 
+def test_a_prime_set_refuses_a_composite():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        PrimeSet.finite([4])
+
+
 def test_prime_at_on_a_cold_start_does_not_recurse():
     src = pathlib.Path(arclab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
