@@ -400,6 +400,24 @@ MUTANTS = [
         "if False:",
         "series_invert expands an exact non-monomial without a cutoff",
     ),
+    (
+        "src/arclab/groups.py",
+        "return self._hash",
+        "return id(self)",
+        "a word hashes by identity, so two parses of one text are two cache keys",
+    ),
+    (
+        "src/arclab/groups.py",
+        "return self._hash",
+        "return hash(self.components)",
+        "a word hashes its components again on every lookup",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "slot = _coerce_slot(kind, neg[j] + step)",
+        "slot = neg[j] + step",
+        "the witness grid's per-slot shifts skip the slot's coercion, so an int slot takes a half step",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -18,10 +18,11 @@ E_c for every cut of chain_cuts, built by one deep-to-shallow scan in which
 each cut adds its own segment to the map of the next deeper cut, and the
 component exponent maps.  suffix_exponent_map, np_map, g_pn and the
 certificate cells read it; a cut the chain does not materialise is summed
-up from Bottom as before.  The certificate search still re-verifies its
-instances through is_p_regular, which splits the segment into its units
-afresh and reads each at the probe prime, so the two routes still check
-each other.
+up from Bottom as before.  A word keeps its own hash, so each of those
+reads is one dict probe, not a walk over the word's components.  The
+certificate search still re-verifies its instances through is_p_regular,
+which splits the segment into its units afresh and reads each at the probe
+prime, so the two routes still check each other.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ from .groups import (
     LocZ,
     Zed,
     _clip,
+    _coerce_slot,
     _require_effective,
     _Tokens,
     elem_cmp,
@@ -1419,15 +1420,15 @@ def _candidates(
             multiples += [half, elem_neg(G, half)]
         for g in multiples:
             push(_make(G, [(g, Fraction(1))], None))
+        # neg is an element, so only the shifted slot needs checking
         neg = elem_neg(G, v)
-        for j in range(len(neg)):
+        for j, kind in enumerate(G.layout.kinds):
             for step in (Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(-1, 2)):
-                shifted = list(neg)
-                shifted[j] += step
                 try:
-                    push(monomial(G, shifted, 1))
+                    slot = _coerce_slot(kind, neg[j] + step)
                 except ShapeError:
-                    pass  # the slot does not admit this exponent
+                    continue  # the slot does not admit this exponent
+                push(HahnSeries(G, ((neg[:j] + (slot,) + neg[j + 1 :], Fraction(1)),)))
 
     cutoff = default_cutoff(G, cmag)
     done = set()

@@ -350,13 +350,27 @@ class SlotLayout:
 
 @dataclass(frozen=True)
 class LexWord:
-    """A lexicographic word of components, index 0 most significant."""
+    """A lexicographic word of components, index 0 most significant.
+
+    A word hashes once: the caches keyed on a word (convex._chain_table,
+    hahn.one_series) are looked up thousands of times per classification
+    report, and the generated dataclass hash would walk every component,
+    and each generator's Fraction, on every lookup.  Equality stays the
+    dataclass's comparison of components.
+    """
 
     components: tuple[Component, ...]
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("a group needs at least one component")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.components)
 
     @cached_property
     def layout(self) -> SlotLayout:

@@ -5,7 +5,7 @@ import reference_eval as ref
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import groups
+from arclab import convex, groups
 from arclab.errors import DslSyntaxError, NonEffectiveError, ShapeError
 from arclab.groups import (
     FreeReal,
@@ -79,6 +79,42 @@ def test_parse_rejects(bad):
 def test_constructors_refuse_what_the_parser_never_builds(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# -- hashing ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lex(Z, Q, Zloc(3))",
+        "lex(real(1, pi), Z)",
+        "lex(Q, poly_module(Zloc(5), pi))",
+        "lex(Z, omega_tower(start=1))",
+    ],
+)
+def test_equal_parses_are_one_key(text):
+    G, H = parse_group(text), parse_group(text)
+    assert G is not H
+    assert G == H and hash(G) == hash(H) and len({G, H}) == 1
+    assert convex._chain_table(G) is convex._chain_table(H)
+
+
+def test_a_word_hashes_its_components_once(monkeypatch):
+    calls = []
+    gen_hash = RealGen.__hash__
+
+    def spy(self):
+        calls.append(1)
+        return gen_hash(self)
+
+    monkeypatch.setattr(groups.RealGen, "__hash__", spy)
+    G = parse_group("lex(real(1, pi), Z)")
+    hash(G)
+    assert len(calls) == 2  # the first hash reads both generators
+    calls.clear()
+    hash(G)
+    assert calls == []
 
 
 # group words from the DSL's grammar, with the separators spaced at random

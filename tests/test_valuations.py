@@ -60,7 +60,7 @@ from arclab.valuations import (
 )
 
 from conftest import EFFECTIVE_POOL
-from reference_eval import reference_differential_verify
+from reference_eval import _ref_candidates, reference_differential_verify
 from schematic_words import schematic_words
 
 K1 = parse_group("lex(Z, Q)")
@@ -303,6 +303,25 @@ def test_witness_grid_pinned_with_constants_and_root_targets(dsl, h, digests):
     for text, digest in zip(_SCOPED_BODIES, digests):
         cands = _candidates(G, parse_formula(text.format(h=h), G), env, 200, 3)
         assert (len(cands), _digest(cands)) == (200, digest), text
+
+
+def _typed(series) -> list:
+    # Fraction(3) == 3, so equality alone would not see a slot's type
+    return [
+        (tuple((tuple((type(x), x) for x in e), type(c), c) for e, c in s.terms), s.trunc)
+        for s in series
+    ]
+
+
+def test_witness_grid_matches_the_reference_on_a_long_word():
+    # the per-slot shifts coerce only the slot they change; the reference
+    # builds each shift through monomial(), which coerces every slot
+    G = parse_group("lex(Z, Q, Zloc(2), real(1, pi), Zloc(3), Z, Q, real(1, pi), Zloc(2), Zloc(3))")
+    assert G.n_slots() == 12
+    body = _stability_clause(build_phi_p(2)).body
+    env = {"x": SeriesFraction.of(sample_series(G, 7))}
+    cands = _candidates(G, body, env, 400, 0)
+    assert _typed(cands) == _typed(_ref_candidates(G, body, env, 400, 0))
 
 
 def test_a_zero_multiple_of_a_monomial_adds_nothing_to_the_grid():
