@@ -155,8 +155,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/groups.py",
-        "x.numerator % kind.q != 0",
-        "x % kind.q != 0",
+        "if q == p and a[i].numerator % q:",
+        "if q == p and a[i] % q:",
         "elem_p_divisible reads a Zloc(q) slot as an integer at p = q",
     ),
     (
@@ -417,6 +417,36 @@ MUTANTS = [
         "slot = _coerce_slot(kind, neg[j] + step)",
         "slot = neg[j] + step",
         "the witness grid's per-slot shifts skip the slot's coercion, so an int slot takes a half step",
+    ),
+    (
+        "src/arclab/groups.py",
+        "if q == p and a[i].numerator % q:",
+        "if a[i].numerator % q:",
+        "elem_p_divisible tests a Zloc(q) slot at every prime, not only at p = q",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "D = p * lcm(",
+        "D = lcm(",
+        "pth_root scales exponents by the lcm of a's denominators without the factor p that v/p needs",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "(lead is None or below(e, lead))",
+        "(lead is None or below(lead, e))",
+        "pth_root reads the defect's largest exponent instead of its leading one",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "(trunc is None or below(e, trunc))",
+        "True",
+        "pth_root reads a defect term at or above a.trunc, which the input does not know",
+    ),
+    (
+        "src/arclab/hahn.py",
+        "defect = {e: c * scale for e, c in a_ints}",
+        "defect = {e: c for e, c in a_ints}",
+        "pth_root subtracts z**p from a without bringing a's coefficients over z's denominator",
     ),
 ]
 

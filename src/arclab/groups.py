@@ -309,8 +309,10 @@ class SlotLayout:
     component k (offsets[-1] is the slot count), and real_runs[i] the
     (start, stop, gens) slot run of slot i's FreeReal component, or None.
     sample_dens[i] holds the denominators hahn.sample_series draws slot i
-    with, or None for an int slot (Zed, FreeReal); frac_slots holds the
-    indices of the other slots, the Fraction slots (Rat, LocZ).
+    with, or None for an int slot (Zed, FreeReal); int_slots holds the
+    indices of the int slots and frac_slots those of the other slots, the
+    Fraction slots (Rat, LocZ); loc_slots holds the (index, q) pair of each
+    LocZ slot.  The divisibility tests read these tables, not the kinds.
     native_order holds when no slot has a real run: Python's tuple order
     on elements is then elem_cmp's order.
     """
@@ -321,7 +323,9 @@ class SlotLayout:
     real_runs: tuple[tuple[int, int, tuple[RealGen, ...]] | None, ...]
     zero: tuple
     sample_dens: tuple[tuple[int, ...] | None, ...]
+    int_slots: tuple[int, ...]
     frac_slots: tuple[int, ...]
+    loc_slots: tuple[tuple[int, int], ...]
     native_order: bool
 
     @staticmethod
@@ -341,10 +345,12 @@ class SlotLayout:
         )
         zero = tuple(0 if d is None else Fraction(0) for d in dens)
         effective = all(c.n_slots() for c in components)
+        ints = tuple(i for i, d in enumerate(dens) if d is None)
         frac = tuple(i for i, d in enumerate(dens) if d is not None)
+        loc = tuple((i, k.q) for i, k in enumerate(kinds) if isinstance(k, LocZ))
         native = all(run is None for run in runs)
         return SlotLayout(
-            effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens, frac, native
+            effective, tuple(kinds), tuple(offsets), tuple(runs), zero, dens, ints, frac, loc, native
         )
 
 
@@ -484,16 +490,18 @@ def elem_cmp(G: LexWord, a: GroupElement, b: GroupElement) -> int:
 
 
 def elem_p_divisible(G: LexWord, a: GroupElement, p: int) -> bool:
-    """Membership of a in pG for a prime p, decided slot by slot."""
-    for kind, x in zip(G.layout.kinds, a):
-        if isinstance(kind, (Zed, FreeReal)):
-            if x % p != 0:
-                return False
-        elif isinstance(kind, LocZ):
-            # a q-free denominator (see _coerce_slot): x is in qZloc(q)
-            # exactly when q divides its numerator
-            if p == kind.q and x.numerator % kind.q != 0:
-                return False
+    """Membership of a in pG for a prime p, decided slot by slot: an int
+    slot must be a multiple of p, a Zloc(p) slot must have one as its
+    numerator, and every other slot is p-divisible."""
+    layout = G.layout
+    for i in layout.int_slots:
+        if a[i] % p:
+            return False
+    for i, q in layout.loc_slots:
+        # a q-free denominator (see _coerce_slot): a[i] is in qZloc(q)
+        # exactly when q divides its numerator
+        if q == p and a[i].numerator % q:
+            return False
     return True
 
 
@@ -501,10 +509,12 @@ def elem_div_by_p(G: LexWord, a: GroupElement, p: int) -> GroupElement:
     """The b with p*b = a; requires elem_p_divisible(G, a, p)."""
     if not elem_p_divisible(G, a, p):
         raise ShapeError(f"element is not divisible by {p}")
-    return tuple(
-        x // p if isinstance(kind, (Zed, FreeReal)) else x / p
-        for kind, x in zip(G.layout.kinds, a)
-    )
+    b = list(a)
+    for i in G.layout.int_slots:
+        b[i] //= p
+    for i in G.layout.frac_slots:
+        b[i] /= p
+    return tuple(b)
 
 
 def format_rational(x: int | Fraction) -> str:

@@ -22,7 +22,11 @@ coefficients live inside a real closed field, where a p-th root of a
 positive leading coefficient always exists.  Lifting a root to a series
 (``pth_root``) is a Newton iteration linearized at the leading defect term,
 adding one exact coefficient per step; it terminates exactly when the
-defect vanishes and otherwise stops at the requested cutoff.
+defect vanishes and otherwise stops at the requested cutoff.  The defect
+a - z**p lives on ints: a is scaled once per call, z**p comes from the
+power loop ``series_pow`` runs (``_int_pow``), the two are subtracted in
+one dict, and only the leading term below a's truncation is turned back
+into Fractions.
 """
 
 from __future__ import annotations
@@ -361,13 +365,19 @@ def series_pow(a: HahnSeries, k: int) -> HahnSeries:
     D = lcm(*[e[i].denominator for e, _ in a.terms for i in slots])
     base, C = _int_terms(a.terms, slots, D)
     den = C**k
+    return HahnSeries(G, _from_ints(G, _int_pow(base, k), D, den, trunc), trunc)
+
+
+def _int_pow(base: list, k: int) -> list:
+    """base**k for k >= 2 on an int-term list, by binary powering; the
+    terms come unsorted, as _convolve leaves them."""
     out = None
     while True:
         if k & 1:
             out = base if out is None else _convolve(out, base)
         k >>= 1
         if not k:
-            return HahnSeries(G, _from_ints(G, out, D, den, trunc), trunc)
+            return out
         base = _convolve(base, base)
 
 
@@ -482,6 +492,16 @@ def pth_root(
     coefficient at a time).  Exact mode requires the leading coefficient to
     be a perfect rational p-th power.
 
+    Only the defect's leading term below a.trunc is read, so the defect
+    a - z**p is never built as a series.  Every exponent of z and z**p is
+    one of a's over p, so D = p * lcm of the denominators of a's Fraction
+    slots and of a.trunc scales them all to ints, once per call.  Each
+    step raises z to the p-th power on ints (_int_pow, series_pow's loop),
+    subtracts it from a in one dict over the common coefficient
+    denominator, and keeps the smallest exponent whose coefficient is
+    nonzero, comparing tuples natively where elem_cmp's order is tuple
+    order.  z itself still grows through series_add.
+
     A lexicographic cutoff only terminates the loop once the defect climbs
     in a slot the cutoff dominates, which never happens when corrections
     march in a less significant slot.  max_steps bounds the work in that
@@ -500,19 +520,42 @@ def pth_root(
     # v is p-divisible (root_exists passed); the root's exponent is v/p
     e_root = elem_div_by_p(G, v, p)
     z = _make(G, [(e_root, root_lc)], None)
+    slots = G.layout.frac_slots
+    exps = [e for e, _ in a.terms] + ([] if a.trunc is None else [a.trunc])
+    D = p * lcm(*[e[i].denominator for e in exps for i in slots])
+    a_ints, a_den = _int_terms(a.terms, slots, D)
+    trunc = None if a.trunc is None else _int_terms([(a.trunc, 1)], slots, D)[0][0][0]
+    native = G.layout.native_order
+
+    def below(x, y):
+        return x < y if native else elem_cmp(G, x, y) < 0
+
     for step in range(512):
-        defect = series_sub(a, series_pow(z, p))
-        if not defect.terms:
-            if defect.trunc is None:
+        z_ints, C = _int_terms(z.terms, slots, D)
+        # the defect a - z**p, over the coefficient denominator a_den * C**p
+        scale = C**p
+        defect = {e: c * scale for e, c in a_ints}
+        get = defect.get
+        for e, c in _int_pow(z_ints, p):
+            defect[e] = get(e, 0) - c * a_den
+        lead = None
+        for e, c in defect.items():
+            if c and (trunc is None or below(e, trunc)) and (lead is None or below(e, lead)):
+                lead = e
+        if lead is None:
+            if a.trunc is None:
                 return z
-            limit = elem_sub(G, defect.trunc, scalar_mul(G, p - 1, e_root))
+            limit = elem_sub(G, a.trunc, scalar_mul(G, p - 1, e_root))
             return _cut(G, z.terms, _min_trunc(G, limit, cutoff))
-        e_step = elem_sub(G, v_of(defect), scalar_mul(G, p - 1, e_root))
+        e_lead = list(lead)
+        for i in slots:
+            e_lead[i] = Fraction(lead[i], D)
+        e_step = elem_sub(G, tuple(e_lead), scalar_mul(G, p - 1, e_root))
         if cutoff is not None and elem_cmp(G, e_step, cutoff) >= 0:
             return _cut(G, z.terms, cutoff)
         if max_steps is not None and step >= max_steps:
             return _cut(G, z.terms, _min_trunc(G, e_step, cutoff))
-        coeff = leading_coeff(defect) / (p * root_lc ** (p - 1))
+        coeff = Fraction(defect[lead], a_den * scale) / (p * root_lc ** (p - 1))
         z = series_add(z, _make(G, [(e_step, coeff)], None))
     raise TruncationError("root support exceeded the iteration cap; pass a cutoff")
 

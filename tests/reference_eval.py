@@ -1,14 +1,16 @@
 """Reference copies of the decision walk, the per-cell differential loop,
 the hand-written shape matchers, the Fraction-based real sign, the group
 parser with its own tokenizer, the regex series and binding readers, the
-series sampler that merged its draws through `_make`, the sampled walk
-with two assignment fields per verdict, the level map and certificate
-cells that read each component's exponent map on every call, and the
+series sampler that merged its draws through `_make`, the root lifting
+that built each step's whole defect as a series, the sampled walk with
+two assignment fields per verdict, the level map and certificate cells
+that read each component's exponent map on every call, and the
 regular-prime set, that `formulas.decision_plan`,
 `valuations.differential_sweep`, the builder-derived matchers, the integer
 `groups.sign_of_real`, the shared token stream, the direct-built
-`hahn.sample_series`, the one-assignment sampled walk, `convex`'s chain
-table and `convex.is_p_regular`'s probe-prime read replaced.
+`hahn.sample_series`, `hahn.pth_root`'s int defect, the one-assignment
+sampled walk, `convex`'s chain table and `convex.is_p_regular`'s
+probe-prime read replaced.
 
 The walk re-matches every quantifier node and re-validates coset parameters
 at every point; the loop runs one (p, n) cell at a time; the matchers state
@@ -17,15 +19,16 @@ rational part and for each bound; the parser tokenizes group words alone;
 the series reader matches one regex per term and converts coordinates with
 Fraction(), and the binding reader splits on ';' and '=' by hand; the
 sampler builds a fresh Fraction per draw, on its own generator, and
-merges and sorts through `_make`; the sampled walk keeps a counterexample
-and a witness field, states `or` apart from `and` and writes out each
+merges and sorts through `_make`; the root lifting subtracts z**p from
+the input as series in each Newton step; the sampled walk keeps a
+counterexample and a witness field, states `or` apart from `and` and writes out each
 connective; the level map adds component exponents up from the deepest
 component, and the cells combine the cut's suffix map with one component
 map after another; the regular primes are the complement of the union of
 every non-deepest unit's nonzero set, each unit split off with its kind.
 All are kept only so the tests can check that the plans, the grouped
 sweep, the unifier, the integer sign, the shared-token readers, the
-sampler, the sampled walk, the chain table and the regularity test give
+sampler, the root lifting, the sampled walk, the chain table and the regularity test give
 the same answers, errors, mismatch lists, matches, groups, series,
 outcomes, cuts, cells and verdicts.
 """
@@ -110,25 +113,34 @@ from arclab.groups import (
     RealGen,
     Zed,
     _require_effective,
+    elem_cmp,
+    elem_div_by_p,
     elem_neg,
     elem_p_divisible,
+    elem_sub,
     scalar_mul,
     zero_element,
 )
 from arclab.hahn import (
     HahnSeries,
+    _cut,
     _make,
+    _min_trunc,
     const_series,
     default_cutoff,
+    exact_fraction_root,
     leading_coeff,
     monomial,
     print_series,
     pth_root,
     root_exists,
     sample_series,
+    series_add,
     series_mul,
     series_neg,
     series_of,
+    series_pow,
+    series_sub,
     v_of,
     zero_series,
 )
@@ -719,6 +731,38 @@ def reference_sample_series(G, seed, support=3, exp_mag=3, coeff_mag=9) -> HahnS
         num = rng.randint(1, coeff_mag) * rng.choice((1, -1))
         pairs.append((flat, Fraction(num, rng.choice((1, 2, 3)))))
     return _make(G, pairs, None)
+
+
+# -- the root lifting that subtracted z**p as series ------------------------------------
+
+
+def reference_pth_root(a: HahnSeries, p: int, cutoff=None, max_steps=None) -> HahnSeries:
+    G = a.group
+    if not root_exists(a, p, False):
+        raise RootError("no p-th root: leading exponent or sign obstruction")
+    v = v_of(a)
+    lc = leading_coeff(a)
+    root_lc = exact_fraction_root(lc, p)
+    if root_lc is None:
+        raise RootError(f"leading coefficient {lc} is not an exact {p}-th power")
+    # v is p-divisible (root_exists passed); the root's exponent is v/p
+    e_root = elem_div_by_p(G, v, p)
+    z = _make(G, [(e_root, root_lc)], None)
+    for step in range(512):
+        defect = series_sub(a, series_pow(z, p))
+        if not defect.terms:
+            if defect.trunc is None:
+                return z
+            limit = elem_sub(G, defect.trunc, scalar_mul(G, p - 1, e_root))
+            return _cut(G, z.terms, _min_trunc(G, limit, cutoff))
+        e_step = elem_sub(G, v_of(defect), scalar_mul(G, p - 1, e_root))
+        if cutoff is not None and elem_cmp(G, e_step, cutoff) >= 0:
+            return _cut(G, z.terms, cutoff)
+        if max_steps is not None and step >= max_steps:
+            return _cut(G, z.terms, _min_trunc(G, e_step, cutoff))
+        coeff = leading_coeff(defect) / (p * root_lc ** (p - 1))
+        z = series_add(z, _make(G, [(e_step, coeff)], None))
+    raise TruncationError("root support exceeded the iteration cap; pass a cutoff")
 
 
 # -- the sampled walk with a counterexample and a witness field per verdict -------------

@@ -29,6 +29,7 @@ from arclab.groups import (
     unflatten,
     zero_element,
 )
+from conftest import EFFECTIVE_POOL
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -343,6 +344,49 @@ def test_divisibility_is_constructive(a, p):
     else:
         with pytest.raises(ShapeError):
             elem_div_by_p(K1, a, p)
+
+
+def _isinstance_p_divisible(G, a, p):
+    """elem_p_divisible as it tested each slot's kind."""
+    for kind, x in zip(G.layout.kinds, a):
+        if isinstance(kind, (Zed, FreeReal)):
+            if x % p != 0:
+                return False
+        elif isinstance(kind, LocZ):
+            if p == kind.q and x.numerator % kind.q != 0:
+                return False
+    return True
+
+
+@st.composite
+def _divisibility_cases(draw):
+    """A prime, a pool group or lex(Zloc(p), Q), and an element whose
+    numerators are multiples of p about half the time."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    G = parse_group(draw(st.sampled_from(EFFECTIVE_POOL + [f"lex(Zloc({p}), Q)"])))
+    a = []
+    for dens in G.layout.sample_dens:
+        n = draw(st.integers(-9, 9)) * draw(st.sampled_from([1, p]))
+        a.append(n if dens is None else Fraction(n, draw(st.sampled_from(dens))))
+    return G, tuple(a), p
+
+
+@settings(max_examples=300)
+@given(_divisibility_cases())
+def test_divisibility_tables_match_the_slot_kinds(case):
+    G, a, p = case
+    divisible = elem_p_divisible(G, a, p)
+    assert divisible == _isinstance_p_divisible(G, a, p)
+    if not divisible:
+        with pytest.raises(ShapeError):
+            elem_div_by_p(G, a, p)
+        return
+    b = elem_div_by_p(G, a, p)
+    want = tuple(
+        x // p if isinstance(kind, (Zed, FreeReal)) else x / p for kind, x in zip(G.layout.kinds, a)
+    )
+    # repr tells an int slot from a Fraction one
+    assert repr(b) == repr(want) and scalar_mul(G, p, b) == a
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from arclab import hahn
 from arclab.cli import main
-from arclab.errors import RootError, ShapeError, TruncationError, ZeroInputError
+from arclab.errors import ArclabError, RootError, ShapeError, TruncationError, ZeroInputError
 from arclab.groups import (
     Rat,
     elem_add,
     elem_cmp,
+    elem_neg,
     elem_sub,
     element,
     parse_group,
@@ -44,7 +45,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
-from reference_eval import reference_sample_series
+from reference_eval import reference_pth_root, reference_sample_series
 
 K1 = parse_group("lex(Z, Q)")
 ZPI = parse_group("lex(real(1, pi))")
@@ -848,3 +849,83 @@ def test_root_claims_no_precision_its_input_lacks(dsl, seed, p, k, magnitude):
     assert r.trunc is not None and elem_cmp(G, r.trunc, limit) <= 0
     # and what it does claim is y
     assert _typed(r) == _typed(_make(G, y.terms, r.trunc))
+
+
+def _positive_step(G, seed):
+    """A positive exponent of G: a sampled one, negated if it is negative."""
+    e = sample_series(G, seed, support=1).terms[0][0]
+    s = elem_cmp(G, e, zero_element(G))
+    return e if s > 0 else elem_neg(G, e) if s < 0 else default_cutoff(G, 1)
+
+
+@st.composite
+def _root_cases(draw):
+    """pth_root's arguments: an exact or truncated power y**p, a
+    non-power 1 + t^g under a cutoff and max_steps=8, or an input with a
+    sign, exponent, coefficient, zero or truncation obstruction.  The
+    groups give v/p a new factor p (Q, Zloc(q) with q != p) or keep its
+    denominator (Zloc(p))."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dsl = draw(st.sampled_from(POOL + MIXED + [f"lex(Zloc({p}), Q)", "lex(Zloc(3), Q, Z)"]))
+    G = parse_group(dsl)
+    y = sample_series(G, draw(seeds), support=draw(st.integers(1, 3)))
+    a = series_pow(y, p)
+    cutoff = draw(st.one_of(st.none(), st.integers(1, 9).map(lambda m: default_cutoff(G, m))))
+    max_steps = None
+    kind = draw(st.sampled_from(["power", "truncated", "binomial", "obstructed"]))
+    if kind == "truncated":
+        # as test_root_claims_no_precision_its_input_lacks truncates
+        k = draw(st.integers(1, 4))
+        g = a.terms[k][0] if k < len(a.terms) else elem_add(G, v_of(a), default_cutoff(G, k))
+        a = _make(G, a.terms, g)
+    elif kind == "binomial":
+        g = _positive_step(G, draw(seeds))
+        a = series_add(const_series(G, 1), _make(G, [(g, Fraction(draw(st.integers(1, 5))))], None))
+        if draw(st.booleans()):
+            a = _make(G, a.terms, elem_add(G, g, _positive_step(G, draw(seeds))))
+        cutoff, max_steps = default_cutoff(G, draw(st.integers(1, 9))), 8
+    elif kind == "obstructed":
+        shift = monomial(G, tuple(int(i == 0) for i in range(G.n_slots())))
+        a = draw(
+            st.sampled_from(
+                [
+                    series_neg(a),  # a sign obstruction at even p
+                    series_mul(a, shift),  # 1 is no p-th multiple in a Z or Zloc(p) slot
+                    series_mul(a, const_series(G, 2)),  # 2 is no rational p-th power
+                    zero_series(G),
+                    HahnSeries(G, (), v_of(a)),
+                ]
+            )
+        )
+    return a, p, cutoff, max_steps
+
+
+def _root_outcome(root, a, p, cutoff, max_steps):
+    try:
+        return _typed(root(a, p, cutoff, max_steps))
+    except ArclabError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_root_cases())
+def test_pth_root_matches_the_series_reference(case):
+    # the int defect gives the same root, truncation and types, or the
+    # same error, as subtracting z**p from a as series
+    assert _root_outcome(pth_root, *case) == _root_outcome(reference_pth_root, *case)
+
+
+def test_root_lifting_builds_no_defect_series(monkeypatch):
+    # each Newton step reads the defect's leading term off ints
+    G, calls = K1, []
+    sub = hahn.series_sub
+
+    def spy(a, b):
+        calls.append((a, b))
+        return sub(a, b)
+
+    monkeypatch.setattr(hahn, "series_sub", spy)
+    for seed in range(20):
+        y = sample_series(G, seed)
+        assert series_eq(pth_root(series_pow(y, 3), 3), y)
+    assert calls == []
