@@ -384,8 +384,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        "ranges.append((0,))",
-        "ranges.append(range(p))",
+        "range(p) if i in coset else (0,)",
+        "range(p) if i in coset else range(p)",
         "choose_params gives a p-divisible slot p coset exponents, past p^n in all",
     ),
     (

@@ -38,6 +38,8 @@ KNOWN = [
     ),
     # choose_params trusts g_pn's level cut; a wrong cut yields too many cosets
     ("formulas.py", 'raise InternalError("coset count exceeds p^n; the level cut is wrong")'),
+    # pth_root's guard: a correct Newton step cancels the defect's lead
+    ("hahn.py", 'raise InternalError("a Newton step did not raise the defect\'s valuation")'),
     # the iteration caps of the geometric inverse and the exact root
     ("hahn.py", 'raise TruncationError("inverse support is not finite below the cutoff")'),
     ("hahn.py", 'raise TruncationError("root support exceeded the iteration cap; pass a cutoff")'),

@@ -8,6 +8,11 @@ Subcommands
                                  the individual verification suites
     examples k1|k2|zpluspi|c0    canned reports for the library fields
 
+One input path: `_COMMANDS` gives each command its words, the arguments
+its body reads, its help line and its body, and `_ARGS` gives each
+argument's argparse keywords once.  `build_parser` registers exactly a
+command's arguments and --json, so a flag its body does not read exits 2.
+
 One output path: each subcommand body returns its payload (what --json
 prints), its text lines and its exit code, and the classification report
 also its FAIL: lines.  `main` alone prints: the payload as JSON or the
@@ -206,16 +211,15 @@ def _cmd_formula_eval(args) -> _Output:
     return _Output(payload, [line])
 
 
-def _cmd_verify(args) -> _Output:
-    if args.what == "classification":
-        return _report(args.group, args)
-    G = parse_group(args.group)
-    if args.what == "thm26":
-        t = verify_thm_defblRCF(G)
-        return _Output(t, [_fmt_thm26(t)], 0 if t["consistent"] else 1)
-    # phi-p is level 0 of phi-pn
-    n = args.n if args.what == "phi-pn" else 0
-    r = differential_verify(G, args.p, n, samples=args.samples, seed=args.seed)
+def _cmd_thm26(args) -> _Output:
+    t = verify_thm_defblRCF(parse_group(args.group))
+    return _Output(t, [_fmt_thm26(t)], 0 if t["consistent"] else 1)
+
+
+def _cmd_differential(args) -> _Output:
+    # phi-p is level 0 of phi-pn, and reads no -n
+    n = getattr(args, "n", 0)
+    r = differential_verify(parse_group(args.group), args.p, n, samples=args.samples, seed=args.seed)
     lines = [
         f"p={r['p']} n={r['n']}: checked {r['checked']} points, {len(r['mismatches'])} mismatches",
         *(f"  MISMATCH {m}" for m in r["mismatches"][:10]),
@@ -264,15 +268,51 @@ def _count_arg(least: int):
     return parse
 
 
-def _add_flags(sub, sampling: bool, primes: bool) -> None:
-    """Register --json and, on the commands that read them, the sampling and
-    display-prime flags."""
-    if sampling:
-        sub.add_argument("--seed", type=_integer, default=42)
-        sub.add_argument("--samples", type=_count_arg(0), default=200)
-    if primes:
-        sub.add_argument("--primes", type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,...")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+# each argument's argparse keywords
+_ARGS = {
+    "dsl": dict(help='group expression, e.g. "lex(Z, Q)"'),
+    "name": dict(choices=sorted(EXAMPLES)),
+    "--group": dict(required=True, help='group expression, e.g. "lex(Z, Q)"'),
+    "--expr": dict(required=True, help='e.g. "phi_p[2](x)" or "exists y. y^2 = x"'),
+    "--at": dict(default="", help='bindings "x=t^(1,0); y=2"'),
+    "--mode": dict(choices=("decide", "sample"), default="decide"),
+    "--cutoff": dict(type=_count_arg(1), default=9, help="truncation exponent magnitude"),
+    "-p": dict(type=_integer, default=2, help="prime under test"),
+    "-n": dict(type=_integer, default=0, help="coarsening level"),
+    "--seed": dict(type=_integer, default=42),
+    "--samples": dict(type=_count_arg(0), default=200),
+    "--primes": dict(type=_primes_arg, default=(2, 3, 5, 7), metavar="P,P,..."),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+
+# the first word of the two-word commands, with its help
+_TOPICS = {
+    "group": "group-level analyses",
+    "valuations": "definable coarsening listings",
+    "formula": "formula evaluation",
+    "verify": "verification suites",
+}
+
+_SAMPLING = ("--seed", "--samples")
+_REPORT = (*_SAMPLING, "--primes")
+
+# (words, the arguments the body reads besides --json, help, body)
+_COMMANDS = (
+    (("group", "analyze"), ("dsl", *_REPORT), "full classification report",
+     lambda args: _report(args.dsl, args)),
+    (("valuations", "list"), ("dsl", "--primes"), "the definable image with labels",
+     _cmd_valuations_list),
+    (("formula", "eval"), ("--group", "--expr", "--at", "--mode", "--cutoff", *_SAMPLING),
+     "evaluate at explicit bindings", _cmd_formula_eval),
+    (("verify", "phi-p"), ("--group", "-p", *_SAMPLING), "phi_p against ring membership",
+     _cmd_differential),
+    (("verify", "phi-pn"), ("--group", "-p", "-n", *_SAMPLING),
+     "phi_pn at level n against ring membership", _cmd_differential),
+    (("verify", "thm26"), ("--group",), "the residue-real-closed criterion", _cmd_thm26),
+    (("verify", "classification"), ("--group", *_REPORT), "full classification report",
+     lambda args: _report(args.group, args)),
+    (("examples",), ("name", *_REPORT), "canned library reports", _cmd_examples),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,42 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="definable convex valuations on power-series fields over lexicographic groups",
     )
     top = ap.add_subparsers(dest="command", required=True)
-
-    g = top.add_parser("group", help="group-level analyses").add_subparsers(
-        dest="sub", required=True
-    )
-    ga = g.add_parser("analyze", help="full classification report")
-    ga.add_argument("dsl", help='group expression, e.g. "lex(Z, Q)"')
-    _add_flags(ga, sampling=True, primes=True)
-
-    v = top.add_parser("valuations", help="definable coarsening listings").add_subparsers(
-        dest="sub", required=True
-    )
-    vl = v.add_parser("list", help="the definable image with labels")
-    vl.add_argument("dsl")
-    _add_flags(vl, sampling=False, primes=True)
-
-    f = top.add_parser("formula", help="formula evaluation").add_subparsers(
-        dest="sub", required=True
-    )
-    fe = f.add_parser("eval", help="evaluate at explicit bindings")
-    fe.add_argument("--group", required=True)
-    fe.add_argument("--expr", required=True, help='e.g. "phi_p[2](x)" or "exists y. y^2 = x"')
-    fe.add_argument("--at", default="", help='bindings "x=t^(1,0); y=2"')
-    fe.add_argument("--mode", choices=("decide", "sample"), default="decide")
-    fe.add_argument("--cutoff", type=_count_arg(1), default=9, help="truncation exponent magnitude")
-    _add_flags(fe, sampling=True, primes=False)
-
-    vf = top.add_parser("verify", help="verification suites")
-    vf.add_argument("what", choices=("phi-p", "phi-pn", "thm26", "classification"))
-    vf.add_argument("--group", required=True)
-    vf.add_argument("-p", type=_integer, default=2, help="prime under test")
-    vf.add_argument("-n", type=_integer, default=0, help="coarsening level")
-    _add_flags(vf, sampling=True, primes=True)
-
-    ex = top.add_parser("examples", help="canned library reports")
-    ex.add_argument("name", choices=sorted(EXAMPLES))
-    _add_flags(ex, sampling=True, primes=True)
+    under = {
+        word: top.add_parser(word, help=text).add_subparsers(dest="sub", required=True)
+        for word, text in _TOPICS.items()
+    }
+    for words, names, text, body in _COMMANDS:
+        sub = (under[words[0]] if len(words) == 2 else top).add_parser(words[-1], help=text)
+        for name in (*names, "--json"):
+            sub.add_argument(name, **_ARGS[name])
+        sub.set_defaults(body=body)
     return ap
 
 
@@ -330,27 +343,15 @@ _USAGE_ERRORS = (
 )
 
 
-_COMMANDS = {
-    "group": lambda args: _report(args.dsl, args),
-    "valuations": _cmd_valuations_list,
-    "formula": _cmd_formula_eval,
-    "verify": _cmd_verify,
-    "examples": _cmd_examples,
-}
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     usage = _USAGE_ERRORS + ((TruncationError,) if args.command == "formula" else ())
     try:
-        result = _COMMANDS[args.command](args)
-    except usage as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        result = args.body(args)
     except ArclabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, usage) else 1
     lines = [json.dumps(result.payload, indent=2, sort_keys=True)] if args.json else result.lines
     print("\n".join(lines), file=out)
     for line in result.fails:

@@ -68,10 +68,7 @@ from .errors import (
     UnsupportedQuantifierPattern,
 )
 from .groups import (
-    FreeReal,
     LexWord,
-    LocZ,
-    Zed,
     _clip,
     _coerce_slot,
     _require_effective,
@@ -88,7 +85,6 @@ from .groups import (
 from .hahn import (
     HahnSeries,
     _format_exp,
-    _make,
     const_series,
     default_cutoff,
     series_add,
@@ -694,13 +690,11 @@ def choose_params(G: LexWord, p: int, n: int) -> list:
     size = _probe_count(p, n)
     _require_effective(G)
     cut = g_pn(G, p, n)
-    prefix_zeros = G.layout.offsets[cut.seg]
-    ranges: list[range | tuple] = []
-    for kind in G.layout.kinds[prefix_zeros:]:
-        if isinstance(kind, (Zed, FreeReal)) or (isinstance(kind, LocZ) and kind.q == p):
-            ranges.append(range(p))
-        else:  # Q, or Zloc(q) with q != p: p-divisible
-            ranges.append((0,))
+    layout = G.layout
+    prefix_zeros = layout.offsets[cut.seg]
+    # the int and Zloc(p) slots take p cosets; Q and Zloc(q != p) are p-divisible
+    coset = {*layout.int_slots, *(i for i, q in layout.loc_slots if q == p)}
+    ranges = [range(p) if i in coset else (0,) for i in range(prefix_zeros, layout.offsets[-1])]
     out = [
         Monomial(tuple(map(Fraction, (0,) * prefix_zeros + combo))) if any(combo) else _ONE
         for combo in itertools.product(*ranges)
@@ -1411,7 +1405,7 @@ def _candidates(
         push(b)
         v = v_of(b)
         lc = leading_coeff(b)
-        push(_make(G, [(elem_neg(G, v), Fraction(1) / lc)], None))
+        push(HahnSeries(G, ((elem_neg(G, v), Fraction(1) / lc),)))
         if v == zero:
             continue
         half = _halve(G, v)
@@ -1419,7 +1413,7 @@ def _candidates(
         if half is not None:
             multiples += [half, elem_neg(G, half)]
         for g in multiples:
-            push(_make(G, [(g, Fraction(1))], None))
+            push(HahnSeries(G, ((g, Fraction(1)),)))
         # neg is an element, so only the shifted slot needs checking
         neg = elem_neg(G, v)
         for j, kind in enumerate(G.layout.kinds):

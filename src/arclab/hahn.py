@@ -15,7 +15,8 @@ into Fractions.  A power (``series_pow``) stays on ints across all its
 squarings and products and converts back once, at the end.  Sums and
 products build their series themselves, as ``sample_series`` does;
 ``_make`` is left for terms that may be unsorted or repeat an exponent:
-series literals, ``series_of``/``monomial`` and single-term builds.
+series literals and ``series_of``/``monomial``.  A single nonzero term
+is a series as it stands, and is built as one.
 
 Root existence is decided by sign and exponent divisibility alone: the
 coefficients live inside a real closed field, where a p-th root of a
@@ -39,6 +40,7 @@ from math import lcm
 from operator import add, itemgetter
 
 from .errors import (
+    InternalError,
     RootError,
     ShapeError,
     TruncationError,
@@ -83,8 +85,9 @@ def _make(G: LexWord, pairs, trunc: GroupElement | None) -> HahnSeries:
     terms at or above trunc drop.
 
     Only input that may be unsorted or repeat an exponent comes here:
-    series literals, series_of/monomial and single-term builds; terms
-    already ascending with distinct exponents go to _cut.  The
+    series literals and series_of/monomial; terms already ascending with
+    distinct exponents go to _cut, and a single nonzero term is built
+    directly.  The
     coefficients must already be Fractions (the first one seen for an
     exponent is stored as is, so an int would survive into the series),
     and the sort runs only when two or more terms remain.  Merging comes
@@ -396,7 +399,7 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
         raise TruncationError("cannot invert: series is zero modulo its truncation")
     v = v_of(a)
     lc = leading_coeff(a)
-    inv_lead = _make(G, [(elem_neg(G, v), Fraction(1) / lc)], None)
+    inv_lead = HahnSeries(G, ((elem_neg(G, v), Fraction(1) / lc),))
     if len(a.terms) == 1 and a.trunc is None:
         return inv_lead
     if cutoff is None and a.trunc is None:
@@ -407,8 +410,7 @@ def series_invert(a: HahnSeries, cutoff: GroupElement | None = None) -> HahnSeri
         eff = _min_trunc(G, eff, elem_sub(G, a.trunc, scalar_mul(G, 2, v)))
     # a = lc * t^v * (1 + w) with v(w) > 0; invert the unit part to O(t^(eff + v))
     unit_cut = elem_add(G, eff, v)
-    lead = _make(G, [(v, lc)], None)
-    w = series_mul(series_sub(a, lead), inv_lead)
+    w = series_mul(HahnSeries(G, a.terms[1:], a.trunc), inv_lead)
     w = HahnSeries(G, w.terms, None)  # powers are filtered against unit_cut below
     acc = power = one_series(G)
     for _ in range(512):
@@ -500,7 +502,10 @@ def pth_root(
     subtracts it from a in one dict over the common coefficient
     denominator, and keeps the smallest exponent whose coefficient is
     nonzero, comparing tuples natively where elem_cmp's order is tuple
-    order.  z itself still grows through series_add.
+    order.  z itself still grows through series_add.  A step whose defect
+    lead is not above the one before is an InternalError: a correct step
+    always cancels that lead, so this is a fault in the loop, which would
+    otherwise run to the iteration cap on ever longer coefficients.
 
     A lexicographic cutoff only terminates the loop once the defect climbs
     in a slot the cutoff dominates, which never happens when corrections
@@ -519,7 +524,7 @@ def pth_root(
         raise RootError(f"leading coefficient {lc} is not an exact {p}-th power")
     # v is p-divisible (root_exists passed); the root's exponent is v/p
     e_root = elem_div_by_p(G, v, p)
-    z = _make(G, [(e_root, root_lc)], None)
+    z = HahnSeries(G, ((e_root, root_lc),))
     slots = G.layout.frac_slots
     exps = [e for e, _ in a.terms] + ([] if a.trunc is None else [a.trunc])
     D = p * lcm(*[e[i].denominator for e in exps for i in slots])
@@ -530,6 +535,8 @@ def pth_root(
     def below(x, y):
         return x < y if native else elem_cmp(G, x, y) < 0
 
+    # each step cancels the defect's leading term, so the lead climbs
+    prev = a_ints[0][0]
     for step in range(512):
         z_ints, C = _int_terms(z.terms, slots, D)
         # the defect a - z**p, over the coefficient denominator a_den * C**p
@@ -547,6 +554,9 @@ def pth_root(
                 return z
             limit = elem_sub(G, a.trunc, scalar_mul(G, p - 1, e_root))
             return _cut(G, z.terms, _min_trunc(G, limit, cutoff))
+        if not below(prev, lead):
+            raise InternalError("a Newton step did not raise the defect's valuation")
+        prev = lead
         e_lead = list(lead)
         for i in slots:
             e_lead[i] = Fraction(lead[i], D)
@@ -556,7 +566,7 @@ def pth_root(
         if max_steps is not None and step >= max_steps:
             return _cut(G, z.terms, _min_trunc(G, e_step, cutoff))
         coeff = Fraction(defect[lead], a_den * scale) / (p * root_lc ** (p - 1))
-        z = series_add(z, _make(G, [(e_step, coeff)], None))
+        z = series_add(z, HahnSeries(G, ((e_step, coeff),)))
     raise TruncationError("root support exceeded the iteration cap; pass a cutoff")
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -139,6 +140,55 @@ def test_flag_the_command_does_not_read_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run("valuations", "list", "lex(Z, Q)", "--cutoff", "3")
     assert exc.value.code == 2
+
+
+# Written out by hand, not read from the CLI's tables: each command's words
+# and required arguments, then the optional flags its body reads.
+READS = {
+    ("group", "analyze", "lex(Z, Q)"): ("--seed", "--samples", "--primes"),
+    ("valuations", "list", "lex(Z, Q)"): ("--primes",),
+    ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1"):
+        ("--at", "--mode", "--cutoff", "--seed", "--samples"),
+    ("verify", "phi-p", "--group", "lex(Z, Q)"): ("-p", "--seed", "--samples"),
+    ("verify", "phi-pn", "--group", "lex(Z, Q)"): ("-p", "-n", "--seed", "--samples"),
+    ("verify", "thm26", "--group", "lex(Z, Q)"): (),
+    ("verify", "classification", "--group", "lex(Z, Q)"): ("--seed", "--samples", "--primes"),
+    ("examples", "k1"): ("--seed", "--samples", "--primes"),
+}
+# every flag any command takes but --json, with a value it accepts
+FLAG_VALUES = {
+    "--group": "lex(Z, Q)", "--expr": "x = 1", "--at": "x=1", "--mode": "sample",
+    "--cutoff": "3", "-p": "3", "-n": "1", "--seed": "1", "--samples": "5", "--primes": "2",
+}
+
+
+def test_each_command_takes_the_flags_its_body_reads():
+    # a flag new to the CLI joins this file's list, and so the test below
+    assert {name for name in cli._ARGS if name.startswith("-")} == {*FLAG_VALUES, "--json"}
+    for base, reads in READS.items():
+        assert cli.build_parser().parse_args([*base, "--json"]).json, base
+        for flag in reads:
+            cli.build_parser().parse_args([*base, flag, FLAG_VALUES[flag]])
+
+
+@pytest.mark.parametrize("base, flag", [
+    (base, flag) for base, reads in READS.items()
+    for flag in FLAG_VALUES if flag not in (*base, *reads)
+], ids=lambda x: " ".join(x[:2]) if isinstance(x, tuple) else x)
+def test_a_flag_the_body_does_not_read_exits_2(base, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([*base, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines and all(line.startswith("arclab ") for line in lines)
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_unbound_binding_is_usage_error(capsys):

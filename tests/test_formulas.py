@@ -23,6 +23,7 @@ from arclab.formulas import (
     Const,
     Eq,
     Exists,
+    Monomial,
     Mul,
     Not,
     Or,
@@ -45,7 +46,16 @@ from arclab.formulas import (
     print_formula,
     print_term,
 )
-from arclab.groups import elem_cmp, elem_p_divisible, elem_sub, parse_group, zero_element
+from arclab.groups import (
+    FreeReal,
+    LocZ,
+    Zed,
+    elem_cmp,
+    elem_p_divisible,
+    elem_sub,
+    parse_group,
+    zero_element,
+)
 from arclab.hahn import (
     const_series,
     parse_series,
@@ -572,6 +582,30 @@ def _below(G, v, cut):
     from arclab.formulas import _in_cut_subgroup
 
     return _in_cut_subgroup(G, v, cut)
+
+
+def _isinstance_choose_params(G, p, n):
+    """choose_params as it read each slot's kind for its coset slots."""
+    prefix = G.layout.offsets[g_pn(G, p, n).seg]
+    ranges = [
+        range(p) if isinstance(k, (Zed, FreeReal)) or (isinstance(k, LocZ) and k.q == p) else (0,)
+        for k in G.layout.kinds[prefix:]
+    ]
+    one = Const(Fraction(1))
+    out = [
+        Monomial(tuple(map(Fraction, (0,) * prefix + combo))) if any(combo) else one
+        for combo in itertools.product(*ranges)
+    ]
+    return out + [one] * (p**n - len(out))
+
+
+def test_choose_params_reads_the_divisibility_tables_as_the_kinds_read():
+    # every case: the pool groups and lex(Zloc(p), Q), p in {2, 3, 5, 7}, n <= 2
+    for p in (2, 3, 5, 7):
+        for dsl in [*EFFECTIVE_POOL, f"lex(Zloc({p}), Q)"]:
+            G = parse_group(dsl)
+            for n in (0, 1, 2):
+                assert choose_params(G, p, n) == _isinstance_choose_params(G, p, n), (dsl, p, n)
 
 
 # -- semantic properties ---------------------------------------------------------------
