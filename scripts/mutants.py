@@ -163,7 +163,7 @@ MUTANTS = [
         "src/arclab/cli.py",
         '1 if r["mismatches"] else 0',
         "0",
-        "verify phi-p and phi-pn exit 0 with mismatches printed",
+        "verify phi-pn exits 0 with mismatches printed",
     ),
     (
         "src/arclab/cli.py",

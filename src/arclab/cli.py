@@ -3,9 +3,9 @@
 Subcommands
     group analyze <dsl>          full classification report for one group
     valuations list <dsl>        just the definable coarsenings and markers
-    formula eval ...             evaluate a formula at explicit bindings
-    verify phi-p|phi-pn|thm26|classification
-                                 the individual verification suites
+    formula decide ...           decide a formula at explicit bindings
+    formula sample ...           search a formula's quantifiers on samples
+    verify phi-pn|thm26          the individual verification suites
     examples k1|k2|zpluspi|c0    canned reports for the library fields
 
 One input path: `_COMMANDS` gives each command its words, the arguments
@@ -19,9 +19,9 @@ also its FAIL: lines.  `main` alone prints: the payload as JSON or the
 lines as text, then the FAIL: lines to stderr, then returns the code.
 
 Exit codes: 0 clean, 1 verification mismatch or red flag, 2 usage or
-parse error.  Unsupported quantifier shapes under --mode decide count as
-usage errors (the command asked for a decision procedure that does not
-cover the formula), so they exit 2 as well.  So does a `formula eval`
+parse error.  Unsupported quantifier shapes under `formula decide` count
+as usage errors (the command asked for a decision procedure that does not
+cover the formula), so they exit 2 as well.  So does a `formula` command
 whose bindings are truncated too coarsely to settle an atom or a product
 (TruncationError): the input, not a verification, is at fault.
 """
@@ -162,8 +162,8 @@ class _Output(NamedTuple):
 
 
 def _report(dsl: str, args, header: tuple[str, ...] = ()) -> _Output:
-    """The classification report of one group, shared by `group analyze`,
-    `verify classification` and `examples` (which adds a header line)."""
+    """The classification report of one group, shared by `group analyze`
+    and `examples` (which adds a header line)."""
     r = classification_report(
         parse_group(dsl), display_primes=args.primes, samples=args.samples, seed=args.seed
     )
@@ -195,14 +195,19 @@ def _cmd_valuations_list(args) -> _Output:
     ])
 
 
-def _cmd_formula_eval(args) -> _Output:
+def _formula_at(args):
+    """The formula and bindings both formula commands read, and their group."""
     G = parse_group(args.group)
-    F = parse_formula(args.expr, group=G)
-    env = parse_bindings(args.at, G)
-    if args.mode == "decide":
-        verdict = eval_decidable(F, env, G)
-        return _Output({"mode": "decide", "result": verdict}, ["true" if verdict else "false"])
-    o = eval_sampled(F, env, G, budget=args.samples, seed=args.seed, cutoff_mag=args.cutoff)
+    return parse_formula(args.expr, group=G), parse_bindings(args.at, G), G
+
+
+def _cmd_formula_decide(args) -> _Output:
+    verdict = eval_decidable(*_formula_at(args))
+    return _Output({"mode": "decide", "result": verdict}, ["true" if verdict else "false"])
+
+
+def _cmd_formula_sample(args) -> _Output:
+    o = eval_sampled(*_formula_at(args), budget=args.samples, seed=args.seed, cutoff_mag=args.cutoff)
     witness = o.witness and {k: print_series(v) for k, v in sorted(o.witness.items())}
     line = o.status if o.certain else f"{o.status} (sampled, not a proof)"
     if witness:
@@ -217,9 +222,7 @@ def _cmd_thm26(args) -> _Output:
 
 
 def _cmd_differential(args) -> _Output:
-    # phi-p is level 0 of phi-pn, and reads no -n
-    n = getattr(args, "n", 0)
-    r = differential_verify(parse_group(args.group), args.p, n, samples=args.samples, seed=args.seed)
+    r = differential_verify(parse_group(args.group), args.p, args.n, samples=args.samples, seed=args.seed)
     lines = [
         f"p={r['p']} n={r['n']}: checked {r['checked']} points, {len(r['mismatches'])} mismatches",
         *(f"  MISMATCH {m}" for m in r["mismatches"][:10]),
@@ -275,7 +278,6 @@ _ARGS = {
     "--group": dict(required=True, help='group expression, e.g. "lex(Z, Q)"'),
     "--expr": dict(required=True, help='e.g. "phi_p[2](x)" or "exists y. y^2 = x"'),
     "--at": dict(default="", help='bindings "x=t^(1,0); y=2"'),
-    "--mode": dict(choices=("decide", "sample"), default="decide"),
     "--cutoff": dict(type=_count_arg(1), default=9, help="truncation exponent magnitude"),
     "-p": dict(type=_integer, default=2, help="prime under test"),
     "-n": dict(type=_integer, default=0, help="coarsening level"),
@@ -295,6 +297,7 @@ _TOPICS = {
 
 _SAMPLING = ("--seed", "--samples")
 _REPORT = (*_SAMPLING, "--primes")
+_FORMULA = ("--group", "--expr", "--at")
 
 # (words, the arguments the body reads besides --json, help, body)
 _COMMANDS = (
@@ -302,15 +305,12 @@ _COMMANDS = (
      lambda args: _report(args.dsl, args)),
     (("valuations", "list"), ("dsl", "--primes"), "the definable image with labels",
      _cmd_valuations_list),
-    (("formula", "eval"), ("--group", "--expr", "--at", "--mode", "--cutoff", *_SAMPLING),
-     "evaluate at explicit bindings", _cmd_formula_eval),
-    (("verify", "phi-p"), ("--group", "-p", *_SAMPLING), "phi_p against ring membership",
-     _cmd_differential),
+    (("formula", "decide"), _FORMULA, "decide at explicit bindings", _cmd_formula_decide),
+    (("formula", "sample"), (*_FORMULA, "--cutoff", *_SAMPLING),
+     "search the quantifiers on samples at explicit bindings", _cmd_formula_sample),
     (("verify", "phi-pn"), ("--group", "-p", "-n", *_SAMPLING),
-     "phi_pn at level n against ring membership", _cmd_differential),
+     "phi_pn at level n (phi_p at n = 0) against ring membership", _cmd_differential),
     (("verify", "thm26"), ("--group",), "the residue-real-closed criterion", _cmd_thm26),
-    (("verify", "classification"), ("--group", *_REPORT), "full classification report",
-     lambda args: _report(args.group, args)),
     (("examples",), ("name", *_REPORT), "canned library reports", _cmd_examples),
 )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalError, ShapeError
 from .groups import LexWord, OmegaTower
@@ -181,7 +182,7 @@ def segment_exponent_map(G: LexWord, low: ConvexCut, high: ConvexCut) -> Partiti
     return acc
 
 
-class _ChainTable:
+class _ChainTable(NamedTuple):
     """What a word's classification reads again and again, computed once.
 
     suffix holds E_c for every cut c of chain_cuts(G); plain[k] is E at
@@ -190,15 +191,9 @@ class _ChainTable:
     component order.
     """
 
-    __slots__ = ("suffix", "plain", "components")
-
-    def __init__(
-        self,
-        suffix: dict[ConvexCut, PartitionMap],
-        plain: tuple[PartitionMap, ...],
-        components: tuple[PartitionMap, ...],
-    ):
-        self.suffix, self.plain, self.components = suffix, plain, components
+    suffix: dict[ConvexCut, PartitionMap]
+    plain: tuple[PartitionMap, ...]
+    components: tuple[PartitionMap, ...]
 
 
 @lru_cache(maxsize=16)

@@ -10,15 +10,9 @@ import threading
 
 import pytest
 
+from arclab.cli import EXAMPLES
 from arclab.groups import parse_group
 from arclab.valuations import classification_report
-
-LIBRARY = {
-    "k1": "lex(Z, Q)",
-    "k2": "lex(omega_tower(start=0))",
-    "zpluspi": "lex(real(1, pi))",
-    "c0": "lex(poly_module(Zloc(2), pi))",
-}
 
 # the wider pool the differential criteria sample over (all effective)
 EFFECTIVE_POOL = [
@@ -32,7 +26,7 @@ EFFECTIVE_POOL = [
 
 @pytest.fixture(scope="session")
 def groups():
-    return {name: parse_group(dsl) for name, dsl in LIBRARY.items()}
+    return {name: parse_group(dsl) for name, dsl in EXAMPLES.items()}
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,8 @@ from arclab.groups import (
 from arclab.hahn import (
     leading_coeff,
     monomial,
+    parse_series,
+    print_series,
     pth_root,
     root_exists,
     sample_series,
@@ -35,6 +37,8 @@ from arclab.hahn import (
 )
 from arclab.primes import INF, PrimeSet
 from arclab.valuations import differential_sweep, verify_thm_defblRCF
+
+from conftest import deadline
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -115,6 +119,18 @@ def test_headline_constants(groups):
 
     assert [is_dp_minimal(G) for G in (k1, k2, zpi, c0)] == [True, True, True, False]
     print("PASS: level tables, infinite 2-quotient, dp verdicts all exact")
+
+
+def test_small_roots_lift_within_seconds():
+    # each lift takes one Newton step; a loop that reads the wrong defect
+    # term runs on (to the iteration cap, for minutes) instead of failing
+    G = parse_group("lex(Z, Q)")
+    y = parse_series("1 + t^(1,0)", G)
+    with deadline(5):
+        exact = pth_root(series_pow(y, 2), 2)
+        truncated = pth_root(parse_series("1 + t^(1,0) + O(t^(2,0))", G), 2)
+    assert series_eq(exact, y)
+    assert print_series(truncated) == "1 + 1/2*t^(1,0) + O(t^(2,0))"
 
 
 def test_root_oracle_battery():

@@ -51,7 +51,7 @@ def test_bad_group_dsl_is_usage_error(capsys):
 def test_bad_series_is_usage_error(capsys):
     for binding in ("x=t^(nope)", "x=1/0", "x=3/0*t^(1,0)", "1=2", "x"):
         code, _ = run(
-            "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
+            "formula", "decide", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
             "--at", binding,
         )
         assert code == 2, binding
@@ -66,8 +66,7 @@ def test_unsupported_decide_quantifier_is_usage_error(capsys):
         ("exists y. y^1 = x", "x=t^(4,0)"),
     ):
         code, _ = run(
-            "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", at,
-            "--mode", "decide",
+            "formula", "decide", "--group", "lex(Z, Q)", "--expr", expr, "--at", at,
         )
         assert code == 2, expr
         assert "UnsupportedQuantifierPattern" in capsys.readouterr().err, expr
@@ -77,8 +76,8 @@ def test_non_prime_root_degree_is_searched_under_sample():
     # searched like any other existential: a grid witness, or no verdict
     for at, want in (("x=16", "true   y = 2"), ("x=t^(4,0)", "unknown_on_sample")):
         code, text = run(
-            "formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^4 = x",
-            "--at", at, "--mode", "sample",
+            "formula", "sample", "--group", "lex(Z, Q)", "--expr", "exists y. y^4 = x",
+            "--at", at,
         )
         assert code == 0, at
         assert text.startswith(want), at
@@ -95,11 +94,11 @@ def test_primes_flag_validated(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "-3"),
-        ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
-         "--at", "x=2", "--mode", "sample", "--samples", "-4"),
-        ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
-         "--at", "x=2", "--mode", "sample", "--cutoff", "0"),
+        ("verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "-3"),
+        ("formula", "sample", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+         "--at", "x=2", "--samples", "-4"),
+        ("formula", "sample", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
+         "--at", "x=2", "--cutoff", "0"),
         ("examples", "k1", "--samples", "ten"),
     ],
 )
@@ -112,11 +111,11 @@ def test_negative_sample_count_and_zero_cutoff_are_usage_errors(argv, capsys):
 
 
 def test_zero_samples_and_unit_cutoff_are_accepted():
-    code, text = run("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "0")
+    code, text = run("verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "0")
     assert (code, text) == (0, "p=2 n=0: checked 33 points, 0 mismatches\n")
     code, _ = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
-        "--at", "x=2", "--mode", "sample", "--cutoff", "1",
+        "formula", "sample", "--group", "lex(Z, Q)", "--expr", "exists y. y^2 = x",
+        "--at", "x=2", "--cutoff", "1",
     )
     assert code == 0
 
@@ -124,14 +123,14 @@ def test_zero_samples_and_unit_cutoff_are_accepted():
 def test_sampling_on_an_empty_witness_grid_is_usage_error(capsys):
     # with no candidates every universal would survive: refused, not "true"
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
-        "--at", "x=4", "--mode", "sample", "--samples", "0",
+        "formula", "sample", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+        "--at", "x=4", "--samples", "0",
     )
     assert (code, text) == (2, "")
     assert "ParameterError" in capsys.readouterr().err
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
-        "--at", "x=4", "--mode", "sample", "--samples", "5",
+        "formula", "sample", "--group", "lex(Z, Q)", "--expr", "forall y. y^2 != x",
+        "--at", "x=4", "--samples", "5",
     )
     assert (code, text) == (0, "falsified_by   y = 2\n")
 
@@ -147,17 +146,16 @@ def test_flag_the_command_does_not_read_is_rejected(capsys):
 READS = {
     ("group", "analyze", "lex(Z, Q)"): ("--seed", "--samples", "--primes"),
     ("valuations", "list", "lex(Z, Q)"): ("--primes",),
-    ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1"):
-        ("--at", "--mode", "--cutoff", "--seed", "--samples"),
-    ("verify", "phi-p", "--group", "lex(Z, Q)"): ("-p", "--seed", "--samples"),
+    ("formula", "decide", "--group", "lex(Z, Q)", "--expr", "x = 1"): ("--at",),
+    ("formula", "sample", "--group", "lex(Z, Q)", "--expr", "x = 1"):
+        ("--at", "--cutoff", "--seed", "--samples"),
     ("verify", "phi-pn", "--group", "lex(Z, Q)"): ("-p", "-n", "--seed", "--samples"),
     ("verify", "thm26", "--group", "lex(Z, Q)"): (),
-    ("verify", "classification", "--group", "lex(Z, Q)"): ("--seed", "--samples", "--primes"),
     ("examples", "k1"): ("--seed", "--samples", "--primes"),
 }
 # every flag any command takes but --json, with a value it accepts
 FLAG_VALUES = {
-    "--group": "lex(Z, Q)", "--expr": "x = 1", "--at": "x=1", "--mode": "sample",
+    "--group": "lex(Z, Q)", "--expr": "x = 1", "--at": "x=1",
     "--cutoff": "3", "-p": "3", "-n": "1", "--seed": "1", "--samples": "5", "--primes": "2",
 }
 
@@ -193,7 +191,7 @@ def test_readme_cli_examples_parse():
 
 def test_unbound_binding_is_usage_error(capsys):
     code, _ = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
         "--at", "y=1",
     )
     assert code == 2
@@ -206,8 +204,8 @@ def test_unbound_binding_is_usage_error(capsys):
 ], ids=["open", "zero", "escaping"])
 def test_bad_coset_parameters_are_usage_errors(group, params, message, capsys):
     code, text = run(
-        "formula", "eval", "--group", group, "--expr", f"phi_pn[2,1](x, params = {params})",
-        "--at", "x=t^(-1,0)", "--mode", "decide",
+        "formula", "decide", "--group", group, "--expr", f"phi_pn[2,1](x, params = {params})",
+        "--at", "x=t^(-1,0)",
     )
     assert code == 2 and text == ""
     assert capsys.readouterr().err.startswith(f"error: ParameterError: {message}")
@@ -220,7 +218,7 @@ def test_negative_level_is_usage_error(capsys):
 
 
 def test_differential_on_schematic_group_is_usage_error(capsys):
-    code, _ = run("verify", "phi-p", "--group", "lex(omega_tower(start=0))", "-p", "2")
+    code, _ = run("verify", "phi-pn", "--group", "lex(omega_tower(start=0))", "-p", "2")
     assert code == 2
     assert "NonEffectiveError" in capsys.readouterr().err
 
@@ -233,8 +231,8 @@ def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys)
     # the binding hides what the formula asks: the input is at fault, so
     # this is exit 2, not the verification failure exit 1 stands for
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr,
-        "--at", "x = O(t^(1,0))", "--mode", mode,
+        "formula", mode, "--group", "lex(Z, Q)", "--expr", expr,
+        "--at", "x = O(t^(1,0))",
     )
     assert code == 2 and text == ""
     assert capsys.readouterr().err.startswith("error: TruncationError: ")
@@ -253,8 +251,8 @@ def test_formula_eval_on_too_coarse_a_binding_is_usage_error(mode, expr, capsys)
 ], ids=["exists", "product", "power", "root", "psi"])
 def test_sampler_judges_a_term_hidden_by_a_truncation(expr, want, capsys):
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr,
-        "--at", "x = O(t^(1,0))", "--mode", "sample",
+        "formula", "sample", "--group", "lex(Z, Q)", "--expr", expr,
+        "--at", "x = O(t^(1,0))",
     )
     assert (code, text.strip()) == (0, want)
     assert capsys.readouterr().err == ""
@@ -268,7 +266,7 @@ def test_sampler_judges_a_term_hidden_by_a_truncation(expr, want, capsys):
     ("x^0 = 1", "exponent must be >= 1"),
 ], ids=["binder", "psi-params", "param-count", "zero-divisor", "zero-exponent"])
 def test_formula_parser_refusals_are_usage_errors(expr, message, capsys):
-    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1")
+    code, text = run("formula", "decide", "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1")
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith(f"error: DslSyntaxError: {message}")
 
@@ -282,7 +280,7 @@ def test_formula_parser_refusals_are_usage_errors(expr, message, capsys):
 ], ids=["shape", "truncation"])
 def test_witness_grid_skips_a_constant_or_target_it_cannot_evaluate(expr, at, want, capsys):
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", at, "--mode", "sample"
+        "formula", "sample", "--group", "lex(Z, Q)", "--expr", expr, "--at", at
     )
     assert (code, text) == (0, want + "\n")
     assert capsys.readouterr().err == ""
@@ -292,34 +290,34 @@ def test_internal_contradiction_exits_1(monkeypatch, capsys):
     # an enclosure of pi that never narrows trips sign_of_real's precision cap
     monkeypatch.setattr(groups, "pi_interval", lambda digits: (Fraction(0), Fraction(10)))
     code, _ = run(
-        "formula", "eval", "--group", "lex(real(1, pi))", "--expr", "psi_p[2](x)",
-        "--at", "x=t^(3,-1) + t^(0,1)", "--mode", "decide",
+        "formula", "decide", "--group", "lex(real(1, pi))", "--expr", "psi_p[2](x)",
+        "--at", "x=t^(3,-1) + t^(0,1)",
     )
     assert code == 1
     assert "InternalError" in capsys.readouterr().err
 
 
-# -- formula eval -----------------------------------------------------------------
+# -- formula decide and sample -----------------------------------------------------
 
 
 def test_formula_eval_decide_true():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
-        "--at", "x=t^(1,0)", "--mode", "decide",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
+        "--at", "x=t^(1,0)",
     )
     assert code == 0 and text.strip() == "true"
 
 
 def test_formula_eval_accepts_trailing_whitespace():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1 ", "--at", "x=1",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "x = 1 ", "--at", "x=1",
     )
     assert code == 0 and text.strip() == "true"
 
 
 def test_formula_eval_with_a_19_digit_prime_degree():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[1000000000000000003](x)",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "psi_p[1000000000000000003](x)",
         "--at", "x=t^(1,0)",
     )
     assert code == 0 and text.strip() == "true"
@@ -350,7 +348,7 @@ def test_prime_beyond_the_index_bound_is_usage_error(capsys):
 
 def test_deeply_nested_formula_is_usage_error(capsys):
     for expr in ("(" * 600 + "x=x" + ")" * 600, "-" * 2000 + "x=x", "not " * 2000 + "x=x"):
-        code, _ = run("formula", "eval", "--group", "lex(Z, Q)", f"--expr={expr}", "--at", "x=1")
+        code, _ = run("formula", "decide", "--group", "lex(Z, Q)", f"--expr={expr}", "--at", "x=1")
         assert code == 2
         assert "DslSyntaxError" in capsys.readouterr().err
 
@@ -359,8 +357,7 @@ def test_overlong_chain_is_usage_error(capsys):
     expr = " or ".join(["x = 0"] * 3000)
     for mode in ("decide", "sample"):
         code, _ = run(
-            "formula", "eval", "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1",
-            "--mode", mode,
+            "formula", mode, "--group", "lex(Z, Q)", "--expr", expr, "--at", "x=1",
         )
         assert code == 2, mode
         err = capsys.readouterr().err
@@ -369,17 +366,17 @@ def test_overlong_chain_is_usage_error(capsys):
 
 def test_formula_eval_decide_false():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
-        "--at", "x=t^(0,1/2)", "--mode", "decide",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "psi_p[2](x)",
+        "--at", "x=t^(0,1/2)",
     )
     assert code == 0 and text.strip() == "false"
 
 
 def test_formula_eval_sample_falsifies():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)",
+        "formula", "sample", "--group", "lex(Z, Q)",
         "--expr", "forall z. (psi_p[2](z) -> psi_p[2](x*z))",
-        "--at", "x=t^(-2,0)", "--mode", "sample",
+        "--at", "x=t^(-2,0)",
     )
     assert code == 0
     assert "falsified_by" in text and "z = t^(1,0)" in text
@@ -387,22 +384,22 @@ def test_formula_eval_sample_falsifies():
 
 def test_formula_eval_multiple_bindings():
     code, text = run(
-        "formula", "eval", "--group", "lex(Z, Q)", "--expr", "x*y = 1",
-        "--at", "x=t^(1,0); y=t^(-1,0)", "--mode", "decide",
+        "formula", "decide", "--group", "lex(Z, Q)", "--expr", "x*y = 1",
+        "--at", "x=t^(1,0); y=t^(-1,0)",
     )
     assert code == 0 and text.strip() == "true"
 
 
 @pytest.mark.parametrize("at", ["x=1;;y=2;", "x = 1 ; y = t^(1,0)"])
 def test_bindings_with_empty_items_and_spaces(at):
-    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
+    code, text = run("formula", "decide", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
     assert code == 0 and text.strip() == "true"
 
 
 @pytest.mark.parametrize("at", ["x = 1; x = 2", "x=2;x=1", "y=1; x=1; y=1"])
 def test_a_name_bound_twice_is_usage_error(at, capsys):
     # no binding silently wins over another
-    code, text = run("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
+    code, text = run("formula", "decide", "--group", "lex(Z, Q)", "--expr", "x = 1", "--at", at)
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert "DslSyntaxError" in err and "not bound before" in err
@@ -421,7 +418,7 @@ LONG = "1" * 5000  # past Python's 4,300-digit int conversion limit
     ids=["expr", "at", "group"],
 )
 def test_overlong_integer_literal_is_usage_error(group, expr, at, capsys):
-    code, _ = run("formula", "eval", "--group", group, "--expr", expr, "--at", at)
+    code, _ = run("formula", "decide", "--group", group, "--expr", expr, "--at", at)
     assert code == 2
     err = capsys.readouterr().err
     assert "DslSyntaxError" in err and "Traceback" not in err
@@ -438,7 +435,7 @@ def test_overlong_integer_literal_is_usage_error(group, expr, at, capsys):
 )
 def test_non_ascii_digits_are_usage_errors(group, expr, at, capsys):
     # numerals are ASCII: an Arabic-Indic three is not read as 3
-    code, _ = run("formula", "eval", "--group", group, "--expr", expr, "--at", at)
+    code, _ = run("formula", "decide", "--group", group, "--expr", expr, "--at", at)
     assert code == 2
     err = capsys.readouterr().err
     assert "DslSyntaxError" in err and "Traceback" not in err
@@ -454,7 +451,7 @@ def test_other_unicode_spaces_are_usage_errors(space, flag, where, capsys):
     gap = 3 if flag == "group" else 1  # after "lex" or the name "x"
     args[flag] = space + text if where == "front" else text[:gap] + space + text[gap:]
     code, _ = run(
-        "formula", "eval", "--group", args["group"], "--expr", args["expr"], "--at", args["at"]
+        "formula", "decide", "--group", args["group"], "--expr", args["expr"], "--at", args["at"]
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -464,9 +461,9 @@ def test_other_unicode_spaces_are_usage_errors(space, flag, where, capsys):
 # each numeric flag on a command that reads it
 NUMERIC_FLAGS = {
     "--primes": ("group", "analyze", "lex(Z, Q)"),
-    "--samples": ("verify", "phi-p", "--group", "lex(Z, Q)"),
-    "--seed": ("verify", "phi-p", "--group", "lex(Z, Q)"),
-    "--cutoff": ("formula", "eval", "--group", "lex(Z, Q)", "--expr", "x = 1", "--mode", "sample"),
+    "--samples": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
+    "--seed": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
+    "--cutoff": ("formula", "sample", "--group", "lex(Z, Q)", "--expr", "x = 1"),
     "-p": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
     "-n": ("verify", "phi-pn", "--group", "lex(Z, Q)"),
 }
@@ -502,7 +499,7 @@ def test_numeric_flags_read_the_ascii_forms_int_reads(text):
 
 def test_phi_pn_too_deep_is_refused_before_it_is_built():
     # at 2^16 probes the build alone ran for minutes
-    argv = ["formula", "eval", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,16](x)", "--at", "x=1"]
+    argv = ["formula", "decide", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,16](x)", "--at", "x=1"]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     start = time.perf_counter()
     done = subprocess.run(
@@ -522,7 +519,7 @@ VERIFY = ["verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "1
     [
         (VERIFY + ["13"], "ParameterError"),
         (VERIFY + ["1000000000"], "ParameterError"),
-        (["formula", "eval", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,13](x)", "--at", "x=1"],
+        (["formula", "decide", "--group", "lex(Z, Q)", "--expr", "phi_pn[2,13](x)", "--at", "x=1"],
          "DslSyntaxError"),
     ],
     ids=["verify-2^13", "verify-2^1000000000", "formula-2^13"],
@@ -545,7 +542,7 @@ def test_phi_pn_past_the_probe_bound_exits_2_at_once(argv, error):
 
 def test_verify_phi_p_clean():
     code, text = run(
-        "verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "20",
+        "verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "20",
     )
     assert code == 0
     assert "0 mismatches" in text and "p=2 n=0" in text
@@ -571,7 +568,7 @@ def test_verify_phi_p_exits_1_on_a_planted_mismatch(monkeypatch):
     # must also set the exit code
     honest = valuations.ring_member
     monkeypatch.setattr(valuations, "ring_member", lambda V, a: not honest(V, a))
-    code, text = run("verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5")
+    code, text = run("verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5")
     assert code == 1
     assert "MISMATCH" in text and " 0 mismatches" not in text
 
@@ -594,7 +591,7 @@ def test_verify_phi_p_exits_1_on_a_falsified_stability_clause(monkeypatch):
         lambda F, G: (lambda env: True) if type(F) is Forall else honest(F, G),
     )
     code, text = run(
-        "verify", "phi-p", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5", "--json"
+        "verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5", "--json"
     )
     kinds = [m["kind"] for m in json.loads(text)["mismatches"]]
     assert code == 1
@@ -637,7 +634,7 @@ def test_group_analyze_exits_1_on_a_certified_labeled_cut(monkeypatch, capsys):
 
 
 def test_verify_classification_clean():
-    code, text = run("verify", "classification", "--group", "lex(Z, Q)", "--samples", "20")
+    code, text = run("group", "analyze", "lex(Z, Q)", "--samples", "20")
     assert code == 0
 
 
@@ -672,14 +669,6 @@ def test_valuations_list_rows_are_the_report_definable_block(name):
 def test_examples_text_is_header_plus_group_analyze():
     code, example = run("examples", "k1")
     assert (code, example) == (0, "example 'k1': lex(Z, Q)\n" + run("group", "analyze", "lex(Z, Q)")[1])
-
-
-def test_verify_classification_is_group_analyze(capsys):
-    for fmt in ((), ("--json",)):
-        verified = run("verify", "classification", "--group", "lex(Z, Q)", *fmt)
-        verified_err = capsys.readouterr().err
-        analyzed = run("group", "analyze", "lex(Z, Q)", *fmt)
-        assert (verified, verified_err) == (analyzed, capsys.readouterr().err)
 
 
 # -- examples and goldens ----------------------------------------------------------------
@@ -731,21 +720,21 @@ _PIN_FORMULAS = [
 
 def _pin_battery():
     """Every subcommand in text and in --json over six groups, small sample
-    counts, non-default display primes, and formula eval in both modes."""
+    counts, non-default display primes, and both formula commands."""
     for fmt in ((), ("--json",)):
         for dsl in _PIN_GROUPS:
             for primes in ((), ("--primes", "3,11")):
                 yield ("group", "analyze", dsl, "--samples", "3", *primes, *fmt)
                 yield ("valuations", "list", dsl, *primes, *fmt)
-            yield ("verify", "phi-p", "--group", dsl, "-p", "3", "--samples", "3", *fmt)
+            yield ("verify", "phi-pn", "--group", dsl, "-p", "3", "--samples", "3", *fmt)
             yield ("verify", "phi-pn", "--group", dsl, "-p", "2", "-n", "1", "--samples", "2", *fmt)
             yield ("verify", "thm26", "--group", dsl, *fmt)
-            yield ("verify", "classification", "--group", dsl, "--samples", "2", "--seed", "7", *fmt)
+            yield ("group", "analyze", dsl, "--samples", "2", "--seed", "7", *fmt)
         for name in sorted(EXAMPLES):
             yield ("examples", name, "--samples", "4", "--primes", "2,5", *fmt)
         for group, expr, at, mode in _PIN_FORMULAS:
-            yield ("formula", "eval", "--group", group, "--expr", expr, "--at", at, "--mode", mode,
-                   "--samples", "12", *fmt)
+            samples = ("--samples", "12") if mode == "sample" else ()
+            yield ("formula", mode, "--group", group, "--expr", expr, "--at", at, *samples, *fmt)
 
 
 def test_cli_output_pinned(capsys):
@@ -755,4 +744,4 @@ def test_cli_output_pinned(capsys):
         code = main(list(argv))
         got = capsys.readouterr()
         digest.update(repr((argv, code, got.out, got.err)).encode())
-    assert digest.hexdigest() == "dbe2904abfeee38082b254697ede4d3d1691a298b0c380e104f5da922954c7d6"
+    assert digest.hexdigest() == "b18aa31587febd371efaac5d9073969a3339db69d0e2063a960853bf0aba4b15"

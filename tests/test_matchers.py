@@ -237,8 +237,8 @@ def test_a_capturing_probe_is_no_coset_probe(capsys):
     for y in ("t^(1,0)", "t^(0,1)"):
         with pytest.raises(UnsupportedQuantifierPattern):
             eval_decidable(F, {"y": parse_series(y, K1)}, K1)
-    argv = ["formula", "eval", "--group", "lex(Z, Q)", "--expr", text, "--at", "y=t^(1,0)"]
-    assert main(argv + ["--mode", "decide"]) == 2
+    argv = ["formula", "decide", "--group", "lex(Z, Q)", "--expr", text, "--at", "y=t^(1,0)"]
+    assert main(argv) == 2
     assert "UnsupportedQuantifierPattern" in capsys.readouterr().err
 
 
