@@ -448,6 +448,18 @@ MUTANTS = [
         "defect = {e: c for e, c in a_ints}",
         "pth_root subtracts z**p from a without bringing a's coefficients over z's denominator",
     ),
+    (
+        "src/arclab/convex.py",
+        "straddle_ok = cuts_cmp(hi, c) < 0 and (",
+        "straddle_ok = cuts_cmp(hi, c) <= 0 and (",
+        "the certificate's re-check passes a pair whose high side lies on the target cut",
+    ),
+    (
+        "src/arclab/convex.py",
+        'return "per-prime" if cut.inner is not None else cut_name(G, cut)',
+        "return cut_name(G, cut)",
+        "a certificate piece names its smallest prime's tower-inner side instead of per-prime",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -29,13 +29,9 @@ PACKAGE = ROOT / "src" / "arclab"
 
 # (file under src/arclab, source text)
 KNOWN = [
-    # the certificate checks its own pairs against the level map and against
-    # is_p_regular: an independent route that must say so when they disagree
+    # the certificate checks its pairs' high side against the level map: an
+    # independent route that must say so when they disagree
     ("convex.py", 'raise InternalError("pair landed below the target cut; exponent bookkeeping is off")'),
-    (
-        "convex.py",
-        'raise InternalError(\n                    f"certificate verification failed at p={p} for cut {cut_name(G, c)}"\n                )',
-    ),
     # choose_params trusts g_pn's level cut; a wrong cut yields too many cosets
     ("formulas.py", 'raise InternalError("coset count exceeds p^n; the level cut is wrong")'),
     # pth_root's guard: a correct Newton step cancels the defect's lead

@@ -9,9 +9,11 @@ For a prime p and a cut c, the suffix exponent E_c(p) is log_p of the size
 of the quotient of the subgroup at c by p times itself, computed as a sum
 of per-unit contributions in closed form (a PartitionMap over primes, INF
 for infinite quotients).  g_pn picks the shallowest cut whose suffix
-exponent drops to n.  The label map inverts g_pn; the certificate
-machinery witnesses the unlabeled cuts with regular straddling pairs,
-searched independently of the label formula so the two routes cross-check.
+exponent drops to n.  The label map inverts g_pn; the certificate search
+witnesses the unlabeled cuts with regular straddling pairs, searched
+independently of the label formula so the two routes cross-check.  A
+certificate is the classification report's row itself: a JSON-ready dict
+of prime pieces, each with its pair rule and verified instances.
 
 A word's chain table (_chain_table, one bounded cache entry per word) holds
 E_c for every cut of chain_cuts, built by one deep-to-shallow scan in which
@@ -384,59 +386,6 @@ def is_p_regular(G: LexWord, low: ConvexCut, high: ConvexCut, p: int) -> bool:
     return all(u.value_at(p) == 0 for u in units)
 
 
-@dataclass(frozen=True)
-class PairInstance:
-    p: int
-    low: ConvexCut
-    high: ConvexCut
-
-    def to_json(self, G: LexWord) -> dict:
-        return {"p": self.p, "low": cut_name(G, self.low), "high": cut_name(G, self.high)}
-
-
-@dataclass(frozen=True)
-class CertEntry:
-    """A rule producing, for each prime of the piece, a p-regular pair that
-    strictly straddles the target cut; instances are spot-verified.
-
-    low/high are concrete cuts when constant across the piece and None when
-    they track the prime (tower-inner cuts).
-    """
-
-    primes: PrimeSet
-    rule: str  # "bottom_to_g_p" | "g_pn_pair"
-    exponent: int
-    low: ConvexCut | None
-    high: ConvexCut | None
-    instances: tuple[PairInstance, ...]
-    note: str | None = None
-
-    def to_json(self, G: LexWord) -> dict:
-        out = {
-            "primes": self.primes.to_json(),
-            "rule": self.rule,
-            "exponent": self.exponent,
-            "low": cut_name(G, self.low) if self.low is not None else "per-prime",
-            "high": cut_name(G, self.high) if self.high is not None else "per-prime",
-            "instances": [inst.to_json(G) for inst in self.instances],
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-@dataclass(frozen=True)
-class Certificate:
-    cut: ConvexCut
-    entries: tuple[CertEntry, ...]
-
-    def to_json(self, G: LexWord) -> dict:
-        return {
-            "cut": cut_name(G, self.cut),
-            "pieces": [e.to_json(G) for e in self.entries],
-        }
-
-
 def _certificate_cells(G: LexWord, e_map: PartitionMap) -> list[PrimeSet]:
     """Prime sets on which every quantity the pair search consults is
     constant: the common refinement of all component exponent maps and of
@@ -477,10 +426,16 @@ def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, high: ConvexCut) 
     return PrimeSet.empty()
 
 
+def _side_name(G: LexWord, cut: ConvexCut) -> str:
+    """A piece's low or high side; a tower-inner side tracks the prime."""
+    return "per-prime" if cut.inner is not None else cut_name(G, cut)
+
+
 def non_definability_certificate(
     G: LexWord, c: ConvexCut, display_primes: tuple[int, ...] = (2, 3, 5, 7)
-) -> Certificate | None:
-    """Straddling regular pairs witnessing that c is not in the g_pn image.
+) -> dict | None:
+    """Straddling regular pairs witnessing that c is not in the g_pn image:
+    the report's certificate row, or None when the search fails.
 
     For each prime p with finite suffix exponent e = E_c(p) the candidate
     pair is (g_pn(p, e-1), g_pn(p, e)), with Bottom on the low side when
@@ -489,11 +444,19 @@ def non_definability_certificate(
     is blocked, admits no pair at all and the result is None.  Instances
     at the display primes are re-verified against is_p_regular, so this
     route is independent of the label formula.
+
+    The row is {"cut": name, "pieces": [...]}, one piece per certificate
+    cell: its primes, rule ("bottom_to_g_p" or "g_pn_pair"), exponent, low
+    and high sides at its smallest prime ("per-prime" for a tower-inner
+    side), the verified instances {"p", "low", "high"} and, at Bottom only,
+    a note.  Cuts are named only once every piece has a
+    pair: infinite exponents sort last, so an undecided cut fails at its
+    last piece, and naming earlier pieces would be wasted on it.
     """
     validate_cut(G, c)
     e_map = suffix_exponent_map(G, c)
     at_bottom = c == bottom_cut(G)
-    entries = []
+    found = []
     for piece in _certificate_cells(G, e_map):
         probes = _probe_primes(piece, display_primes)  # the piece's smallest prime first
         e = e_map.value_at(probes[0])
@@ -502,9 +465,8 @@ def non_definability_certificate(
         low0, high0, rule = _pair_for(G, probes[0], e)
         if not _blocked_primes(G, c, piece, high0).is_empty():
             return None
-        pairs = [(low0, high0, rule)] + [_pair_for(G, p, e) for p in probes[1:]]
-        instances = []
-        for p, (lo, hi, _) in zip(probes, pairs):
+        pairs = [(low0, high0)] + [_pair_for(G, p, e)[:2] for p in probes[1:]]
+        for p, (lo, hi) in zip(probes, pairs):
             straddle_ok = cuts_cmp(hi, c) < 0 and (
                 cuts_cmp(lo, c) > 0 or (at_bottom and lo == c)
             )
@@ -512,19 +474,21 @@ def non_definability_certificate(
                 raise InternalError(
                     f"certificate verification failed at p={p} for cut {cut_name(G, c)}"
                 )
-            instances.append(PairInstance(p, lo, hi))
-        note = None
-        if at_bottom:
-            note = "low side equals the target cut itself (trivial subgroup)"
-        entries.append(
-            CertEntry(
-                primes=piece,
-                rule=rule,
-                exponent=e,
-                low=low0 if low0.inner is None else None,
-                high=high0 if high0.inner is None else None,
-                instances=tuple(instances),
-                note=note,
-            )
-        )
-    return Certificate(c, tuple(entries))
+        found.append((piece, rule, e, probes, pairs))
+    note = {"note": "low side equals the target cut itself (trivial subgroup)"} if at_bottom else {}
+    pieces = [
+        {
+            "primes": piece.to_json(),
+            "rule": rule,
+            "exponent": e,
+            "low": _side_name(G, pairs[0][0]),
+            "high": _side_name(G, pairs[0][1]),
+            "instances": [
+                {"p": p, "low": cut_name(G, lo), "high": cut_name(G, hi)}
+                for p, (lo, hi) in zip(probes, pairs)
+            ],
+        }
+        | note
+        for piece, rule, e, probes, pairs in found
+    ]
+    return {"cut": cut_name(G, c), "pieces": pieces}

@@ -425,7 +425,7 @@ def classification_report(
             cert_rows.append({"cut": nm, "certificate": "none"})
         elif cert is not None:
             status = "certified-non-definable"
-            cert_rows.append({"cut": nm, "certificate": cert.to_json(G)})
+            cert_rows.append({"cut": nm, "certificate": cert})
         else:
             status = "undecided"
             cert_rows.append({"cut": nm, "certificate": "undecided"})

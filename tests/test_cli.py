@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -626,11 +625,10 @@ def test_group_analyze_exits_1_on_disagreeing_thm26_conditions(monkeypatch, caps
 def test_group_analyze_exits_1_on_a_certified_labeled_cut(monkeypatch, capsys):
     # a non-definability certificate for every cut, the labeled ones included
     honest = valuations.non_definability_certificate
-    planted = SimpleNamespace(to_json=lambda G: "planted")
     monkeypatch.setattr(
         valuations,
         "non_definability_certificate",
-        lambda G, c, primes: honest(G, c, primes) or planted,
+        lambda G, c, primes: honest(G, c, primes) or {"cut": "planted", "pieces": []},
     )
     fails = _analyze_with_a_planted_fault(capsys)
     assert fails and all(line.endswith("has status red-flag") for line in fails)

@@ -27,7 +27,7 @@ from arclab.convex import (
     thm_condition_prime,
     top_cut,
 )
-from arclab.errors import ShapeError
+from arclab.errors import InternalError, ShapeError
 from arclab.groups import OmegaTower, element, elem_p_divisible, parse_group
 from arclab.primes import INF, PrimeSet, prime_at
 from arclab.valuations import definable_rows
@@ -289,11 +289,11 @@ def test_labels_at_c0():
 
 def test_certificate_k1_bottom():
     cert = non_definability_certificate(K1, bottom_cut(K1))
-    assert cert is not None
-    j = cert.to_json(K1)
-    [piece] = j["pieces"]
+    assert cert is not None and cert["cut"] == "bottom"
+    [piece] = cert["pieces"]
     assert piece["primes"] == {"cofinite_excluding": []}
     assert piece["low"] == "bottom" and piece["high"] == "seg1"
+    assert piece["note"] == "low side equals the target cut itself (trivial subgroup)"
 
 
 def test_certificate_k1_labeled_cuts_none():
@@ -304,15 +304,16 @@ def test_certificate_k1_labeled_cuts_none():
 def test_certificate_tower_bottom():
     cert = non_definability_certificate(K2, bottom_cut(K2))
     assert cert is not None
-    j = cert.to_json(K2)
     # every instantiated witness straddles bottom with a p-divisible tail
-    for piece in j["pieces"]:
+    for piece in cert["pieces"]:
         for inst in piece["instances"]:
             assert inst["low"] == "bottom"
             high = parse_cut(K2, inst["high"])
             assert inst["p"] in suffix_divisible_primes(K2, high)
-    pins = {inst["p"]: inst["high"] for piece in j["pieces"] for inst in piece["instances"]}
+    pins = {inst["p"]: inst["high"] for piece in cert["pieces"] for inst in piece["instances"]}
     assert pins[3] == "seg0+1" and pins[5] == "seg0+2"
+    # a tower-inner side tracks the prime; top is the same cut at every prime
+    assert [piece["high"] for piece in cert["pieces"]] == ["top", "per-prime"]
 
 
 def test_dual_route_image_vs_certificates():
@@ -330,10 +331,37 @@ def test_certificate_pieces_partition_all_primes():
         if cert is None:
             continue
         union = PrimeSet.empty()
-        for entry in cert.entries:
-            assert union.intersection(entry.primes).is_empty()
-            union = union.union(entry.primes)
+        for piece in cert["pieces"]:
+            [(kind, basis)] = piece["primes"].items()
+            primes = PrimeSet(kind == "cofinite_excluding", frozenset(basis))
+            assert union.intersection(primes).is_empty()
+            union = union.union(primes)
         assert union.is_all()
+
+
+# The certificate checks each pair it finds: a fault in the pair search or
+# in the regularity test raises instead of passing off a wrong certificate.
+@pytest.mark.parametrize(
+    "word, cut",
+    [
+        ("lex(Z, Q)", "bottom"),
+        # undecided: 3 instances are verified before the infinite-exponent piece
+        ("lex(Q, poly_module(Zloc(2), pi))", "seg1"),
+    ],
+)
+def test_certificate_rejects_an_irregular_pair(monkeypatch, word, cut):
+    monkeypatch.setattr(convex, "is_p_regular", lambda G, low, high, p: False)
+    G = parse_group(word)
+    with pytest.raises(InternalError, match=f"verification failed at p=[0-9]+ for cut {cut}$"):
+        non_definability_certificate(G, parse_cut(G, cut))
+
+
+@pytest.mark.parametrize("cut", ["seg1", "top"])
+def test_certificate_rejects_a_pair_on_the_target_cut(monkeypatch, cut):
+    # unblocked, a labeled cut's pair has its high side on the cut itself
+    monkeypatch.setattr(convex, "_blocked_primes", lambda G, c, piece, high: PrimeSet.empty())
+    with pytest.raises(InternalError, match="certificate verification failed"):
+        non_definability_certificate(K1, parse_cut(K1, cut))
 
 
 # -- the chain table against the direct computation -----------------------------------

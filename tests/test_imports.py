@@ -6,7 +6,10 @@ Imports are checked over src/arclab, tests and scripts; a name listed in
 A definition in src/arclab (a top-level function, class or assigned name,
 or a method, other than a dunder) must be referenced by name, attribute or import in
 the program itself (src/arclab, scripts, perfbench), not only by tests.
-Names exported in ``arclab.__all__`` pass as well.  A name that only
+``arclab/__init__.py``'s re-exports are not references: a name in
+``arclab.__all__`` needs a program caller too, or a row in
+PUBLIC_ENTRY_POINTS that says why library users need it, and a row stays
+only while the name still lacks a caller.  A name that only
 ``perfbench/tracing.py``'s NAMED table lists is dead, since a traced
 metric must not keep dead code alive; TRACER_ONLY exempts the three such
 names there are today.
@@ -132,20 +135,62 @@ def test_checker_flags_a_dead_definition():
     assert {"A", "used", "LIVE"} <= used and not {"dead", "f", "g", "DEAD"} & used
 
 
+# Public names with no program caller, kept for library users.
+PUBLIC_ENTRY_POINTS = {
+    "parse_series": "reads one series literal; the CLI reads series as bindings",
+    "parse_cut": "names a cut in cut_name's spelling; the program builds its cuts",
+    "build_psi_p": "builds psi_p at x; the program builds it inside phi_p",
+}
+
+INIT = "src/arclab/__init__.py"
+
+
+def program_sources() -> dict[str, str]:
+    """The program's sources by path relative to the repository."""
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for top in PROGRAM
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+def callers(sources: dict[str, str]) -> set[str]:
+    """Every name the program references outside __init__.py's re-exports."""
+    return set().union(*(references(src) for path, src in sources.items() if path != INIT))
+
+
+def dead_names(sources: dict[str, str], exported: list[str]) -> list[str]:
+    """The definitions of src/arclab and the exported names that nothing
+    in the program calls."""
+    used = callers(sources) | set(TRACER_ONLY) | set(PUBLIC_ENTRY_POINTS)
+    found = [
+        f"{path}:{line}: {name}"
+        for path, src in sources.items()
+        if path.startswith("src/arclab/")
+        for line, name in definitions(src)
+        if name not in used
+    ]
+    return found + [f"__all__ exports {name}" for name in exported if name not in used]
+
+
 def test_no_dead_definitions():
     # an exemption stays only while the tracer still names it
     assert set(TRACER_ONLY) <= traced_names((ROOT / "perfbench/tracing.py").read_text())
-    used = set(arclab.__all__) | set(TRACER_ONLY)
-    for top in PROGRAM:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            used |= references(path.read_text())
-    found = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in sorted((ROOT / "src/arclab").rglob("*.py"))
-        for line, name in definitions(path.read_text())
-        if name not in used
+    sources = program_sources()
+    assert dead_names(sources, arclab.__all__) == []
+    # a public entry point leaves the table once the program calls it
+    assert set(PUBLIC_ENTRY_POINTS) <= set(arclab.__all__) - callers(sources)
+
+
+def test_checker_flags_a_planted_export():
+    # defined, re-exported and listed in __all__, yet called by nothing
+    sources = program_sources()
+    sources["src/arclab/convex.py"] = "def planted():\n    pass\n" + sources["src/arclab/convex.py"]
+    sources[INIT] = "from .convex import planted\n" + sources[INIT]
+    assert dead_names(sources, arclab.__all__ + ["planted"]) == [
+        "src/arclab/convex.py:1: planted",
+        "__all__ exports planted",
     ]
-    assert found == []
 
 
 # The standing rules: what each root may not reach. The evaluators stay
