@@ -348,13 +348,13 @@ MUTANTS = [
     ),
     (
         "src/arclab/convex.py",
-        "if c.inner < 1:",
+        "if c.inner < 0:",
         "if False:",
-        "validate_cut takes the inner offset 0",
+        "validate_cut takes a negative inner offset",
     ),
     (
         "src/arclab/convex.py",
-        "if c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower):",
+        "if c.inner and (c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower)):",
         "if False:",
         "validate_cut takes an inner cut of a component that is no tower",
     ),
@@ -450,15 +450,21 @@ MUTANTS = [
     ),
     (
         "src/arclab/convex.py",
-        "straddle_ok = cuts_cmp(hi, c) < 0 and (",
-        "straddle_ok = cuts_cmp(hi, c) <= 0 and (",
+        "straddle_ok = hi < c and",
+        "straddle_ok = hi <= c and",
         "the certificate's re-check passes a pair whose high side lies on the target cut",
     ),
     (
         "src/arclab/convex.py",
-        'return "per-prime" if cut.inner is not None else cut_name(G, cut)',
+        'return "per-prime" if cut.inner else cut_name(G, cut)',
         "return cut_name(G, cut)",
         "a certificate piece names its smallest prime's tower-inner side instead of per-prime",
+    ),
+    (
+        "src/arclab/valuations.py",
+        '"certificate": cert or ("none" if labeled else "undecided")',
+        '"certificate": "none" if labeled else cert or "undecided"',
+        "a red-flag row writes none instead of the certificate that contradicts its label",
     ),
 ]
 

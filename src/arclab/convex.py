@@ -2,8 +2,9 @@
 
 Every convex subgroup is a suffix of the word; a :class:`ConvexCut` names
 one by the index where the suffix starts, plus an inner offset when the cut
-falls inside a schematic tower.  Cuts are ordered shallow (large subgroup)
-to deep (small subgroup); Top is the whole group, Bottom is trivial.
+falls inside a schematic tower (0 for a whole-component cut).  Cuts order
+as (seg, inner) pairs, shallow (large subgroup) to deep (small subgroup);
+Top is the whole group, Bottom is trivial.
 
 For a prime p and a cut c, the suffix exponent E_c(p) is log_p of the size
 of the quotient of the subgroup at c by p times itself, computed as a sum
@@ -38,22 +39,20 @@ from .groups import LexWord, OmegaTower
 from .primes import INF, PartitionMap, PrimeSet, common_pieces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ConvexCut:
     """seg: suffix start index (0 = whole group, len = trivial subgroup).
 
     inner: for a cut inside the tower component at index seg, the number of
-    leading summands excluded (>= 1); None for plain inter-component cuts.
+    leading summands excluded (>= 1); 0 for plain inter-component cuts.
+    Cuts compare as (seg, inner) pairs: a < b when a is shallower than b.
     """
 
     seg: int
-    inner: int | None = None
-
-    def key(self) -> tuple[int, int]:
-        return (self.seg, self.inner or 0)
+    inner: int = 0
 
     def cut_id(self) -> str:
-        if self.inner is not None:
+        if self.inner:
             return f"seg{self.seg}+{self.inner}"
         return f"seg{self.seg}"
 
@@ -82,7 +81,7 @@ def parse_cut(G: LexWord, name: str) -> ConvexCut:
         return bottom_cut(G)
     seg_s, plus, inner_s = name.removeprefix("seg").partition("+")
     try:
-        cut = ConvexCut(int(seg_s), int(inner_s) if plus else None)
+        cut = ConvexCut(int(seg_s), int(inner_s) if plus else 0)
     except ValueError as exc:  # no numeral, or one past int()'s digit limit
         raise ShapeError(f"unknown cut name {name!r}") from exc
     validate_cut(G, cut)
@@ -94,17 +93,10 @@ def parse_cut(G: LexWord, name: str) -> ConvexCut:
 def validate_cut(G: LexWord, c: ConvexCut) -> None:
     if not (0 <= c.seg <= len(G.components)):
         raise ShapeError(f"cut index {c.seg} out of range for {G.describe()}")
-    if c.inner is not None:
-        if c.inner < 1:
-            raise ShapeError("inner cut offsets are 1-based")
-        if c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower):
-            raise ShapeError(f"cut {c.cut_id()} needs a tower at index {c.seg}")
-
-
-def cuts_cmp(a: ConvexCut, b: ConvexCut) -> int:
-    """-1 when a is shallower (larger subgroup) than b."""
-    ka, kb = a.key(), b.key()
-    return (ka > kb) - (ka < kb)
+    if c.inner < 0:
+        raise ShapeError("inner cut offsets are natural numbers")
+    if c.inner and (c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower)):
+        raise ShapeError(f"cut {c.cut_id()} needs a tower at index {c.seg}")
 
 
 # how many inner cuts of a schematic tower a finite chain materializes
@@ -128,14 +120,12 @@ def has_tower(G: LexWord) -> bool:
 
 def is_limit_cut(G: LexWord, c: ConvexCut) -> bool:
     """True when c is approached from above by the inner cuts of a tower."""
-    return c.inner is None and c.seg >= 1 and isinstance(G.components[c.seg - 1], OmegaTower)
+    return not c.inner and c.seg >= 1 and isinstance(G.components[c.seg - 1], OmegaTower)
 
 
 def pred_cut(c: ConvexCut) -> ConvexCut:
     """The immediately shallower cut; c is neither Top nor a limit cut."""
-    if c.inner is not None:
-        return ConvexCut(c.seg, c.inner - 1) if c.inner >= 2 else ConvexCut(c.seg)
-    return ConvexCut(c.seg - 1)
+    return ConvexCut(c.seg, c.inner - 1) if c.inner else ConvexCut(c.seg - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +145,11 @@ def _segment_parts(G: LexWord, low: ConvexCut, high: ConvexCut):
     """Yields (component index, start_offset, end_offset) covering the
     segment (high, low]; offsets are tower offsets, end None meaning the
     whole remaining tail, and non-tower components use (i, 0, None)."""
-    hi_seg, hi_inner = high.seg, high.inner or 0
-    for i in range(hi_seg, min(low.seg + 1, len(G.components))):
+    for i in range(high.seg, min(low.seg + 1, len(G.components))):
         comp = G.components[i]
-        if i == low.seg and low.inner is None:
+        if i == low.seg and not low.inner:
             break  # everything from here down lies inside the low subgroup
-        start_off = hi_inner if i == hi_seg else 0
+        start_off = high.inner if i == high.seg else 0
         if isinstance(comp, OmegaTower) and i == low.seg:
             yield i, start_off, low.inner
         else:
@@ -354,7 +343,7 @@ def _segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, b
     boolean reports whether a deepest unit exists (it does not when the
     segment ends in a tower tail).
     """
-    if cuts_cmp(high, low) >= 0:
+    if high >= low:
         raise ShapeError("segment must be nonempty with high shallower than low")
     units: list[PartitionMap] = []
     tail = False
@@ -415,11 +404,11 @@ def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, high: ConvexCut) 
     tower whose offset tracks the prime, hitting c for at most the single
     prime whose summand sits at c's own offset.
     """
-    if cuts_cmp(high, c) > 0:
+    if high > c:
         raise InternalError("pair landed below the target cut; exponent bookkeeping is off")
-    if high.inner is None:
+    if not high.inner:
         return piece if high == c else PrimeSet.empty()
-    if c.inner is not None and high.seg == c.seg:
+    if c.inner and high.seg == c.seg:
         hit = G.components[c.seg].summand_prime(c.inner)
         if hit in piece:
             return PrimeSet.single(hit)
@@ -428,7 +417,7 @@ def _blocked_primes(G: LexWord, c: ConvexCut, piece: PrimeSet, high: ConvexCut) 
 
 def _side_name(G: LexWord, cut: ConvexCut) -> str:
     """A piece's low or high side; a tower-inner side tracks the prime."""
-    return "per-prime" if cut.inner is not None else cut_name(G, cut)
+    return "per-prime" if cut.inner else cut_name(G, cut)
 
 
 def non_definability_certificate(
@@ -467,9 +456,7 @@ def non_definability_certificate(
             return None
         pairs = [(low0, high0)] + [_pair_for(G, p, e)[:2] for p in probes[1:]]
         for p, (lo, hi) in zip(probes, pairs):
-            straddle_ok = cuts_cmp(hi, c) < 0 and (
-                cuts_cmp(lo, c) > 0 or (at_bottom and lo == c)
-            )
+            straddle_ok = hi < c and (lo > c or (at_bottom and lo == c))
             if not (straddle_ok and is_p_regular(G, lo, hi, p)):
                 raise InternalError(
                     f"certificate verification failed at p={p} for cut {cut_name(G, c)}"

@@ -414,7 +414,9 @@ def classification_report(
         nm = cut_name(G, c)
         residue_rows.append({"cut": nm, "residue_real_closed": is_residue_real_closed(G, c)})
         cert = non_definability_certificate(G, c, display_primes)
-        if nm in definable_names:
+        labeled = nm in definable_names
+        cert_rows.append({"cut": nm, "certificate": cert or ("none" if labeled else "undecided")})
+        if labeled:
             status = "definable"
             if cert is not None:
                 status = "red-flag"
@@ -422,13 +424,10 @@ def classification_report(
                     f"RED FLAG: cut {nm} is labeled definable yet carries a "
                     "non-definability certificate; the two routes disagree"
                 )
-            cert_rows.append({"cut": nm, "certificate": "none"})
         elif cert is not None:
             status = "certified-non-definable"
-            cert_rows.append({"cut": nm, "certificate": cert})
         else:
             status = "undecided"
-            cert_rows.append({"cut": nm, "certificate": "undecided"})
             notes.append(
                 f"RED FLAG: cut {nm} is neither labeled nor certified below "
                 f"the display horizon {display_primes}"

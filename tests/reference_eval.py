@@ -43,7 +43,6 @@ from arclab.convex import (
     ConvexCut,
     _segment_parts,
     _tower_slice_map,
-    cuts_cmp,
     max_p_divisible,
     np_map,
     top_cut,
@@ -1069,7 +1068,7 @@ def reference_certificate_cells(G: LexWord, e_map) -> list:
 
 
 def _reference_segment_units(G: LexWord, low: ConvexCut, high: ConvexCut) -> tuple[list, bool]:
-    if cuts_cmp(high, low) >= 0:
+    if high >= low:
         raise ShapeError("segment must be nonempty with high shallower than low")
     pieces = []
     for i, start_off, end_off in _segment_parts(G, low, high):

@@ -634,6 +634,24 @@ def test_group_analyze_exits_1_on_a_certified_labeled_cut(monkeypatch, capsys):
     assert fails and all(line.endswith("has status red-flag") for line in fails)
 
 
+def test_a_red_flag_row_keeps_the_certificate_that_contradicts_its_label(monkeypatch):
+    planted = {"cut": "planted", "pieces": []}
+    honest = valuations.non_definability_certificate
+    monkeypatch.setattr(
+        valuations,
+        "non_definability_certificate",
+        lambda G, c, primes: honest(G, c, primes) or planted,
+    )
+    code, text = run("group", "analyze", "lex(Z, Q)", "--samples", "5", "--json")
+    assert code == 1
+    report = json.loads(text)
+    flagged = {row["cut"] for row in report["cuts"] if row["status"] == "red-flag"}
+    assert flagged == {"top", "seg1"}
+    for row in report["certificates"]:
+        if row["cut"] in flagged:
+            assert row["certificate"] == planted
+
+
 def test_verify_classification_clean():
     code, text = run("group", "analyze", "lex(Z, Q)", "--samples", "20")
     assert code == 0

@@ -45,6 +45,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
+from conftest import EFFECTIVE_POOL
 from reference_eval import reference_pth_root, reference_sample_series
 
 K1 = parse_group("lex(Z, Q)")
@@ -212,9 +213,6 @@ def test_sample_series_nonzero_bounded_support():
         assert 1 <= len(s.terms) <= 3
 
 
-POOL = ["lex(Z, Q)", "lex(Z, Z)", "lex(real(1, pi))", "lex(Zloc(2), Q)", "lex(Q)"]
-
-
 def _describe(s: HahnSeries) -> str:
     # the printed series hides whether a slot or coefficient is int or Fraction
     slots = "".join(type(x).__name__[0] for e, _ in s.terms for x in e)
@@ -308,7 +306,7 @@ class _CountingExp(tuple):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(POOL), st.integers(0, 10_000))
+@given(st.sampled_from(EFFECTIVE_POOL), st.integers(0, 10_000))
 def test_make_hashes_each_new_exponent_once(dsl, seed):
     G = parse_group(dsl)
     s = sample_series(G, seed, support=4)
@@ -320,7 +318,7 @@ def test_make_hashes_each_new_exponent_once(dsl, seed):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(POOL),
+    st.sampled_from(EFFECTIVE_POOL),
     st.integers(0, 10**6),
     st.integers(1, 4),
     st.integers(1, 4),
@@ -379,7 +377,7 @@ def test_sample_series_refuses_an_empty_draw_range():
 @st.composite
 def _distinct_terms(draw):
     """A pool group and 0..5 terms with distinct exponents, in any order."""
-    G = parse_group(draw(st.sampled_from(POOL)))
+    G = parse_group(draw(st.sampled_from(EFFECTIVE_POOL)))
     seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=3))
     pool = list(dict.fromkeys(e for s in seeds for e, _ in sample_series(G, s, 4, 1).terms))
     exps = draw(st.permutations(pool))[: draw(st.integers(0, 5))]
@@ -394,7 +392,7 @@ def test_sorted_terms_matches_the_comparator_sort(inputs):
     assert hahn._sorted_terms(G, list(terms)) == want
 
 
-@pytest.mark.parametrize("dsl", POOL)
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL)
 def test_two_terms_take_one_comparison_and_no_key_wrapper(dsl, monkeypatch):
     G = parse_group(dsl)
     pairs = [s.terms for s in (sample_series(G, seed, support=2) for seed in range(40))]
@@ -545,7 +543,7 @@ def _mul_operand(draw, G):
 
 @st.composite
 def _mul_pairs(draw):
-    G = parse_group(draw(st.sampled_from(POOL + ["lex(Zloc(3), Q, Z)"] + MIXED)))
+    G = parse_group(draw(st.sampled_from(EFFECTIVE_POOL + ["lex(Zloc(3), Q, Z)"] + MIXED)))
     return draw(_mul_operand(G)), draw(_mul_operand(G))
 
 
@@ -580,7 +578,7 @@ def _pow_reference(a, k):
 
 @st.composite
 def _pow_cases(draw):
-    G = parse_group(draw(st.sampled_from(POOL + MIXED)))
+    G = parse_group(draw(st.sampled_from(EFFECTIVE_POOL + MIXED)))
     return draw(_mul_operand(G)), draw(st.integers(0, 7))
 
 
@@ -605,7 +603,7 @@ def test_series_pow_edge_cases():
     assert series_eq(series_pow(S("O(t^(1,0))"), 1), S("O(t^(1,0))"))
 
 
-@pytest.mark.parametrize("dsl", POOL + MIXED)
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL + MIXED)
 def test_powers_make_no_series_mul_call(dsl, monkeypatch):
     # a power stays on ints across its squarings instead of building a
     # series per product
@@ -620,7 +618,7 @@ def test_powers_make_no_series_mul_call(dsl, monkeypatch):
             assert len(series_pow(sample_series(G, s, support=3), k).terms) > 1
 
 
-@pytest.mark.parametrize("dsl", POOL + MIXED)
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL + MIXED)
 def test_products_sort_natively_unless_a_real_run_needs_elem_cmp(dsl, monkeypatch):
     # untruncated products of up to 16 terms; with no real run the sort is
     # on int tuples, so neither elem_cmp nor a cmp_to_key wrapper is reached
@@ -687,7 +685,7 @@ def test_series_add_is_the_make_route(operands):
         assert _typed(series_sub(x, y)) == _typed(_sub_reference(x, y))
 
 
-@pytest.mark.parametrize("dsl", POOL + MIXED)
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL + MIXED)
 def test_series_add_fixed_cases(dsl):
     G = parse_group(dsl)
     zero = zero_series(G)
@@ -705,7 +703,7 @@ def test_series_add_fixed_cases(dsl):
         assert series_eq(series_sub(a, a_cut), big_o)
 
 
-@pytest.mark.parametrize("dsl", POOL + MIXED)
+@pytest.mark.parametrize("dsl", EFFECTIVE_POOL + MIXED)
 def test_sums_merge_without_make_or_a_sort(dsl, monkeypatch):
     # the merge compares each step's two heads once; the prefix cut then
     # compares the kept terms and the first one dropped with the truncation
@@ -815,7 +813,7 @@ def test_root_round_trip_on_squares(seed, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(POOL), seeds, st.sampled_from([2, 3, 5]))
+@given(st.sampled_from(EFFECTIVE_POOL), seeds, st.sampled_from([2, 3, 5]))
 def test_exact_root_of_a_power_on_every_pool_group(dsl, seed, p):
     # the root has y's leading term up to sign, so it is y or, for even p, -y
     G = parse_group(dsl)
@@ -826,7 +824,7 @@ def test_exact_root_of_a_power_on_every_pool_group(dsl, seed, p):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(POOL),
+    st.sampled_from(EFFECTIVE_POOL),
     seeds,
     st.sampled_from([2, 3, 5]),
     st.integers(1, 4),
@@ -866,7 +864,8 @@ def _root_cases(draw):
     groups give v/p a new factor p (Q, Zloc(q) with q != p) or keep its
     denominator (Zloc(p))."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    dsl = draw(st.sampled_from(POOL + MIXED + [f"lex(Zloc({p}), Q)", "lex(Zloc(3), Q, Z)"]))
+    extra = [f"lex(Zloc({p}), Q)", "lex(Zloc(3), Q, Z)"]
+    dsl = draw(st.sampled_from(EFFECTIVE_POOL + MIXED + extra))
     G = parse_group(dsl)
     y = sample_series(G, draw(seeds), support=draw(st.integers(1, 3)))
     a = series_pow(y, p)

@@ -12,7 +12,6 @@ from arclab.convex import (
     bottom_cut,
     chain_cuts,
     cut_name,
-    cuts_cmp,
     g_pn,
     max_divisible,
     max_p_divisible,
@@ -100,7 +99,7 @@ def test_ring_member_coarsening_monotone():
     chain = chain_cuts(K1)
     probes = [parse_series(s, K1) for s in ("t^(-1,2)", "t^(0,-5)", "t^(1,0)", "3")]
     for deep, shallow in zip(chain[1:], chain):
-        assert cuts_cmp(shallow, deep) == -1
+        assert shallow < deep
         for x in probes:
             if ring_member(deep, x):
                 assert ring_member(shallow, x)
@@ -155,7 +154,7 @@ def test_v0_residue_flag():
         c0 = max_divisible(G)
         assert is_residue_real_closed(G, c0)
         for c in chain_cuts(G):
-            if cuts_cmp(c, c0) < 0:  # strictly shallower
+            if c < c0:  # strictly shallower
                 assert not is_residue_real_closed(G, c)
             else:
                 assert is_residue_real_closed(G, c)
@@ -212,7 +211,7 @@ def test_image_deepest_first():
     for G in (K1, K2, ZPI, C0):
         cuts = [c for c, _ in enumerate_definable(G)]
         for a, b in zip(cuts, cuts[1:]):
-            assert cuts_cmp(a, b) == 1  # strictly deeper first
+            assert a > b  # strictly deeper first
 
 
 # -- the equivalence report ----------------------------------------------------------------
