@@ -99,8 +99,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        "num = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))",
-        "num = series_add(series_mul(a.num, b.den), series_mul(b.num, a.den))",
+        "_sf_add(a, _sf_neg(b))",
+        "_sf_add(a, b)",
         "eval_term computes a difference as a sum",
     ),
     (
@@ -137,8 +137,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/hahn.py",
-        "scalar_mul(G, k - 1, _lead(a))",
-        "scalar_mul(G, k, _lead(a))",
+        "scalar_mul(G, k - 1, v_of(a))",
+        "scalar_mul(G, k, v_of(a))",
         "series_pow truncates a truncated base's power at k*v(a) past a.trunc, not (k-1)*v(a)",
     ),
     (
@@ -384,8 +384,8 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        "range(p) if i in coset else (0,)",
-        "range(p) if i in coset else range(p)",
+        "(0,) if elem_p_divisible(G, u, p) else range(p)",
+        "range(p) if elem_p_divisible(G, u, p) else range(p)",
         "choose_params gives a p-divisible slot p coset exponents, past p^n in all",
     ),
     (
@@ -465,6 +465,18 @@ MUTANTS = [
         '"certificate": cert or ("none" if labeled else "undecided")',
         '"certificate": "none" if labeled else cert or "undecided"',
         "a red-flag row writes none instead of the certificate that contradicts its label",
+    ),
+    (
+        "src/arclab/primes.py",
+        "n <= _MR_BASES[-1]",
+        "n < _MR_BASES[-1]",
+        "is_prime sends 41 to Miller-Rabin, whose base 41 calls it composite",
+    ),
+    (
+        "src/arclab/primes.py",
+        "n % 2 == 1 and _miller_rabin(n)",
+        "_miller_rabin(n)",
+        "is_prime refuses an even n at or above _MR_LIMIT instead of answering False",
     ),
 ]
 

@@ -43,7 +43,7 @@ KNOWN = [
     ("valuations.py", 'raise ShapeError("not a built ring formula")'),
     # debugging aids
     ("hahn.py", 'return f"HahnSeries<{print_series(self)}>"'),
-    ("groups.py", 'return f"LexWord<{self.describe()}>"'),
+    ("groups.py", 'return f"LexWord<{print_group(self)}>"'),
     # code only the benchmark's tracer keeps alive (ROADMAP item 7)
     (
         "groups.py",

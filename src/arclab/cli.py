@@ -10,8 +10,9 @@ Subcommands
 
 One input path: `_COMMANDS` gives each command its words, the arguments
 its body reads, its help line and its body, and `_ARGS` gives each
-argument's argparse keywords once.  `build_parser` registers exactly a
-command's arguments and --json, so a flag its body does not read exits 2.
+argument's argparse keywords once.  `build_parser`, built once per
+process, registers exactly a command's arguments and --json, so a flag
+its body does not read exits 2.
 
 One output path: each subcommand body returns its payload (what --json
 prints), its text lines and its exit code, and the classification report
@@ -29,6 +30,7 @@ whose bindings are truncated too coarsely to settle an atom or a product
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -315,6 +317,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="arclab",

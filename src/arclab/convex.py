@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InternalError, ShapeError
-from .groups import LexWord, OmegaTower
+from .groups import LexWord, OmegaTower, print_group
 from .primes import INF, PartitionMap, PrimeSet, common_pieces
 
 
@@ -92,7 +92,7 @@ def parse_cut(G: LexWord, name: str) -> ConvexCut:
 
 def validate_cut(G: LexWord, c: ConvexCut) -> None:
     if not (0 <= c.seg <= len(G.components)):
-        raise ShapeError(f"cut index {c.seg} out of range for {G.describe()}")
+        raise ShapeError(f"cut index {c.seg} out of range for {print_group(G)}")
     if c.inner < 0:
         raise ShapeError("inner cut offsets are natural numbers")
     if c.inner and (c.seg >= len(G.components) or not isinstance(G.components[c.seg], OmegaTower)):

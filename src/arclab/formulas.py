@@ -692,9 +692,9 @@ def choose_params(G: LexWord, p: int, n: int) -> list:
     cut = g_pn(G, p, n)
     layout = G.layout
     prefix_zeros = layout.offsets[cut.seg]
-    # the int and Zloc(p) slots take p cosets; Q and Zloc(q != p) are p-divisible
-    coset = {*layout.int_slots, *(i for i, q in layout.loc_slots if q == p)}
-    ranges = [range(p) if i in coset else (0,) for i in range(prefix_zeros, layout.offsets[-1])]
+    # a slot takes p cosets exactly when its unit element is not p-divisible
+    units = [layout.zero[:i] + (1,) + layout.zero[i + 1 :] for i in range(prefix_zeros, layout.offsets[-1])]
+    ranges = [(0,) if elem_p_divisible(G, u, p) else range(p) for u in units]
     out = [
         Monomial(tuple(map(Fraction, (0,) * prefix_zeros + combo))) if any(combo) else _ONE
         for combo in itertools.product(*ranges)
@@ -774,11 +774,6 @@ def _sf_add(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
     return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
 
 
-def _sf_sub(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
-    num = series_sub(series_mul(a.num, b.den), series_mul(b.num, a.den))
-    return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
-
-
 def _sf_mul(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
     num = series_mul(a.num, b.num)
     return SeriesFraction(num, series_mul(a.den, b.den), a.defined and b.defined)
@@ -791,7 +786,7 @@ def _sf_div(a: SeriesFraction, b: SeriesFraction) -> SeriesFraction:
     return SeriesFraction(series_mul(a.num, b.den), series_mul(a.den, b.num), True)
 
 
-_BINARY_OPS = {Add: _sf_add, Sub: _sf_sub, Mul: _sf_mul, Div: _sf_div}
+_BINARY_OPS = {Add: _sf_add, Sub: lambda a, b: _sf_add(a, _sf_neg(b)), Mul: _sf_mul, Div: _sf_div}
 
 
 def eval_term(G: LexWord, t, env: dict) -> SeriesFraction:
@@ -1363,12 +1358,11 @@ def _truncated_root(sf: SeriesFraction, p: int, cutoff) -> HahnSeries | None:
     return None
 
 
-def _candidates(
-    G: LexWord, body, env: dict, budget: int, seed: int, cmag: int = 9
-) -> list[HahnSeries]:
+def _candidates(G: LexWord, body, env: dict, budget: int, seed: int, cutoff) -> list[HahnSeries]:
     """Deterministic witness grid: small constants, env values, formula
     constants, inverse monomials, signed multiples and per-slot shifts of
-    env exponents, p-th roots of root-equation targets, then random fill."""
+    env exponents, p-th roots of root-equation targets truncated at
+    cutoff, then random fill."""
     out: list[HahnSeries] = []
     seen: set = set()
 
@@ -1424,7 +1418,6 @@ def _candidates(
                     continue  # the slot does not admit this exponent
                 push(HahnSeries(G, ((neg[:j] + (slot,) + neg[j + 1 :], Fraction(1)),)))
 
-    cutoff = default_cutoff(G, cmag)
     done = set()
     for p, u in _root_equation_targets(body):
         key = (p, print_term(u))
@@ -1452,27 +1445,27 @@ def _candidates(
 _JOINS = {And: (_sv_and, False), Or: (_sv_or, True), Implies: (_sv_or, True)}
 
 
-def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag: int = 9) -> _SV:
+def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cutoff) -> _SV:
     if isinstance(f, (Eq, Neq)):
         return _SV(*_atom_status(G, f, env))  # "equal" under truncation arrives as inexact
     if isinstance(f, Not):
-        return _sv_not(_sampled(G, f.arg, env, budget, seed, qdepth, cmag))
+        return _sv_not(_sampled(G, f.arg, env, budget, seed, qdepth, cutoff))
     if isinstance(f, (And, Or, Implies)):
         join, settles = _JOINS[type(f)]
-        a = _sampled(G, f.left, env, budget, seed, qdepth, cmag)
+        a = _sampled(G, f.left, env, budget, seed, qdepth, cutoff)
         if isinstance(f, Implies):
             # a false hypothesis's counterexample is no witness of the implication
             a = _SV(True, a.exact) if a.truth is False else _sv_not(a)
         if a.truth is settles and a.exact:
             return a
-        return join(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cmag))
+        return join(a, _sampled(G, f.right, env, budget, seed + 1, qdepth, cutoff))
     if not isinstance(f, (Exists, Forall)):
         raise ShapeError(f"not a formula: {f!r}")
     inner_budget = budget if qdepth == 0 else max(6, min(16, budget // (4**qdepth)))
     if isinstance(f, Forall):
         ms = match_stability_clause(f)
         if ms is not None:
-            return _sampled_stability(G, f, ms[0], ms[1], env, inner_budget, seed, cmag)
+            return _sampled_stability(G, f, ms[0], ms[1], env, inner_budget, seed, cutoff)
         if match_coset_clause(f) is not None:
             # No grid can falsify this shape. A counterexample needs the body
             # exactly false, i.e. the hypothesis exactly true and the
@@ -1481,9 +1474,9 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
             # never exactly false. Survival is therefore a theorem about the
             # evaluator, not a search result, and the loop is skipped.
             return _SV(True, False)
-        for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
+        for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cutoff)):
             sub = {**env, f.var: SeriesFraction.of(cand)}
-            v = _sampled(G, f.body, sub, budget, seed + 211 * k + 13, qdepth + 1, cmag)
+            v = _sampled(G, f.body, sub, budget, seed + 211 * k + 13, qdepth + 1, cutoff)
             if v.truth is False and v.exact:
                 return _SV(False, True, _merge({f.var: cand}, v.assign))
         return _SV(True, False)  # survived the grid; not a proof
@@ -1501,12 +1494,12 @@ def _sampled(G: LexWord, f, env: dict, budget: int, seed: int, qdepth: int, cmag
         # a witness only for the outermost quantifier (inner verdicts never
         # surface one): the oracle verdict stands even when the root has
         # no visible expansion
-        r = _truncated_root(sf, p, default_cutoff(G, cmag)) if truth and qdepth == 0 else None
+        r = _truncated_root(sf, p, cutoff) if truth and qdepth == 0 else None
         return _SV(truth, truth is not None, None if r is None else {f.var: r})
     best: _SV | None = None
-    for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cmag)):
+    for k, cand in enumerate(_candidates(G, f.body, env, inner_budget, seed, cutoff)):
         sub = {**env, f.var: SeriesFraction.of(cand)}
-        v = _sampled(G, f.body, sub, budget, seed + 101 * k + 7, qdepth + 1, cmag)
+        v = _sampled(G, f.body, sub, budget, seed + 101 * k + 7, qdepth + 1, cutoff)
         if v.truth is True and (v.exact or best is None):
             best = _SV(True, v.exact, _merge({f.var: cand}, v.assign))
             if v.exact:
@@ -1537,7 +1530,7 @@ def _psi_sampled(G: LexWord, W: SeriesFraction, p: int) -> bool | None:
 
 
 def _sampled_stability(
-    G: LexWord, f: "Forall", p: int, x_term, env: dict, budget: int, seed: int, cmag: int = 9
+    G: LexWord, f: "Forall", p: int, x_term, env: dict, budget: int, seed: int, cutoff
 ) -> _SV:
     """The multiplication-stability clause, falsified by direct oracle runs.
 
@@ -1551,7 +1544,7 @@ def _sampled_stability(
     """
     X = None
     one = one_series(G)
-    for cand in _candidates(G, f.body, env, budget, seed, cmag):
+    for cand in _candidates(G, f.body, env, budget, seed, cutoff):
         hyp = _psi_sampled(G, SeriesFraction(cand, one), p)
         if hyp is False:
             continue
@@ -1586,7 +1579,7 @@ def eval_sampled(
     if budget < 1:
         raise ParameterError(f"the witness budget must be at least 1, got {budget}")
     _require_effective(G)
-    sv = _sampled(G, F, _norm_env(G, env), budget, seed, 0, cutoff_mag)
+    sv = _sampled(G, F, _norm_env(G, env), budget, seed, 0, default_cutoff(G, cutoff_mag))
     if sv.truth is True:
         return EvalOutcome("true", sv.exact, sv.assign)
     if sv.truth is False and sv.exact:

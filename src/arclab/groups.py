@@ -388,11 +388,8 @@ class LexWord:
     def n_slots(self) -> int:
         return len(self.layout.kinds)
 
-    def describe(self) -> str:
-        return "lex(" + ", ".join(c.describe() for c in self.components) + ")"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LexWord<{self.describe()}>"
+        return f"LexWord<{print_group(self)}>"
 
 
 # An element is a flat tuple with one entry per slot of G.layout:
@@ -403,7 +400,7 @@ GroupElement = tuple
 def _require_effective(G: LexWord) -> SlotLayout:
     if not G.is_effective():
         raise NonEffectiveError(
-            f"{G.describe()} contains schematic components; element arithmetic is unavailable"
+            f"{print_group(G)} contains schematic components; element arithmetic is unavailable"
         )
     return G.layout
 
@@ -689,5 +686,5 @@ def parse_group(text: str) -> LexWord:
 
 
 def print_group(G: LexWord) -> str:
-    return G.describe()
+    return "lex(" + ", ".join(c.describe() for c in G.components) + ")"
 

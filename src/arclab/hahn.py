@@ -266,23 +266,15 @@ def series_mul(a: HahnSeries, b: HahnSeries) -> HahnSeries:
         return b
     trunc = None
     if a.trunc is not None:
-        trunc = _min_trunc(G, trunc, elem_add(G, a.trunc, _lead(b)))
+        trunc = _min_trunc(G, trunc, elem_add(G, a.trunc, v_of(b)))
     if b.trunc is not None:
-        trunc = _min_trunc(G, trunc, elem_add(G, b.trunc, _lead(a)))
+        trunc = _min_trunc(G, trunc, elem_add(G, b.trunc, v_of(a)))
     slots = G.layout.frac_slots
     D = lcm(*[e[i].denominator for s in (a, b) for e, _ in s.terms for i in slots])
     a_terms, a_den = _int_terms(a.terms, slots, D)
     b_terms, b_den = _int_terms(b.terms, slots, D)
     kept = _convolve(a_terms, b_terms)
     return HahnSeries(G, _from_ints(G, kept, D, a_den * b_den, trunc), trunc)
-
-
-def _lead(s: HahnSeries) -> GroupElement:
-    """The leading exponent of a factor; with no terms but a truncation,
-    the valuation is unknown."""
-    if s.terms:
-        return s.terms[0][0]
-    raise TruncationError("cannot multiply: operand is zero modulo its truncation")
 
 
 def _int_terms(terms, slots, D: int) -> tuple[list, int]:
@@ -363,7 +355,7 @@ def series_pow(a: HahnSeries, k: int) -> HahnSeries:
         return one_series(G)
     if k == 1 or a.is_zero() or _is_one(G, a):
         return a
-    trunc = None if a.trunc is None else elem_add(G, a.trunc, scalar_mul(G, k - 1, _lead(a)))
+    trunc = None if a.trunc is None else elem_add(G, a.trunc, scalar_mul(G, k - 1, v_of(a)))
     slots = G.layout.frac_slots
     D = lcm(*[e[i].denominator for e, _ in a.terms for i in slots])
     base, C = _int_terms(a.terms, slots, D)

@@ -24,36 +24,25 @@ from .errors import ParameterError, ShapeError
 INF = float("inf")
 
 
-# Trial division below this bound (every prime the classification meets is
-# tiny), deterministic Miller-Rabin from it.
-_TRIAL_LIMIT = 10_000
 # The first 13 primes are a deterministic Miller-Rabin base set for every
-# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015).
+# n < 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, 2015); the
+# same tuple is the table of primes up to 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality; ParameterError at or above _MR_LIMIT."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    if n >= _TRIAL_LIMIT:
-        return _miller_rabin(n)
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Exact primality: a lookup in _MR_BASES up to 41, Miller-Rabin past it;
+    ParameterError for an odd n at or above _MR_LIMIT."""
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    return n % 2 == 1 and _miller_rabin(n)
 
 
 def _miller_rabin(n: int) -> bool:
     """Strong-probable-prime test of an odd n > 41 to every base in
-    _MR_BASES, which decides primality below _MR_LIMIT."""
+    _MR_BASES, which decides primality below _MR_LIMIT; ParameterError
+    at or above it."""
     if n >= _MR_LIMIT:
         raise ParameterError(f"primality of {n} is not decided at or above {_MR_LIMIT}")
     d, s = n - 1, 0
@@ -159,9 +148,6 @@ class PrimeSet:
     def is_all(self) -> bool:
         return self.cofinite and not self.basis
 
-    def is_finite(self) -> bool:
-        return not self.cofinite
-
     def union(self, other: "PrimeSet") -> "PrimeSet":
         if not self.cofinite and not other.cofinite:
             return PrimeSet(False, self.basis | other.basis)
@@ -185,7 +171,7 @@ class PrimeSet:
     def smallest(self, count: int = 1) -> list[int]:
         """The smallest `count` members (empty-set safe for finite sets)."""
         out: list[int] = []
-        if self.is_finite():
+        if not self.cofinite:
             out = sorted(self.basis)[:count]
         else:
             k = 0

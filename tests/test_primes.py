@@ -53,7 +53,7 @@ def _trial_division(n: int) -> bool:
 
 
 def test_is_prime_matches_trial_division():
-    # covers the switch from trial division to Miller-Rabin
+    # covers the switch from the base list to Miller-Rabin past 41
     assert [n for n in range(20_000) if is_prime(n)] == [
         n for n in range(20_000) if _trial_division(n)
     ]
@@ -104,6 +104,8 @@ def test_is_prime_on_pseudoprimes_and_large_n():
     # above the range the 13 bases decide, the answer is refused
     with pytest.raises(ParameterError):
         is_prime(m61 * (2**31 - 1))
+    # ...except for an even n, which is composite however large
+    assert not is_prime(2 * primes._MR_LIMIT)
 
 
 def test_smallest():

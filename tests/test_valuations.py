@@ -37,6 +37,7 @@ from arclab.formulas import (
 from arclab.groups import elem_add, elem_p_divisible, elem_sub, parse_group
 from arclab.hahn import (
     const_series,
+    default_cutoff,
     monomial,
     parse_series,
     print_series,
@@ -273,7 +274,7 @@ def test_witness_grid_and_probes_pinned(dsl, n_cands, cands_digest, n_probes, pr
     G = parse_group(dsl)
     body = _stability_clause(build_phi_p(2)).body
     env = {"x": SeriesFraction.of(sample_series(G, 7))}
-    cands = _candidates(G, body, env, 200, 0)
+    cands = _candidates(G, body, env, 200, 0, default_cutoff(G))
     probes = boundary_monomials(G)
     assert (len(cands), _digest(cands)) == (n_cands, cands_digest)
     assert (len(probes), _digest(probes)) == (n_probes, probes_digest)
@@ -300,7 +301,7 @@ def test_witness_grid_pinned_with_constants_and_root_targets(dsl, h, digests):
     G = parse_group(dsl)
     env = {"x": SeriesFraction.of(sample_series(G, 7))}
     for text, digest in zip(_SCOPED_BODIES, digests):
-        cands = _candidates(G, parse_formula(text.format(h=h), G), env, 200, 3)
+        cands = _candidates(G, parse_formula(text.format(h=h), G), env, 200, 3, default_cutoff(G))
         assert (len(cands), _digest(cands)) == (200, digest), text
 
 
@@ -319,7 +320,7 @@ def test_witness_grid_matches_the_reference_on_a_long_word():
     assert G.n_slots() == 12
     body = _stability_clause(build_phi_p(2)).body
     env = {"x": SeriesFraction.of(sample_series(G, 7))}
-    cands = _candidates(G, body, env, 400, 0)
+    cands = _candidates(G, body, env, 400, 0, default_cutoff(G))
     assert _typed(cands) == _typed(_ref_candidates(G, body, env, 400, 0))
 
 
@@ -327,8 +328,9 @@ def test_a_zero_multiple_of_a_monomial_adds_nothing_to_the_grid():
     # 0*t^g denotes zero, so the grid takes nothing from it, not even t^g
     G = parse_group("lex(Z, Q)")
     env = {"x": SeriesFraction.of(sample_series(G, 7))}
-    plain = _candidates(G, parse_formula("exists y. y = x", G), env, 200, 3)
-    padded = _candidates(G, parse_formula("exists y. y = x + 0*t^(5,0)", G), env, 200, 3)
+    cutoff = default_cutoff(G)
+    plain = _candidates(G, parse_formula("exists y. y = x", G), env, 200, 3, cutoff)
+    padded = _candidates(G, parse_formula("exists y. y = x + 0*t^(5,0)", G), env, 200, 3, cutoff)
     assert padded == plain
 
 
