@@ -478,6 +478,24 @@ MUTANTS = [
         "_miller_rabin(n)",
         "is_prime refuses an even n at or above _MR_LIMIT instead of answering False",
     ),
+    (
+        "src/arclab/groups.py",
+        "return type(self) is type(other) and tuple.__eq__(self, other)",
+        "return tuple.__eq__(self, other)",
+        "records of one field layout compare equal across kinds, so Add(a, b) == Mul(a, b)",
+    ),
+    (
+        "src/arclab/groups.py",
+        "return hash((type(self), *self))",
+        "return tuple.__hash__(self)",
+        "records of one field layout hash alike across kinds",
+    ),
+    (
+        "src/arclab/groups.py",
+        "    cls.__bool__ = _record_bool\n",
+        "",
+        "a record with no fields, such as Zed(), is false",
+    ),
 ]
 
 TIMEOUT_S = 300

@@ -30,7 +30,6 @@ prime, so the two routes still check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ from .groups import LexWord, OmegaTower, print_group
 from .primes import INF, PartitionMap, PrimeSet, common_pieces
 
 
-@dataclass(frozen=True, order=True)
-class ConvexCut:
+class ConvexCut(NamedTuple):
     """seg: suffix start index (0 = whole group, len = trivial subgroup).
 
     inner: for a cut inside the tower component at index seg, the number of
@@ -283,8 +281,7 @@ def thm_condition_prime(G: LexWord) -> PrimeSet:
 # the label map (which cuts are hit by g_pn, and for which (p, n))
 
 
-@dataclass(frozen=True)
-class LabelEntry:
+class LabelEntry(NamedTuple):
     """The pairs (p, n) for p in primes and n in [n_min, n_max].
 
     n_max None means unbounded above: every n >= n_min labels the cut,

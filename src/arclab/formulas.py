@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .convex import ConvexCut, g_pn, max_p_divisible, np_map, suffix_exponent_map, top_cut
 from .errors import (
@@ -79,6 +79,7 @@ from .groups import (
     elem_p_divisible,
     elem_sub,
     format_rational,
+    record,
     scalar_mul,
     zero_element,
 )
@@ -107,109 +108,27 @@ from .primes import is_prime
 # ---------------------------------------------------------------------------
 # term AST
 
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """t^g for a flat exponent tuple g (interpreted against the eval group)."""
-
-    exps: tuple
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    n: int
-
+Const = record("Const", "value")
+Var = record("Var", "name")
+Monomial = record("Monomial", "exps")  # t^g, g a flat exponent tuple of the eval group
+Add = record("Add", "left right")
+Sub = record("Sub", "left right")
+Neg = record("Neg", "arg")
+Mul = record("Mul", "left right")
+Div = record("Div", "left right")
+Pow = record("Pow", "base n")
 
 # ---------------------------------------------------------------------------
 # formula AST
 
-
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Neq:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: object
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: object
-
+Eq = record("Eq", "left right")
+Neq = record("Neq", "left right")
+And = record("And", "left right")
+Or = record("Or", "left right")
+Not = record("Not", "arg")
+Implies = record("Implies", "left right")
+Exists = record("Exists", "var body")
+Forall = record("Forall", "var body")
 
 _TERM_NODES = frozenset((Const, Var, Monomial, Add, Sub, Neg, Mul, Div, Pow))
 _FORMULA_NODES = frozenset((Eq, Neq, And, Or, Not, Implies, Exists, Forall))
@@ -708,8 +627,7 @@ def choose_params(G: LexWord, p: int, n: int) -> list:
 # term evaluation: fractions of series with a sticky definedness flag
 
 
-@dataclass(frozen=True)
-class SeriesFraction:
+class SeriesFraction(NamedTuple):
     num: HahnSeries
     den: HahnSeries
     defined: bool = True
@@ -1254,8 +1172,7 @@ def _plan_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str):
 # sampled evaluation
 
 
-@dataclass(frozen=True)
-class EvalOutcome:
+class EvalOutcome(NamedTuple):
     """Result of a sampled evaluation.
 
     status: "true" | "false" | "falsified_by" | "unknown_on_sample".
@@ -1271,8 +1188,7 @@ class EvalOutcome:
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class _SV:
+class _SV(NamedTuple):
     """A sampled verdict. assign is the assignment that drove it: a
     counterexample when truth is False, a witness when truth is True."""
 
@@ -1369,9 +1285,16 @@ def _candidates(G: LexWord, body, env: dict, budget: int, seed: int, cutoff) -> 
     def push(s: HahnSeries) -> None:
         if len(out) >= budget:
             return
-        # one hash of the key per candidate: hashing its Fractions is the cost
+        # the key holds s as ints, which hash in C (a Fraction hashes in
+        # Python): a marker and the truncation's slots, then each term's
+        # slots and coefficient, each as a numerator and denominator pair,
+        # so an int slot keys as the equal Fraction does
+        vals = [] if s.trunc is None else [*s.trunc]
+        for e, c in s.terms:
+            vals += e
+            vals.append(c)
         n_seen = len(seen)
-        seen.add((s.trunc, s.terms))
+        seen.add((s.trunc is None, *[x.as_integer_ratio() for x in vals]))
         if len(seen) > n_seen:
             out.append(s)
 

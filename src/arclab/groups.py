@@ -32,6 +32,10 @@ component owns each slot; only ``elem_cmp`` regroups the FreeReal slots.
 
 Inputs are validated where they enter, and the arithmetic trusts them:
 
+* components: each component's constructor (``LocZ``, ``FreeReal``,
+  ``OmegaTower``, ``PolyModule`` and the generator ``RealGen``) checks its
+  parameters and raises ValueError, which the group parser reports as a
+  DslSyntaxError;
 * elements: ``unflatten`` (and ``element``, which delegates to it) checks
   slot count and slot kinds, and ``zero_element`` checks effectiveness;
 * bindings: ``formulas._norm_env`` takes a series or a rational and
@@ -55,10 +59,12 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DslSyntaxError, InternalError, NonEffectiveError, ShapeError
 from .primes import INF, PartitionMap, is_prime, prime_at, prime_index
@@ -98,18 +104,56 @@ def pi_interval(digits: int) -> tuple[Fraction, Fraction]:
     return 16 * a5_lo - 4 * a239_hi, 16 * a5_hi - 4 * a239_lo
 
 
-@dataclass(frozen=True)
-class RealGen:
+# ---------------------------------------------------------------------------
+# records
+
+
+def _record_eq(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return type(self) is not type(other) or tuple.__ne__(self, other)
+
+
+def _record_hash(self) -> int:
+    return hash((type(self), *self))
+
+
+def _record_bool(self) -> bool:
+    return True
+
+
+def record(name: str, fields: str) -> type:
+    """A namedtuple class whose instances are equal, and hash alike, only
+    with instances of the same class, and are always true.
+
+    Records of different kinds can share a field layout (the formula nodes
+    Add and Mul, the components LocZ and OmegaTower), where plain tuple
+    equality would confuse them, and a record with no fields (Zed) would be
+    a false empty tuple.  Creating the class costs one namedtuple call,
+    where a frozen dataclass execs a generated function per method.
+    """
+    cls = namedtuple(name, fields, module=sys._getframe(1).f_globals["__name__"])
+    cls.__eq__ = _record_eq
+    cls.__ne__ = _record_ne
+    cls.__hash__ = _record_hash
+    cls.__bool__ = _record_bool
+    return cls
+
+
+class RealGen(record("RealGen", "kind value")):
     """A generator of a FreeReal component: a rational constant or pi."""
 
-    kind: str  # "rat" | "pi"
-    value: Fraction = Fraction(0)  # meaningful for kind == "rat"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("rat", "pi"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "rat" and self.value == 0:
+    # kind is "rat" or "pi"; value is meaningful for kind == "rat"
+    def __new__(cls, kind: str, value: Fraction = Fraction(0)):
+        if kind not in ("rat", "pi"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == "rat" and value == 0:
             raise ValueError("rational generator must be nonzero")
+        return super().__new__(cls, kind, value)
 
     def describe(self) -> str:
         if self.kind == "pi":
@@ -156,8 +200,9 @@ def sign_of_real(gens: tuple[RealGen, ...], coords: tuple[int, ...]) -> int:
 # components
 
 
-@dataclass(frozen=True)
-class Zed:
+class Zed(record("Zed", "")):
+    __slots__ = ()
+
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(1)
 
@@ -168,8 +213,9 @@ class Zed:
         return "Z"
 
 
-@dataclass(frozen=True)
-class Rat:
+class Rat(record("Rat", "")):
+    __slots__ = ()
+
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0)
 
@@ -180,13 +226,13 @@ class Rat:
         return "Q"
 
 
-@dataclass(frozen=True)
-class LocZ:
-    q: int
+class LocZ(record("LocZ", "q")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"localization prime expected, got {self.q}")
+    def __new__(cls, q: int):
+        if not is_prime(q):
+            raise ValueError(f"localization prime expected, got {q}")
+        return super().__new__(cls, q)
 
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0, ((self.q, 1),))
@@ -198,18 +244,18 @@ class LocZ:
         return f"Zloc({self.q})"
 
 
-@dataclass(frozen=True)
-class FreeReal:
-    gens: tuple[RealGen, ...]
+class FreeReal(record("FreeReal", "gens")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gens:
+    def __new__(cls, gens: tuple[RealGen, ...]):
+        if not gens:
             raise ValueError("real component needs at least one generator")
-        n_pi = sum(1 for g in self.gens if g.kind == "pi")
-        n_rat = len(self.gens) - n_pi
+        n_pi = sum(1 for g in gens if g.kind == "pi")
+        n_rat = len(gens) - n_pi
         if n_pi > 1 or n_rat > 1:
             # two rationals (or two copies of pi) are linearly dependent over Q
             raise ValueError("real generators must be linearly independent over Q")
+        return super().__new__(cls, gens)
 
     @property
     def rank(self) -> int:
@@ -225,8 +271,7 @@ class FreeReal:
         return "real(" + ", ".join(g.describe() for g in self.gens) + ")"
 
 
-@dataclass(frozen=True)
-class OmegaTower:
+class OmegaTower(record("OmegaTower", "start")):
     """Infinite lexicographic sum of LocZ(p_k) over k >= start+1.
 
     The summand at tower offset m >= 1 is LocZ(prime_at(start + m)); offset
@@ -235,11 +280,12 @@ class OmegaTower:
     reached by the inner cuts.
     """
 
-    start: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start < 0:
+    def __new__(cls, start: int):
+        if start < 0:
             raise ValueError("tower start must be a natural number")
+        return super().__new__(cls, start)
 
     def summand_prime(self, offset: int) -> int:
         """Prime of the summand at tower offset (1-based)."""
@@ -266,8 +312,7 @@ class OmegaTower:
         return f"omega_tower(start={self.start})"
 
 
-@dataclass(frozen=True)
-class PolyModule:
+class PolyModule(record("PolyModule", "q gen")):
     """LocZ(q)-combinations of the powers of a transcendental constant.
 
     Sits inside the reals, hence archimedean: no proper nontrivial convex
@@ -275,14 +320,14 @@ class PolyModule:
     because the powers of the generator are independent over the base.
     """
 
-    q: int
-    gen: RealGen
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"localization prime expected, got {self.q}")
-        if self.gen.kind != "pi":
+    def __new__(cls, q: int, gen: RealGen):
+        if not is_prime(q):
+            raise ValueError(f"localization prime expected, got {q}")
+        if gen.kind != "pi":
             raise ValueError("poly_module generator must be transcendental")
+        return super().__new__(cls, q, gen)
 
     def exponent_map(self) -> PartitionMap:
         return PartitionMap(0, ((self.q, INF),))
@@ -301,8 +346,7 @@ Component = Union[Zed, Rat, LocZ, FreeReal, OmegaTower, PolyModule]
 # words and elements
 
 
-@dataclass(frozen=True)
-class SlotLayout:
+class SlotLayout(NamedTuple):
     """Where the components of a word sit in its flat element tuple.
 
     kinds[i] is the component owning slot i, offsets[k] the first slot of

@@ -33,11 +33,11 @@ into Fractions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import lcm
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .errors import (
     InternalError,
@@ -66,8 +66,7 @@ from .groups import (
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
-class HahnSeries:
+class HahnSeries(NamedTuple):
     group: LexWord
     terms: tuple[tuple[GroupElement, Fraction], ...]  # ascending exponents
     trunc: GroupElement | None = None

@@ -13,11 +13,10 @@ with infinitely many relevant primes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParameterError, ShapeError
 
@@ -110,8 +109,7 @@ def _check_primes(xs: Iterable[int]) -> frozenset[int]:
     return s
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(NamedTuple):
     """A finite or cofinite subset of the primes.
 
     ``basis`` holds the members when finite, the excluded primes when
@@ -199,8 +197,7 @@ def _check_value(v):
     raise ValueError(f"partition value must be a natural or INF, got {v!r}")
 
 
-@dataclass(frozen=True)
-class PartitionMap:
+class PartitionMap(NamedTuple):
     """A map primes -> N ∪ {INF} that is constant on finitely many pieces.
 
     It takes ``default`` everywhere except at ``exceptions``: (prime, value)

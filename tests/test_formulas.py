@@ -21,13 +21,19 @@ from arclab.formulas import (
     Add,
     And,
     Const,
+    Div,
     Eq,
     Exists,
+    Forall,
+    Implies,
     Monomial,
     Mul,
+    Neg,
+    Neq,
     Not,
     Or,
     SeriesFraction,
+    Sub,
     Var,
     build_phi_p,
     build_phi_pn,
@@ -240,6 +246,36 @@ def test_print_parse_round_trip():
         parse_formula("x = 0 or not (x*y = 1 and y = y)"),
     ):
         assert parse_formula(print_formula(f)) == f
+
+
+# -- nodes are records ---------------------------------------------------------
+
+
+X, Y = Var("x"), Var("y")
+
+
+@pytest.mark.parametrize("nodes", [
+    [kind(X, Y) for kind in (Add, Sub, Mul, Div, Eq, Neq, And, Or, Implies)],
+    [Exists("x", Eq(X, Y)), Forall("x", Eq(X, Y))],
+    [Neg(X), Not(X)],
+], ids=["pair", "binder", "unary"])
+def test_nodes_of_one_layout_differ_and_hash_apart(nodes):
+    for a, b in itertools.combinations(nodes, 2):
+        assert a != b and not a == b
+    assert len(set(nodes)) == len({hash(node) for node in nodes}) == len(nodes)
+
+
+def test_a_node_field_cannot_be_assigned():
+    with pytest.raises(AttributeError):
+        Add(X, Y).left = Y
+
+
+def test_node_repr_pinned():
+    assert repr(parse_formula("exists y. y^2 = x + 1/2*t^(1,0)")) == (
+        "Exists(var='y', body=Eq(left=Pow(base=Var(name='y'), n=2), right=Add(left=Var(name='x'), "
+        "right=Mul(left=Const(value=Fraction(1, 2)), right=Monomial(exps=(Fraction(1, 1), "
+        "Fraction(0, 1)))))))"
+    )
 
 
 def test_a_node_of_the_wrong_sort_is_a_shape_error():

@@ -12,6 +12,7 @@ from arclab.groups import (
     LexWord,
     LocZ,
     OmegaTower,
+    PolyModule,
     Rat,
     RealGen,
     Zed,
@@ -71,15 +72,63 @@ def test_parse_rejects(bad):
         parse_group(bad)
 
 
+PI = RealGen("pi")
+
+
+# a constructor is where a component's parameters are checked
 @pytest.mark.parametrize("build, message", [
     (lambda: RealGen("e"), "unknown generator kind 'e'"),
-    (lambda: FreeReal(()), "at least one generator"),
+    (lambda: FreeReal(()), "real component needs at least one generator"),
     (lambda: OmegaTower(-1), "tower start must be a natural number"),
-    (lambda: LexWord(()), "at least one component"),
-], ids=["generator-kind", "real-rank-0", "tower-start", "empty-word"])
+    (lambda: LexWord(()), "a group needs at least one component"),
+    (lambda: RealGen("rat", Fraction(0)), "rational generator must be nonzero"),
+    (lambda: LocZ(4), "localization prime expected, got 4"),
+    (lambda: FreeReal((PI, PI)), "real generators must be linearly independent over Q"),
+    (lambda: PolyModule(4, PI), "localization prime expected, got 4"),
+    (lambda: PolyModule(2, RealGen("rat", 1)), "poly_module generator must be transcendental"),
+], ids=[
+    "generator-kind", "real-rank-0", "tower-start", "empty-word",
+    "generator-zero", "loc-prime", "real-dependent", "poly-prime", "poly-generator",
+])
 def test_constructors_refuse_what_the_parser_never_builds(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as exc:
         build()
+    assert str(exc.value) == message
+
+
+# -- records ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(LocZ(2), OmegaTower(2)), (Zed(), Rat())], ids=["q", "empty"])
+def test_components_of_one_layout_differ_and_hash_apart(a, b):
+    assert a != b and not a == b
+    assert hash(a) != hash(b) and len({a, b}) == 2
+
+
+def test_words_of_one_layout_differ():
+    G, H = parse_group("lex(Zloc(2))"), parse_group("lex(omega_tower(start=2))")
+    assert G != H and not G == H
+    assert convex.np_map(G) != convex.np_map(H)
+
+
+def test_components_without_fields_are_true():
+    assert Zed() and Rat()
+
+
+@pytest.mark.parametrize("record, field", [
+    (LocZ(2), "q"), (PI, "kind"), (parse_group("lex(Z)").layout, "zero"),
+])
+def test_a_record_field_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 3)
+
+
+def test_component_reprs_pinned():
+    G = parse_group("lex(Z, Zloc(3), real(1, pi))")
+    assert repr(G.components) == (
+        "(Zed(), LocZ(q=3), FreeReal(gens=(RealGen(kind='rat', value=Fraction(1, 1)), "
+        "RealGen(kind='pi', value=Fraction(0, 1)))))"
+    )
 
 
 # -- hashing ----------------------------------------------------------------

@@ -21,8 +21,11 @@ sampler, and the two ring tests do not reach each other."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import fnmatch
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -191,6 +194,25 @@ def test_checker_flags_a_planted_export():
         "src/arclab/convex.py:1: planted",
         "__all__ exports planted",
     ]
+
+
+def test_a_word_is_the_only_dataclass():
+    # A dataclass execs generated methods when its module is imported, which
+    # every command pays; a record is a tuple (groups.record or a NamedTuple)
+    # and costs one namedtuple call.  LexWord stays a dataclass: its cached
+    # hash and cached slot layout live in an instance dict, which no tuple has.
+    modules = [
+        importlib.import_module(f"arclab.{m.name}") for m in pkgutil.iter_modules(arclab.__path__)
+    ]
+    found = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj)
+    ]
+    assert found == ["arclab.groups.LexWord"]
 
 
 # The standing rules: what each root may not reach. The evaluators stay

@@ -5,7 +5,6 @@ argument is no built shape, and a product matches in either order."""
 
 import hashlib
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -63,8 +62,8 @@ NAMES = ("x", "y", "z", "y2", "z2", "z3", "w")
 
 def _children(node):
     """(field name, child) for every child node."""
-    kids = [(f.name, getattr(node, f.name)) for f in fields(node)]
-    return [(name, kid) for name, kid in kids if hasattr(kid, "__dataclass_fields__")]
+    kids = [(name, getattr(node, name)) for name in node._fields]
+    return [(name, kid) for name, kid in kids if hasattr(kid, "_fields")]
 
 
 def _paths(node, path=()):
@@ -83,7 +82,7 @@ def _at(node, path):
 def _put(node, path, new):
     if not path:
         return new
-    return replace(node, **{path[0]: _put(getattr(node, path[0]), path[1:], new)})
+    return node._replace(**{path[0]: _put(getattr(node, path[0]), path[1:], new)})
 
 
 def _free(node) -> set:
@@ -105,13 +104,13 @@ def _rename_free(node, old, new, under_new=False):
         if node.var == old:
             return node, False
         body, cap = _rename_free(node.body, old, new, under_new or node.var == new)
-        return replace(node, body=body), cap
+        return node._replace(body=body), cap
     captured = False
     changes = {}
     for name, child in _children(node):
         changes[name], cap = _rename_free(child, old, new, under_new)
         captured |= cap
-    return replace(node, **changes), captured
+    return node._replace(**changes), captured
 
 
 def _alpha(node, rng, env=None):
@@ -126,8 +125,8 @@ def _alpha(node, rng, env=None):
         name = rng.choice(NAMES)
         if name in taken:
             name = f"v{rng.randrange(10**6)}"
-        return replace(node, var=name, body=_alpha(node.body, rng, {**env, node.var: name}))
-    return replace(node, **{name: _alpha(c, rng, env) for name, c in _children(node)})
+        return node._replace(var=name, body=_alpha(node.body, rng, {**env, node.var: name}))
+    return node._replace(**{name: _alpha(c, rng, env) for name, c in _children(node)})
 
 
 def _mutate(f, rng):
@@ -143,7 +142,7 @@ def _mutate(f, rng):
     elif isinstance(node, (Exists, Forall)):
         name = rng.choice(NAMES)
         body, captured = _rename_free(node.body, node.var, name)
-        new = replace(node, var=name, body=body)
+        new = node._replace(var=name, body=body)
         kind = "capture" if captured and name != node.var else "other"
     elif isinstance(node, Var):
         new = Var(rng.choice(NAMES))
@@ -248,7 +247,7 @@ def test_a_capturing_probe_is_no_coset_probe(capsys):
 def _turn_products(node):
     if isinstance(node, Mul):
         return Mul(_turn_products(node.right), _turn_products(node.left))
-    return replace(node, **{name: _turn_products(c) for name, c in _children(node)})
+    return node._replace(**{name: _turn_products(c) for name, c in _children(node)})
 
 
 @pytest.mark.parametrize("G, p, n", [(K1, 2, 1), (parse_group("lex(real(1, pi))"), 3, 1)])
