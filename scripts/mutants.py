@@ -264,15 +264,9 @@ MUTANTS = [
     ),
     (
         "src/arclab/formulas.py",
-        'def not_a_formula(env) -> bool:\n        raise ShapeError(f"not a formula: {f!r}")',
-        "def not_a_formula(env) -> bool:\n        return False",
+        'def not_a_formula(env, memo) -> bool:\n        raise ShapeError(f"not a formula: {f!r}")',
+        "def not_a_formula(env, memo) -> bool:\n        return False",
         "a plan decides a node that is no formula as false",
-    ),
-    (
-        "src/arclab/formulas.py",
-        'def not_a_term(env):\n            raise ShapeError(f"not a term: {t!r}")',
-        "def not_a_term(env):\n            return _undef(G)",
-        "a plan evaluates a node that is no term as an undefined fraction",
     ),
     (
         "src/arclab/formulas.py",
@@ -495,6 +489,43 @@ MUTANTS = [
         "    cls.__bool__ = _record_bool\n",
         "",
         "a record with no fields, such as Zed(), is false",
+    ),
+    (
+        "src/arclab/formulas.py",
+        '("root", p, print_term(u), allow_neg),',
+        '("root", print_term(u), allow_neg),',
+        "a root test's memo key drops the prime",
+    ),
+    (
+        "src/arclab/formulas.py",
+        '("root", p, print_term(u), allow_neg),',
+        '("root", p, print_term(u)),',
+        "a root test's memo key drops the sign",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "key = (type(f), print_term(f.left), print_term(f.right))",
+        "key = (print_term(f.left), print_term(f.right))",
+        "an atom's memo key drops Eq or Neq",
+    ),
+    (
+        "src/arclab/valuations.py",
+        '    for i, x in enumerate(xs):\n        env, memo = {"x": x}, {}\n',
+        '    memo = {}\n    for i, x in enumerate(xs):\n        env = {"x": x}\n',
+        "the sweep creates its decision memo once per sweep, not once per point",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "    elif point[0] is not env or point[1] != G:\n"
+        '        raise InternalError("a decision memo was filled at another point")\n',
+        "",
+        "a plan takes a memo filled at another point",
+    ),
+    (
+        "src/arclab/formulas.py",
+        "return _on_first_reach(lambda: _plan_atom(G, f))",
+        "return _plan_atom(G, f)",
+        "a plan prints an atom's sides when it is built, not when evaluation reaches it",
     ),
 ]
 

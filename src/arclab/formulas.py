@@ -22,7 +22,8 @@ quantifiers.  On top of the raw AST the module provides
     quantifier node matched once, its point-independent data (level
     table entry, cuts, validated coset parameters) computed once and each
     term compiled once, then called once per assignment.  Callers that
-    decide one formula at many points build the plan themselves;
+    decide one formula at many points build the plan themselves, and
+    plans called at one point with one memo decide each shared leaf once;
   * ``eval_sampled`` -- a witness-search evaluator that never uses the
     quantifier reductions and exists to hunt counterexamples against
     ``eval_decidable``.  Each sampled verdict carries one assignment, the
@@ -987,11 +988,13 @@ def eval_decidable(F, env, G: LexWord) -> bool:
 
 
 def decision_plan(F, G: LexWord):
-    """F compiled once for G into a function env -> bool that decides it
-    exactly as ``eval_decidable`` does.
+    """F compiled once for G into a function plan(env, memo=None) -> bool
+    that decides it exactly as ``eval_decidable`` does.
 
-    Connectives, atoms and terms are planned at once. Each term is compiled
-    once (``_plan_term``): a variable is read straight from the assignment,
+    Connectives are planned at once, and an atom or a quantifier node the
+    first time evaluation reaches it. An atom prints its sides then, which
+    refuses a side that is no term, and compiles each side once
+    (``_plan_term``): a variable is read straight from the assignment,
     a closed subterm (a constant, a monomial, a coset parameter) is
     evaluated the first time evaluation reaches it and then kept, and an
     operator applies the term arithmetic ``eval_term`` applies. A
@@ -1001,24 +1004,69 @@ def decision_plan(F, G: LexWord):
     after being matched. A node that fails to build raises on that
     evaluation and builds again on the next one, so every error is raised
     exactly where and whenever the evaluation reaches it, and none is kept
-    as a success. The plan holds no state beyond its own nodes.
+    as a success.
+
+    memo is the point's verdicts, a dict the caller owns: it holds env
+    normalised once and one verdict per decided leaf, each matched
+    quantifier shape and each atom, under a key of its kind, prime and
+    printed terms (``_plan_shared``). So plans of one group that are called
+    at one env with one memo decide an equal leaf once between them. A memo
+    filled at another env object or group is an InternalError. Without a
+    memo each call gets a fresh one. Beyond that memo the plan holds no
+    state but its own nodes.
     """
     _require_effective(G)
     decide = _plan(G, F)
-    return lambda env: decide(_norm_env(G, env))
+
+    def plan(env, memo: dict | None = None) -> bool:
+        if memo is None:
+            memo = {}
+        return decide(_plan_point(G, env, memo), memo)
+
+    return plan
+
+
+_POINT = "point"  # the memo's entry for its point; every verdict's key is a tuple
+
+
+def _plan_point(G: LexWord, env, memo: dict) -> dict:
+    """env normalised over G, once per memo; a memo filled at another env
+    object or over another group raises InternalError."""
+    point = memo.get(_POINT)
+    if point is None:
+        point = memo[_POINT] = (env, G, _norm_env(G, env))
+    elif point[0] is not env or point[1] != G:
+        raise InternalError("a decision memo was filled at another point")
+    return point[2]
+
+
+def _plan_shared(key, decide):
+    """decide, a function of env, as a plan node that keeps its verdict in
+    the point's memo under key. Equal printed terms are equal terms, so a
+    key names the leaf whatever plan it sits in and whatever its bound
+    variables are called. Every leaf is planned, and so keyed, the first
+    time evaluation reaches it, and a decision that raises stores nothing."""
+
+    def shared(env, memo) -> bool:
+        verdict = memo.get(key)
+        if verdict is None:
+            verdict = memo[key] = decide(env)
+        return verdict
+
+    return shared
 
 
 def _on_first_reach(build):
-    """A function of env that calls build() when first reached and keeps
-    the function it returns; a build that raises is retried on the next
+    """A function that calls build() when first reached and keeps the
+    function it returns; a build that raises is retried on the next
     reach."""
     run_built = None
 
-    def run(env):
+    def run(*point):
         nonlocal run_built
         if run_built is None:
             run_built = build()
-        return run_built(env)
+        return run_built(*point)
 
     return run
 
@@ -1029,10 +1077,10 @@ def _is_closed(t) -> bool:
 
 
 def _plan_term(G: LexWord, t):
-    """t compiled once for G into a function env -> SeriesFraction that
-    evaluates it as eval_term does. Nothing is evaluated here: a closed
-    subterm is evaluated the first time it is reached and then kept, and
-    a node that is no term raises when it is reached."""
+    """The term t compiled once for G into a function env -> SeriesFraction
+    that evaluates it as eval_term does. Nothing is evaluated here: a
+    closed subterm is evaluated the first time it is reached and then
+    kept."""
     if _is_closed(t):
 
         def kept():
@@ -1049,45 +1097,47 @@ def _plan_term(G: LexWord, t):
     if kind is Pow:
         base, n = _plan_term(G, t.base), t.n
         return lambda env: _sf_pow(base(env), n)
-    op = _BINARY_OPS.get(kind)
-    if op is None:
-
-        def not_a_term(env):
-            raise ShapeError(f"not a term: {t!r}")
-
-        return not_a_term
+    op = _BINARY_OPS[kind]
     left, right = _plan_term(G, t.left), _plan_term(G, t.right)
     return lambda env: op(left(env), right(env))
 
 
 def _plan(G: LexWord, f):
+    """f compiled for G into a function (env, memo) -> bool."""
     if isinstance(f, (Eq, Neq)):
-        left, right = _plan_term(G, f.left), _plan_term(G, f.right)
-
-        def atom(env) -> bool:
-            truth, certain = _atom_verdict(f, left, right, env)
-            if not certain:
-                raise TruncationError("atom truth is hidden below a truncation")
-            return truth
-
-        return atom
+        return _on_first_reach(lambda: _plan_atom(G, f))
     if isinstance(f, Not):
         arg = _plan(G, f.arg)
-        return lambda env: not arg(env)
+        return lambda env, memo: not arg(env, memo)
     if isinstance(f, (And, Or, Implies)):
         left, right = _plan(G, f.left), _plan(G, f.right)
         if isinstance(f, And):
-            return lambda env: left(env) and right(env)
+            return lambda env, memo: left(env, memo) and right(env, memo)
         if isinstance(f, Or):
-            return lambda env: left(env) or right(env)
-        return lambda env: (not left(env)) or right(env)
+            return lambda env, memo: left(env, memo) or right(env, memo)
+        return lambda env, memo: (not left(env, memo)) or right(env, memo)
     if isinstance(f, (Exists, Forall)):
         return _on_first_reach(lambda: _plan_quantifier(G, f))
 
-    def not_a_formula(env) -> bool:
+    def not_a_formula(env, memo) -> bool:
         raise ShapeError(f"not a formula: {f!r}")
 
     return not_a_formula
+
+
+def _plan_atom(G: LexWord, f):
+    """An atom, planned when first reached: printing its key refuses a
+    side that is no term."""
+    key = (type(f), print_term(f.left), print_term(f.right))
+    left, right = _plan_term(G, f.left), _plan_term(G, f.right)
+
+    def atom(env) -> bool:
+        truth, certain = _atom_verdict(f, left, right, env)
+        if not certain:
+            raise TruncationError("atom truth is hidden below a truncation")
+        return truth
+
+    return _plan_shared(key, atom)
 
 
 def _plan_quantifier(G: LexWord, f):
@@ -1097,7 +1147,10 @@ def _plan_quantifier(G: LexWord, f):
         if m is not None:
             p, u, allow_neg = m
             root_arg = _plan_term(G, u)
-            return lambda env: _sf_root_decision(G, root_arg(env), p, allow_neg)
+            return _plan_shared(
+                ("root", p, print_term(u), allow_neg),
+                lambda env: _sf_root_decision(G, root_arg(env), p, allow_neg),
+            )
         m = _match_coset_probe(f)
         if m is not None:
             p, w = m
@@ -1109,7 +1162,7 @@ def _plan_quantifier(G: LexWord, f):
                     return False
                 return elem_p_divisible(G, sf.valuation(G), p)
 
-            return coset_probe
+            return _plan_shared(("probe", p, print_term(w)), coset_probe)
     else:
         m = match_stability_clause(f)
         if m is not None:
@@ -1119,7 +1172,7 @@ def _plan_quantifier(G: LexWord, f):
             return _on_first_reach(lambda: _plan_coset_clause(G, *m))
     msg = print_formula(f)[:120]
 
-    def unsupported(env) -> bool:
+    def unsupported(env, memo) -> bool:
         raise UnsupportedQuantifierPattern(msg)
 
     return unsupported
@@ -1128,7 +1181,7 @@ def _plan_quantifier(G: LexWord, f):
 def _plan_stability(G: LexWord, p: int, x_term):
     """The multiplication-stability clause, decided through the cut structure."""
     if np_map(G).value_at(p) == 0:
-        return lambda env: True
+        return lambda env, memo: True
     cut = max_p_divisible(G, p)
     x_arg = _plan_term(G, x_term)
 
@@ -1141,7 +1194,7 @@ def _plan_stability(G: LexWord, p: int, x_term):
             return False
         return _ring_member_cut(G, v, cut)
 
-    return stability
+    return _plan_shared(("stability", p, print_term(x_term)), stability)
 
 
 def _plan_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str):
@@ -1165,7 +1218,8 @@ def _plan_coset_clause(G: LexWord, p: int, x_term, param_terms, side: str):
             return (not in_ring_p) or _in_cut_subgroup(G, v, cut)
         return in_ring_p or _in_cut_subgroup(G, v, cut)
 
-    return coset_clause
+    key = ("coset", p, print_term(x_term), side, tuple(map(print_term, param_terms)))
+    return _plan_shared(key, coset_clause)
 
 
 # ---------------------------------------------------------------------------

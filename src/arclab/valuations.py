@@ -18,10 +18,12 @@ two never share a code path past the cut construction itself, so a bug in
 either side shows up as a mismatch instead of cancelling out.
 
 `differential_sweep` runs many (p, n) cells of one group in one pass over
-the points: each formula is planned once, and the checks that depend only
-on the prime run once per point and prime, however many levels of that
-prime are asked for. `differential_verify` is its one-cell case, and a
-classification report makes one sweep per group.
+the points: each formula is planned once, the plans called at a point
+share one memo, so a leaf two formulas share is decided once there, and
+the checks that depend only on the prime run once per point and prime,
+however many levels of that prime are asked for. `differential_verify`
+is its one-cell case, and a classification report makes one sweep per
+group.
 """
 
 from __future__ import annotations
@@ -212,9 +214,12 @@ def differential_sweep(
     Points are the outer loop. The ring formula, the level-0 ring, the
     stability decision and its sampling depend on the prime only, so they
     run once per (prime, x) and their mismatches go to every cell of that
-    prime; each formula is compiled once into a decision plan. Returns one
-    dict per cell, in cell order, equal to what a one-cell sweep of that
-    cell returns.
+    prime; each formula is compiled once into a decision plan. The plans
+    called at one x share that point's memo, so x is normalised once and a
+    root test, stability clause or atom that several formulas contain
+    (phi_pn contains phi_p) is decided once per x. Returns one dict per
+    cell, in cell order, equal to what a one-cell sweep of that cell
+    returns.
 
     The level-n coset clauses are not sampled: no grid can falsify their
     shape (see `formulas._sampled`). Their decisions are checked against a
@@ -241,16 +246,16 @@ def differential_sweep(
 
     found: list[list[dict]] = [[] for _ in levels]
     for i, x in enumerate(xs):
-        env = {"x": x}
+        env, memo = {"x": x}, {}
         by_prime = {}
         for p, (decide_p, vp, stability, decide_stable) in primes.items():
-            d_p = decide_p(env)
+            d_p = decide_p(env, memo)
             r_p = ring_member(vp, x)
             ring_mm = None
             if d_p != r_p:
                 ring_mm = {"x": print_series(x), "kind": "phi_p", "decide": d_p, "ring": r_p}
             falsified = None
-            if decide_stable(env):
+            if decide_stable(env, memo):
                 out = eval_sampled(stability, env, G, budget=falsify_budget, seed=seed + 31 * i)
                 if out.status == "falsified_by":
                     falsified = {
@@ -264,7 +269,7 @@ def differential_sweep(
             ring_mm, falsified = by_prime[p]
             if ring_mm is not None:
                 mismatches.append(dict(ring_mm))
-            d_pn = decide_pn(env)
+            d_pn = decide_pn(env, memo)
             r_pn = ring_member(vpn, x)
             if d_pn != r_pn:
                 mismatches.append(

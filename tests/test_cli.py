@@ -590,7 +590,7 @@ def test_verify_phi_p_exits_1_on_a_falsified_stability_clause(monkeypatch):
     monkeypatch.setattr(
         valuations,
         "decision_plan",
-        lambda F, G: (lambda env: True) if type(F) is Forall else honest(F, G),
+        lambda F, G: (lambda env, memo=None: True) if type(F) is Forall else honest(F, G),
     )
     code, text = run(
         "verify", "phi-pn", "--group", "lex(Z, Q)", "-p", "2", "--samples", "5", "--json"

@@ -12,6 +12,7 @@ from arclab.convex import g_pn, max_p_divisible
 from arclab.errors import (
     ArclabError,
     DslSyntaxError,
+    InternalError,
     ParameterError,
     ShapeError,
     TruncationError,
@@ -71,7 +72,7 @@ from arclab.hahn import (
     v_of,
     zero_series,
 )
-from arclab.valuations import boundary_monomials
+from arclab.valuations import _stability_clause, boundary_monomials
 from conftest import EFFECTIVE_POOL
 from reference_eval import (
     RefSV,
@@ -425,6 +426,81 @@ def test_plan_validates_coset_parameters_only_where_reached(monkeypatch):
     assert len(matched) == 1
     with pytest.raises(ParameterError):
         eval_decidable(F, at("t^(-1,0)"), K1)
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        # -1 is a square up to sign but no square
+        ("(exists y. y^2 = x or y^2 = -x) and not (exists z. z^2 = x)", "-1"),
+        ("not (exists z. z^2 = x) and (exists y. y^2 = x or y^2 = -x)", "-1"),
+        # t^(2,0) is a square but no cube
+        ("(exists z. z^2 = x) and not (exists z. z^3 = x)", "t^(2,0)"),
+        ("not (exists z. z^3 = x) and (exists z. z^2 = x)", "t^(2,0)"),
+        ("x = 1 or x != 1", "2"),
+        ("x != 1 and not x = 1", "2"),
+    ],
+)
+def test_a_memo_keeps_leaves_of_another_sign_prime_or_kind_apart(text, point):
+    # one plan call shares one memo across its leaves, and so do two plans
+    # called with one memo: either way each side keeps its own verdict
+    F = parse_formula(text)
+    assert decision_plan(F, K1)(at(point)) is True
+    sides = [decision_plan(side, K1) for side in (F.left, F.right)]
+    env, memo = at(point), {}
+    assert [plan(env, memo) for plan in sides] == [plan(at(point)) for plan in sides]
+
+
+def test_a_memo_filled_at_another_point_is_refused():
+    plan = decision_plan(build_phi_p(2), K1)
+    env, memo = at("1"), {}
+    assert plan(env, memo) is True
+    assert plan(env, memo) is True
+    with pytest.raises(InternalError):
+        plan(at("1"), memo)  # an equal assignment, but another point's object
+    with pytest.raises(InternalError):
+        decision_plan(build_phi_p(2), ZPI)(env, memo)
+
+
+def test_one_memo_decides_each_root_test_once_and_normalises_once(monkeypatch):
+    roots, norms = [], []
+    root, norm = formulas._sf_root_decision, formulas._norm_env
+    monkeypatch.setattr(
+        formulas,
+        "_sf_root_decision",
+        lambda G, sf, p, signed: roots.append((p, signed, print_series(sf.num)))
+        or root(G, sf, p, signed),
+    )
+    monkeypatch.setattr(formulas, "_norm_env", lambda G, env: norms.append(env) or norm(G, env))
+    Fs = build_phi_p(2), build_phi_pn(2, 1, choose_params(K1, 2, 1))
+    plans = [decision_plan(F, K1) for F in Fs]
+    # outside the ring, phi_pn reaches its own copies of phi_p(x)
+    env = at("t^(-1,0)")
+    alone = [plan(env) for plan in plans]
+    assert len(roots) > len(set(roots)) and len(norms) == 2
+    roots.clear()
+    norms.clear()
+    memo = {}
+    assert [plan(env, memo) for plan in plans] == alone
+    assert sorted(roots) == [(2, False, "t^(-1,0) + 1"), (2, True, "t^(-1,0)")]
+    assert len(norms) == 1
+
+
+@pytest.mark.parametrize("name", EFFECTIVE_POOL)
+def test_plans_sharing_a_memo_per_point_decide_as_eval_decidable(name):
+    # the formulas a sweep of every (p, n <= 1) cell decides, at its boundary
+    # probes and first 20 samples, with one memo per point across them all
+    G = parse_group(name)
+    Fs = []
+    for p in (2, 3, 5):
+        phi_p = build_phi_p(p)
+        Fs += [phi_p, _stability_clause(phi_p)]
+        Fs += [build_phi_pn(p, n, choose_params(G, p, n)) for n in (0, 1)]
+    plans = [decision_plan(F, G) for F in Fs]
+    for x in boundary_monomials(G) + [sample_series(G, 42 * 6007 + i) for i in range(20)]:
+        env, memo = {"x": x}, {}
+        want = [eval_decidable(F, env, G) for F in Fs]
+        assert [plan(env, memo) for plan in plans] == want, print_series(x)
 
 
 def test_env_over_another_group_is_rejected():
